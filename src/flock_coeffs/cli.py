@@ -6,16 +6,14 @@ suite).  Exit codes are a stable contract: 0 success, 1 usage/configuration
 error, 2 invariant or verification failure, 3 numeric/solver failure.
 
 Configuration comes from an optional key=value file (--config) with flags
-taking precedence.  FLOCK_COEFFS_THREADS caps the sweep worker pool.
+taking precedence.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -152,16 +150,6 @@ def _write_text(path, text):
         out.write_text(text)
 
 
-def _worker_count():
-    env = os.environ.get("FLOCK_COEFFS_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ConfigError(f"FLOCK_COEFFS_THREADS must be an integer, got {env!r}")
-    return min(4, os.cpu_count() or 1)
-
-
 def _sweep_values(args):
     if args.d_min is not None or args.d_max is not None or args.steps is not None:
         if None in (args.d_min, args.d_max, args.steps):
@@ -186,12 +174,7 @@ def cmd_coeffs(args) -> int:
         k = kernel if d is None else replace(kernel, d=float(d))
         return compute_coefficients(k, n=n, kappa=kappa)
 
-    if sweep is None:
-        results = [run(None)]
-    else:
-        # worker pool; results collected in deterministic d-order
-        with ThreadPoolExecutor(max_workers=_worker_count()) as pool:
-            results = list(pool.map(run, sweep))
+    results = [run(None)] if sweep is None else [run(d) for d in sweep]
 
     if args.format == "json":
         payload = (results[0].to_json_dict() if sweep is None

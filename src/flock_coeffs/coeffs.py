@@ -28,7 +28,6 @@ from .quad import (
     VonMisesEquilibrium,
     average_weighted,
     build_equilibrium,
-    build_rule,
     quadrature_size,
 )
 
@@ -124,7 +123,7 @@ def compute_c123(kernel: CollisionKernel, gci: GciSolution,
         eq = build_equilibrium(kernel)
     x = eq.rule.nodes
     s2 = 1.0 - x * x
-    h = gci.h(x)
+    h = gci.h.values_on(eq.rule)
     nu = np.asarray(kernel.nu(x), dtype=float)
 
     c1 = eq.average(x)
@@ -144,7 +143,7 @@ def c_relation_residuals(kernel: CollisionKernel, gci: GciSolution, c,
     c1, c2, c3 = c
     x = eq.rule.nodes
     s2 = 1.0 - x * x
-    h = gci.h(x)
+    h = gci.h.values_on(eq.rule)
     nu = np.asarray(kernel.nu(x), dtype=float)
     d = kernel.d
     qw = eq.rule.weights * eq.weight
@@ -179,14 +178,15 @@ def solve_profiles(kernel: CollisionKernel, c, n: int, *,
     a_perp = solve_type1(kernel, probs["a_perp"]["alpha"], probs["a_perp"]["f"],
                          n, sing_order=1, rule=rule)
     a_par = solve_type2(kernel, probs["a_par"]["f"], n, rule=rule)
-    a_par = a_par.shifted(-eq.average(a_par(eq.rule.nodes)))
+    a_par = a_par.shifted(-eq.average(a_par.values_on(eq.rule)))
 
     b1 = solve_type1(kernel, probs["b1"]["alpha"], probs["b1"]["f"],
                      n, sing_order=2, rule=rule)
     probs = elliptic_problem_data(kernel, c, b1=b1)
     b2 = solve_type2(kernel, probs["b2"]["f"], n, rule=rule)
     xs = eq.rule.nodes
-    b2 = b2.shifted(-eq.average(0.5 * b1(xs) * (1.0 - xs * xs) + b2(xs)))
+    b2 = b2.shifted(-eq.average(0.5 * b1.values_on(eq.rule) * (1.0 - xs * xs)
+                                + b2.values_on(eq.rule)))
 
     b_par = solve_type1(kernel, probs["b_par"]["alpha"], probs["b_par"]["f"],
                         n, sing_order=1, rule=rule)
@@ -202,11 +202,13 @@ def profile_moment_residuals(profiles: ProfileSet, eq: VonMisesEquilibrium) -> d
     """
     x = eq.rule.nodes
     s2 = 1.0 - x * x
+    ap, al, b1, b2, bp = (p.values_on(eq.rule) for p in (
+        profiles.a_perp, profiles.a_par, profiles.b1, profiles.b2, profiles.b_par))
     return {
-        "a_perp_moment": abs(eq.average(profiles.a_perp(x) * s2)),
-        "a_par_moment": abs(eq.average(profiles.a_par(x))),
-        "b_moment": abs(eq.average(0.5 * profiles.b1(x) * s2 + profiles.b2(x))),
-        "b_par_moment": abs(eq.average(profiles.b_par(x) * s2)),
+        "a_perp_moment": abs(eq.average(ap * s2)),
+        "a_par_moment": abs(eq.average(al)),
+        "b_moment": abs(eq.average(0.5 * b1 * s2 + b2)),
+        "b_par_moment": abs(eq.average(bp * s2)),
     }
 
 
@@ -222,8 +224,9 @@ def compute_r1_coeffs(kernel: CollisionKernel, profiles: ProfileSet,
         eq = build_equilibrium(kernel)
     x = eq.rule.nodes
     s2 = 1.0 - x * x
-    beta = eq.average(profiles.a_par(x) * x)
-    gamma = eq.average((0.5 * profiles.b1(x) * s2 + profiles.b2(x)) * x)
+    beta = eq.average(profiles.a_par.values_on(eq.rule) * x)
+    gamma = eq.average((0.5 * profiles.b1.values_on(eq.rule) * s2
+                        + profiles.b2.values_on(eq.rule)) * x)
     if not beta > 0:
         raise InvariantError(f"mass-diffusion coefficient beta = {beta:.6e} <= 0")
     return beta, gamma
@@ -239,7 +242,7 @@ def beta_quadratic_form(kernel: CollisionKernel, profiles: ProfileSet,
     if eq is None:
         eq = build_equilibrium(kernel)
     x = eq.rule.nodes
-    ap = profiles.a_par.derivative()(x)
+    ap = profiles.a_par.derivative().values_on(eq.rule)
     return kernel.d * eq.average((1.0 - x * x) * ap * ap)
 
 
@@ -310,13 +313,10 @@ def _route_tables(kernel, gci, profiles, c, kappa, eq):
     c1, c2, c3 = c
     nu = np.asarray(kernel.nu(x), dtype=float)
     nup = np.asarray(kernel.nu_prime(x), dtype=float)
-    h = gci.h(x)
-    hp = gci.h_prime(x)
-    ap = profiles.a_perp(x)
-    al = profiles.a_par(x)
-    b1 = profiles.b1(x)
-    b2 = profiles.b2(x)
-    bp = profiles.b_par(x)
+    h = gci.h.values_on(eq.rule)
+    hp = gci.h_prime.values_on(eq.rule)
+    ap, al, b1, b2, bp = (p.values_on(eq.rule) for p in (
+        profiles.a_perp, profiles.a_par, profiles.b1, profiles.b2, profiles.b_par))
     avg = eq.average
 
     lam = {
@@ -442,8 +442,7 @@ def compute_coefficients(kernel: CollisionKernel, n: int = 64, kappa: float = 0.
     rounding level.  `strict` validates the ordering 0 < c2 < c1 < 1, c3 > 0
     and beta > 0.
     """
-    rule = build_rule(quadrature_size(kernel, n + 10))
-    eq = build_equilibrium(kernel, rule.n)
+    eq = build_equilibrium(kernel, quadrature_size(kernel, n + 10))
     gci = solve_gci(kernel, n, rule=eq.rule)
     c = compute_c123(kernel, gci, eq)
     profiles = solve_profiles(kernel, c, n, rule=eq.rule, eq=eq)
@@ -457,7 +456,7 @@ def compute_coefficients(kernel: CollisionKernel, n: int = 64, kappa: float = 0.
                        ("b_par", profiles.b_par)):
         residuals[f"{name}_solve"] = prof.meta["residual"]
     residuals["h_max"] = float(gci.h.values.max())
-    beta_bracket = eq.average(profiles.a_par(eq.rule.nodes) * eq.rule.nodes)
+    beta_bracket = eq.average(profiles.a_par.values_on(eq.rule) * eq.rule.nodes)
     residuals["beta_dirichlet_diff"] = abs(
         beta_quadratic_form(kernel, profiles, eq) - beta_bracket)
 

@@ -53,26 +53,22 @@ class MuProfile:
     @classmethod
     def from_coef(cls, rule, coef, meta=None):
         coef = np.asarray(coef, dtype=float)
-        return cls(rule, coef, npleg.legval(rule.nodes, coef), meta or {})
-
-    @classmethod
-    def from_callable(cls, rule, fn, degree, meta=None):
-        """Quadrature projection of fn onto Legendre polynomials up to degree."""
-        fvals = np.asarray(fn(rule.nodes), dtype=float)
-        V = npleg.legvander(rule.nodes, degree)
-        scale = (2 * np.arange(degree + 1) + 1) / 2.0
-        coef = scale * (V.T @ (rule.weights * fvals))
-        return cls.from_coef(rule, coef, meta)
+        return cls(rule, coef, _basis(rule, len(coef) - 1)[0] @ coef, meta or {})
 
     def __call__(self, mu):
         return npleg.legval(np.asarray(mu, dtype=float), self.coef)
+
+    def values_on(self, rule: QuadratureRule) -> np.ndarray:
+        """Values at the nodes of `rule`; the stored nodal values on its own rule."""
+        return self.values if rule is self.rule else self(rule.nodes)
 
     @property
     def degree(self) -> int:
         return len(self.coef) - 1
 
     def derivative(self) -> "MuProfile":
-        return MuProfile.from_coef(self.rule, npleg.legder(self.coef))
+        Vd = _basis(self.rule, self.degree)[1]
+        return MuProfile(self.rule, npleg.legder(self.coef), Vd @ self.coef)
 
     def antiderivative(self, anchor: float = 0.0) -> "MuProfile":
         return MuProfile.from_coef(self.rule, npleg.legint(self.coef, lbnd=anchor))
@@ -126,15 +122,29 @@ class GciSolution:
     h_prime: MuProfile
 
 
-def _basis(rule: QuadratureRule, degree: int, second: bool = False):
-    """Legendre values and derivatives at the rule nodes, shape (n_nodes, degree+1)."""
+def _basis(rule: QuadratureRule, degree: int):
+    """Legendre values, first and second derivatives at the rule nodes.
+
+    Three read-only arrays of shape (n_nodes, degree+1), built once per rule
+    and degree and kept on the rule.  The derivative columns come from the
+    recurrences P'_{j+1} = P'_{j-1} + (2j+1) P_j and
+    P''_{j+1} = P''_{j-1} + (2j+1) P'_j, so the build is O(n_nodes * degree).
+    """
+    basis = rule.bases.get(degree)
+    if basis is not None:
+        return basis
     V = npleg.legvander(rule.nodes, degree)
-    eye = np.eye(degree + 1)
-    Vd = npleg.legval(rule.nodes, npleg.legder(eye, axis=0)).T
-    if not second:
-        return V, Vd
-    Vdd = npleg.legval(rule.nodes, npleg.legder(eye, 2, axis=0)).T
-    return V, Vd, Vdd
+    Vd = np.zeros_like(V)
+    Vdd = np.zeros_like(V)
+    if degree >= 1:
+        Vd[:, 1] = 1.0
+    for j in range(1, degree):
+        Vd[:, j + 1] = Vd[:, j - 1] + (2 * j + 1) * V[:, j]
+        Vdd[:, j + 1] = Vdd[:, j - 1] + (2 * j + 1) * Vd[:, j]
+    for a in (V, Vd, Vdd):
+        a.flags.writeable = False
+    # a concurrent build of the same basis loses to the one stored first
+    return rule.bases.setdefault(degree, (V, Vd, Vdd))
 
 
 def _solve_checked(A, F, what):
@@ -166,9 +176,8 @@ def _type1_strong_residual(kernel, w, alpha_vals, f_vals, u_coef, k, rule):
     sp = s2 ** (k / 2.0)
     nu_over_d = np.asarray(kernel.nu(x), dtype=float) / kernel.d
 
-    u = npleg.legval(x, u_coef)
-    up = npleg.legval(x, npleg.legder(u_coef))
-    upp = npleg.legval(x, npleg.legder(u_coef, 2))
+    V, Vd, Vdd = _basis(rule, len(u_coef) - 1)
+    u, up, upp = V @ u_coef, Vd @ u_coef, Vdd @ u_coef
 
     bracket = (
         s2 * s2 * upp
@@ -202,7 +211,7 @@ def assemble_type1_form(kernel: CollisionKernel, alpha, n: int, sing_order: int 
     if alpha_vals.ndim == 0:
         alpha_vals = np.full(rule.n, float(alpha_vals))
 
-    V, Vd = _basis(rule, n)
+    V, Vd, _ = _basis(rule, n)
     # weak form a(g, v) = int w (1-mu^2) g' v' + int alpha g v / (1-mu^2)
     # with g = s^k u, v = s^k p
     w_dd = qw * w * s2 ** (k + 1)
@@ -232,7 +241,7 @@ def _divided_type1_system(kernel, alpha_vals, f_vals, k, rule, n):
     lw = kernel.log_weight(x)
     nu_over_d = np.asarray(kernel.nu(x), dtype=float) / kernel.d
 
-    V, Vd, Vdd = _basis(rule, n, second=True)
+    V, Vd, Vdd = _basis(rule, n)
     c2_ = -s2 * s2
     c1_ = -s2 * (nu_over_d * s2 - 2.0 * (k + 1) * x)
     c0_ = k * (nu_over_d * x * s2 + 1.0 - (k + 1) * x * x) + alpha_vals * np.exp(-lw)
@@ -240,6 +249,31 @@ def _divided_type1_system(kernel, alpha_vals, f_vals, k, rule, n):
     A = V.T @ (ops * qw[:, None])
     F = V.T @ (qw * f_vals * np.exp(-lw) / sp)
     return A, F
+
+
+def _run_formulation(formulation, weighted, divided):
+    """Run the requested formulation; returns (result, name of the form used).
+
+    `weighted` and `divided` are attempts returning tuples whose last entry
+    is the strong residual.  "auto" runs the weighted form and falls back to
+    the divided one when the weighted solve fails or its residual exceeds
+    1e-9, keeping the smaller residual; when both solves fail, the divided
+    form's error is raised.
+    """
+    if formulation == "weighted":
+        return weighted(), "weighted"
+    if formulation == "divided":
+        return divided(), "divided"
+    if formulation != "auto":
+        raise PreconditionError(f"unknown formulation {formulation!r}")
+    try:
+        first = weighted()
+    except SolverError:
+        return divided(), "divided"
+    if first[-1] <= 1e-9:
+        return first, "weighted"
+    second = divided()
+    return (second, "divided") if second[-1] < first[-1] else (first, "weighted")
 
 
 def solve_type1(kernel: CollisionKernel, alpha, f, n: int, *, sing_order: int = 1,
@@ -256,9 +290,9 @@ def solve_type1(kernel: CollisionKernel, alpha, f, n: int, *, sing_order: int = 
 
     The default path is the symmetric weighted Galerkin form.  For sharply
     peaked equilibrium weights that form exhausts double precision, so when
-    its pointwise residual is poor the solver reassembles the weight-divided
-    regular equation and keeps the better of the two (`formulation` forces
-    either path).
+    its solve fails or its pointwise residual is poor the solver reassembles
+    the weight-divided regular equation and keeps the better of the two
+    (`formulation` forces either path).
     """
     k = int(sing_order)
     if k < 1:
@@ -305,21 +339,7 @@ def solve_type1(kernel: CollisionKernel, alpha, f, n: int, *, sing_order: int = 
                                      f_vals * np.exp(-shift), u, k, rule)
         return u, linres, res
 
-    if formulation == "weighted":
-        u, linres, residual = _weighted()
-        used = "weighted"
-    elif formulation == "divided":
-        u, linres, residual = _divided()
-        used = "divided"
-    elif formulation == "auto":
-        u, linres, residual = _weighted()
-        used = "weighted"
-        if residual > 1e-9:
-            u2, linres2, residual2 = _divided()
-            if residual2 < residual:
-                u, linres, residual, used = u2, linres2, residual2, "divided"
-    else:
-        raise PreconditionError(f"unknown formulation {formulation!r}")
+    (u, linres, residual), used = _run_formulation(formulation, _weighted, _divided)
 
     meta = {
         "problem": "type1",
@@ -387,13 +407,12 @@ def solve_type2(kernel: CollisionKernel, f, n: int, *,
             f"type-2 data must have zero mean; int f dmu = {fmean:.6e}"
         )
 
-    V, Vd, Vdd = _basis(rule, n, second=True)
+    V, Vd, Vdd = _basis(rule, n)
 
     def _strong_residual(u):
         # substituted (weight-divided) form, matching the reduced-operator
         # metric used for type 1
-        up = npleg.legval(x, npleg.legder(u))
-        upp = npleg.legval(x, npleg.legder(u, 2))
+        up, upp = Vd @ u, Vdd @ u
         r = -(nu_over_d * s2 * up + s2 * upp - 2.0 * x * up) - fs_vals / w
         scale = float(np.max(np.abs(fs_vals / w))) or 1.0
         return float(np.max(np.abs(r)) / scale)
@@ -414,21 +433,7 @@ def solve_type2(kernel: CollisionKernel, f, n: int, *,
         u, mult, linres = _bordered_solve(A, F, col, "type-2 solve (divided form)")
         return u, mult, linres, _strong_residual(u)
 
-    if formulation == "weighted":
-        u, mult, linres, residual = _weighted()
-        used = "weighted"
-    elif formulation == "divided":
-        u, mult, linres, residual = _divided()
-        used = "divided"
-    elif formulation == "auto":
-        u, mult, linres, residual = _weighted()
-        used = "weighted"
-        if residual > 1e-9:
-            u2, mult2, linres2, residual2 = _divided()
-            if residual2 < residual:
-                u, mult, linres, residual, used = u2, mult2, linres2, residual2, "divided"
-    else:
-        raise PreconditionError(f"unknown formulation {formulation!r}")
+    (u, mult, linres, residual), used = _run_formulation(formulation, _weighted, _divided)
 
     meta = {
         "problem": "type2",

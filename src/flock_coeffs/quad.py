@@ -9,7 +9,7 @@ the averages invariant under additive shifts of sigma and safe for small d.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import roots_legendre
@@ -35,6 +35,9 @@ class QuadratureRule:
 
     nodes: np.ndarray
     weights: np.ndarray
+    # Legendre bases at the nodes by degree (elliptic._basis); they live and
+    # die with the rule, so no cache outlives a computation
+    bases: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @property
     def n(self) -> int:

@@ -41,12 +41,11 @@ def test_coeffs_csv_sweep_shape(tmp_path):
     assert first[4] > 0  # beta
 
 
-def test_coeffs_sweep_deterministic_output(tmp_path, monkeypatch):
+def test_coeffs_sweep_deterministic_output(tmp_path):
     args = ["coeffs", "--nu", "evenpoly:1,0.5", "--d-min", "0.2", "--d-max", "1",
             "--steps", "5", "--n", "32", "--format", "csv"]
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     assert run(args + ["-o", str(a)]) == 0
-    monkeypatch.setenv("FLOCK_COEFFS_THREADS", "2")
     assert run(args + ["-o", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
 

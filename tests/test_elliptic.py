@@ -1,14 +1,21 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
+from numpy.polynomial import legendre as npleg
 from numpy.polynomial import polynomial as nppoly
 
+from flock_coeffs import elliptic
 from flock_coeffs.elliptic import (
-        assemble_type1_form,
+    MuProfile,
+    _basis,
+    assemble_type1_form,
     solve_gci,
     solve_type1,
     solve_type2,
 )
-from flock_coeffs.errors import PreconditionError
+from flock_coeffs.errors import PreconditionError, SolverError
 from flock_coeffs.kernel import registry_kernels
 from flock_coeffs.quad import build_rule
 
@@ -138,8 +145,6 @@ def _wmean(kernel, mu):
 def test_type2_annihilates_constants(even_kernel):
     # column/row of the constant mode must vanish in the stiffness form
     rule = build_rule(120)
-    from numpy.polynomial import legendre as npleg
-
     V = npleg.legvander(rule.nodes, 16)
     Vd = npleg.legval(rule.nodes, npleg.legder(np.eye(17), axis=0)).T
     w = even_kernel.weight(rule.nodes) * (1 - rule.nodes**2)
@@ -222,3 +227,84 @@ def test_azimuthal_harmonic_integral_shortcut():
         for trig in (np.sin, np.cos):
             total = float((rule.weights @ prof) * wphi * trig(k * phi).sum())
             assert abs(total) < 1e-12
+
+
+@pytest.mark.parametrize("nq", [64, 414])
+@pytest.mark.parametrize("degree", [1, 2, 16, 64, 256])
+def test_basis_recurrence_matches_clenshaw(nq, degree):
+    # reference: each derivative column evaluated by Clenshaw from legder
+    rule = build_rule(nq)
+    eye = np.eye(degree + 1)
+    refs = [npleg.legval(rule.nodes, npleg.legder(eye, m, axis=0)).T for m in (0, 1, 2)]
+    for got, ref in zip(_basis(rule, degree), refs):
+        assert got.shape == (nq, degree + 1)
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("nq", [64, 414])
+@pytest.mark.parametrize("degree", [16, 256])
+def test_nodal_values_match_legval(nq, degree):
+    rule = build_rule(nq)
+    rng = np.random.default_rng(degree)
+    coef = rng.standard_normal(degree + 1) * 0.9 ** np.arange(degree + 1)
+    ref = npleg.legval(rule.nodes, coef)
+    prof = MuProfile.from_coef(rule, coef)
+    assert np.max(np.abs(prof.values - ref)) <= 1e-13 * np.max(np.abs(ref))
+    dref = npleg.legval(rule.nodes, npleg.legder(coef))
+    assert np.max(np.abs(prof.derivative().values - dref)) <= 1e-13 * np.max(np.abs(dref))
+
+
+def test_basis_built_once_per_rule_and_read_only():
+    rule = build_rule(64)
+    first = _basis(rule, 16)
+    second = _basis(rule, 16)
+    assert all(a is b for a, b in zip(first, second))
+    for a in first:
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0, 0] = 1.0
+    # another rule of the same size keeps its own basis
+    assert _basis(build_rule(64), 16)[0] is not first[0]
+
+
+def test_basis_memo_under_concurrent_first_use():
+    # racing first builds on one rule must all hand back the stored basis
+    rule = build_rule(414)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            got = [f.result(timeout=60) for f in
+                   [pool.submit(_basis, rule, 128) for _ in range(16)]]
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(b is rule.bases[128] for b in got)
+
+
+def _failing_weighted_solve(monkeypatch, fail_divided=False):
+    real = elliptic._solve_checked
+
+    def solve(A, F, what):
+        if "weighted" in what or fail_divided:
+            raise SolverError(f"{what}: forced failure", 1e18)
+        return real(A, F, what)
+
+    monkeypatch.setattr(elliptic, "_solve_checked", solve)
+
+
+def test_auto_falls_back_when_weighted_solve_fails(monkeypatch, even_kernel):
+    _failing_weighted_solve(monkeypatch)
+    w = even_kernel.weight
+    u = solve_type1(even_kernel, w, lambda mu: -((1 - mu * mu) ** 1.5) * w(mu), 24)
+    assert u.meta["formulation"] == "divided"
+    g = solve_type2(even_kernel, lambda mu: 2.0 * mu, 24)
+    assert g.meta["formulation"] == "divided"
+
+
+def test_auto_raises_divided_error_when_both_solves_fail(monkeypatch, even_kernel):
+    _failing_weighted_solve(monkeypatch, fail_divided=True)
+    w = even_kernel.weight
+    with pytest.raises(SolverError, match="divided form"):
+        solve_type1(even_kernel, w, lambda mu: -((1 - mu * mu) ** 1.5) * w(mu), 24)
+    with pytest.raises(SolverError, match="divided form"):
+        solve_type2(even_kernel, lambda mu: 2.0 * mu, 24)
