@@ -33,7 +33,7 @@ from .errors import (
 )
 from .fields import evaluate_corrections, load_field_csv, make_field, save_field_csv
 from .kernel import kernel_from_config, parse_config
-from .quad import build_equilibrium, build_rule, quadrature_size
+from .quad import build_equilibrium, quadrature_size
 from .verify import run_verification
 
 EXIT_OK = 0
@@ -194,8 +194,7 @@ def cmd_profiles(args) -> int:
     outdir = Path(args.output or "profiles-out")
     outdir.mkdir(parents=True, exist_ok=True)
 
-    rule = build_rule(quadrature_size(kernel, n + 10))
-    eq = build_equilibrium(kernel, rule.n)
+    eq = build_equilibrium(kernel, quadrature_size(kernel, n + 10))
     gci = solve_gci(kernel, n, rule=eq.rule)
     c = compute_c123(kernel, gci, eq)
     profiles = solve_profiles(kernel, c, n, rule=eq.rule, eq=eq)

@@ -101,12 +101,20 @@ class FieldState:
 class GradientBundle:
     """First derivatives of (rho, omega) split along/normal to omega.
 
+    scheme_order  : finite-difference order (2 or 4) the bundle was built
+                    with; evaluate_r1, evaluate_r2 and r2_terms differentiate
+                    bundle entries with the same stencil
     grad_perp_rho : transverse density gradient (3-vector per cell)
     par_grad_rho  : omega . grad rho (scalar)
     omega_tilt    : (omega . grad) omega, projected transverse (3-vector)
     div_omega     : trace of the transverse-transverse orientation gradient
     sigma_omega   : symmetric traceless shear block (3x3, transverse plane)
     gamma_omega   : antisymmetric swirl block (3x3, transverse plane)
+
+    decompose_gradients stores the vector and tensor fields component-major,
+    as contiguous (3, ...) and (3, 3, ...) arrays, and exposes them here as
+    np.moveaxis views: they have the shapes grid + (3,) and grid + (3, 3)
+    but are not C-contiguous.
     """
 
     scheme_order: int
@@ -120,44 +128,69 @@ class GradientBundle:
 
 @dataclass
 class CorrectionFields:
-    """Pointwise corrections: scalar r1 and vector r2 with omega . r2 = 0."""
+    """Pointwise corrections: scalar r1 and vector r2 with omega . r2 = 0.
+
+    r2 has the shape grid + (3,); evaluate_r2 builds it component-major, so
+    it is a view of (3, ...) storage and not C-contiguous.
+    """
 
     r1: np.ndarray
     r2: np.ndarray
 
 
 def deriv(values: np.ndarray, axis: int, h: float, order: int = 2) -> np.ndarray:
-    """Centered periodic finite difference along `axis` (order 2 or 4)."""
+    """Centered periodic finite difference along `axis` (order 2 or 4).
+
+    Each stencil tap is a slice of one wrap-padded copy of `values`; an axis
+    of extent 1 is constant and has a zero derivative.
+    """
+    if order not in (2, 4):
+        raise DomainError(f"scheme order must be 2 or 4, got {order}")
+    n = values.shape[axis]
+    if n == 1:
+        return np.zeros(values.shape)
+    w = order // 2
+    padded = np.take(values, np.arange(-w, n + w) % n, axis=axis)
+
+    def tap(s):
+        """values shifted by s cells: tap(s)[i] = values[i + s]."""
+        return padded[(slice(None),) * axis + (slice(w + s, w + s + n),)]
+
     if order == 2:
-        return (np.roll(values, -1, axis=axis) - np.roll(values, 1, axis=axis)) / (2.0 * h)
-    if order == 4:
-        return (
-            -np.roll(values, -2, axis=axis)
-            + 8.0 * np.roll(values, -1, axis=axis)
-            - 8.0 * np.roll(values, 1, axis=axis)
-            + np.roll(values, 2, axis=axis)
-        ) / (12.0 * h)
-    raise DomainError(f"scheme order must be 2 or 4, got {order}")
-
-
-def _grad_scalar(state_grid, values, order):
-    return np.stack(
-        [deriv(values, ax, state_grid.spacing[ax], order) for ax in range(3)], axis=-1
-    )
-
-
-def _grad_vector_jk(state_grid, vec, order):
-    """(grad v)[..., j, k] = d_j v_k."""
-    out = np.empty(vec.shape[:-1] + (3, 3))
-    for j in range(3):
-        for k in range(3):
-            out[..., j, k] = deriv(vec[..., k], j, state_grid.spacing[j], order)
+        out = tap(1) - tap(-1)
+        out /= 2.0 * h
+    else:
+        out = -tap(2)
+        out += 8.0 * tap(1)
+        out -= 8.0 * tap(-1)
+        out += tap(-2)
+        out /= 12.0 * h
     return out
 
 
+def _vector_components(vec):
+    """Component-major (3, ...) view of a grid + (3,) field."""
+    return np.moveaxis(vec, -1, 0)
+
+
+def _tensor_components(tens):
+    """Component-major (3, 3, ...) view of a grid + (3, 3) field."""
+    return np.moveaxis(tens, (-2, -1), (0, 1))
+
+
+def _dot(u, v):
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+
+
+def _omega_components(state):
+    """The orientation as a contiguous component-major (3, ...) array."""
+    return np.ascontiguousarray(_vector_components(state.omega))
+
+
 def _project_perp(omega, vec):
-    """(Id - omega otimes omega) vec, exact pointwise algebra."""
-    return vec - np.sum(vec * omega, axis=-1, keepdims=True) * omega
+    """(Id - omega otimes omega) vec on components, exact pointwise algebra."""
+    along = _dot(vec, omega)
+    return [vec[k] - along * omega[k] for k in range(3)]
 
 
 def decompose_gradients(state: FieldState, scheme_order: int = 2) -> GradientBundle:
@@ -170,48 +203,77 @@ def decompose_gradients(state: FieldState, scheme_order: int = 2) -> GradientBun
     state.validate()
     if scheme_order == 4 and any(1 < n < 5 for n in state.grid.shape):
         raise DomainError("order-4 stencil needs periodic extents of >= 5 cells (or 1)")
-    omega = state.omega
-    grad_rho = _grad_scalar(state.grid, state.rho, scheme_order)
-    grad_omega = _grad_vector_jk(state.grid, omega, scheme_order)
+    grid, shape = state.grid, state.grid.shape
+    om = _omega_components(state)
 
-    par_grad_rho = np.sum(grad_rho * omega, axis=-1)
-    grad_perp_rho = grad_rho - par_grad_rho[..., None] * omega
+    def d(values, j):
+        return deriv(values, j, grid.spacing[j], scheme_order)
 
-    # (omega . grad) omega = (grad omega)^T omega, then projected transverse
-    tilt_raw = np.einsum("...jk,...j->...k", grad_omega, omega)
-    omega_tilt = _project_perp(omega, tilt_raw)
+    grad_rho = [d(state.rho, j) for j in range(3)]
+    par_grad_rho = _dot(grad_rho, om)
+    grad_perp_rho = np.empty((3,) + shape)
+    for k in range(3):
+        np.subtract(grad_rho[k], par_grad_rho * om[k], out=grad_perp_rho[k])
+    del grad_rho
 
-    # transverse-transverse block: O_perp (grad omega) O_perp
-    proj = np.eye(3) - omega[..., :, None] * omega[..., None, :]
-    bb = np.einsum("...ij,...jk,...kl->...il", proj, grad_omega, proj)
-    div_omega = np.einsum("...ii->...", bb)
-    bb_t = bb.swapaxes(-1, -2)
-    sigma_omega = bb + bb_t - div_omega[..., None, None] * proj
-    gamma_omega = bb - bb_t
+    # g[j, k] = d_j omega_k; a = omega^T g is (omega . grad) omega, b = g omega
+    g = np.empty((3, 3) + shape)
+    for j in range(3):
+        for k in range(3):
+            g[j, k] = d(om[k], j)
+    a = [_dot(om, g[:, k]) for k in range(3)]
+    b = [_dot(g[j], om) for j in range(3)]
+    c = _dot(om, b)
+    omega_tilt = np.stack(_project_perp(om, a))
+
+    # transverse-transverse block P g P = g - omega a^T - b omega^T
+    # + c omega omega^T, written over g entry by entry
+    u = [c * om[k] - a[k] for k in range(3)]
+    del a
+    for j in range(3):
+        for k in range(3):
+            g[j, k] += om[j] * u[k]
+            g[j, k] -= b[j] * om[k]
+    del b, c, u
+    div_omega = g[0, 0] + g[1, 1] + g[2, 2]
+
+    sigma = np.empty((3, 3) + shape)
+    gamma = np.empty((3, 3) + shape)
+    for j in range(3):
+        np.multiply(g[j, j], 2.0, out=sigma[j, j])
+        sigma[j, j] -= div_omega * (1.0 - om[j] * om[j])
+        gamma[j, j] = 0.0
+        for k in range(j + 1, 3):
+            np.add(g[j, k], g[k, j], out=sigma[j, k])
+            sigma[j, k] += div_omega * (om[j] * om[k])
+            sigma[k, j] = sigma[j, k]
+            np.subtract(g[j, k], g[k, j], out=gamma[j, k])
+            np.negative(gamma[j, k], out=gamma[k, j])
 
     return GradientBundle(
         scheme_order=scheme_order,
-        grad_perp_rho=grad_perp_rho,
+        grad_perp_rho=np.moveaxis(grad_perp_rho, 0, -1),
         par_grad_rho=par_grad_rho,
-        omega_tilt=omega_tilt,
+        omega_tilt=np.moveaxis(omega_tilt, 0, -1),
         div_omega=div_omega,
-        sigma_omega=sigma_omega,
-        gamma_omega=gamma_omega,
+        sigma_omega=np.moveaxis(sigma, (0, 1), (-2, -1)),
+        gamma_omega=np.moveaxis(gamma, (0, 1), (-2, -1)),
     )
 
 
-def _divergence(grid, vec, order):
-    return sum(deriv(vec[..., ax], ax, grid.spacing[ax], order) for ax in range(3))
-
-
-def evaluate_r1(state: FieldState, bundle: GradientBundle, beta: float, gamma: float,
-                scheme_order: int = 2) -> np.ndarray:
-    """Mass-equation correction field."""
+def evaluate_r1(state: FieldState, bundle: GradientBundle, beta: float,
+                gamma: float) -> np.ndarray:
+    """Mass-equation correction field, at the bundle's scheme order."""
     _check_bundle(state, bundle)
-    v1 = bundle.par_grad_rho[..., None] * state.omega
-    v2 = (state.rho * bundle.div_omega)[..., None] * state.omega
-    return beta * _divergence(state.grid, v1, scheme_order) + gamma * _divergence(
-        state.grid, v2, scheme_order)
+    grid, order = state.grid, bundle.scheme_order
+    om = _omega_components(state)
+    rho_div = state.rho * bundle.div_omega
+
+    def divergence(scalar):
+        """div(scalar * omega)."""
+        return sum(deriv(scalar * om[ax], ax, grid.spacing[ax], order) for ax in range(3))
+
+    return beta * divergence(bundle.par_grad_rho) + gamma * divergence(rho_div)
 
 
 # slot tags: which of the 13 structures are quadratic in first derivatives
@@ -230,82 +292,97 @@ def _check_bundle(state, bundle):
             f"bundle shape {bundle.par_grad_rho.shape} does not match grid {state.grid.shape}")
 
 
-def r2_terms(state: FieldState, bundle: GradientBundle, scheme_order: int = 2) -> dict:
-    """The 13 tensor structures of the velocity correction, slot -> field.
+def _r2_slots(state, bundle):
+    """Yield (slot, [x, y, z]) for the 13 structures of R2, one slot at a time.
 
-    Second-derivative structures differentiate stored bundle entries with the
-    same scheme and project transverse; quadratic structures are pointwise
-    products of bundle entries.  Every returned field is orthogonal to omega.
+    Each slot is three scalar component arrays, so only one slot is alive at
+    a time.  Second-derivative structures differentiate stored bundle entries
+    with the bundle's scheme and are projected transverse; quadratic
+    structures are pointwise products of transverse bundle entries.
     """
     _check_bundle(state, bundle)
-    grid, omega, rho = state.grid, state.omega, state.rho
-    order = scheme_order
-    gperp = bundle.grad_perp_rho
-    dpar = bundle.par_grad_rho
-    tilt = bundle.omega_tilt
-    divo = bundle.div_omega
-    sig = bundle.sigma_omega
-    gam = bundle.gamma_omega
+    if state.rho.min() <= 0:
+        raise FieldStateError("velocity correction needs strictly positive density")
+    grid, rho, order = state.grid, state.rho, bundle.scheme_order
+    om = _omega_components(state)
+    gperp = _vector_components(bundle.grad_perp_rho)
+    tilt = _vector_components(bundle.omega_tilt)
+    sig = _tensor_components(bundle.sigma_omega)
+    gam = _tensor_components(bundle.gamma_omega)
+    dpar, divo = bundle.par_grad_rho, bundle.div_omega
+
+    def d(values, j):
+        return deriv(values, j, grid.spacing[j], order)
+
+    def scaled(s, vec):
+        return [s * vec[k] for k in range(3)]
+
+    def contract(tens, vec):
+        """(T vec)_j = T_jk vec_k."""
+        return [_dot(tens[j], vec) for j in range(3)]
 
     def par_deriv_vec(vec):
         """(omega . grad) vec, projected transverse."""
-        d = _grad_vector_jk(grid, vec, order)
-        out = np.einsum("...j,...jk->...k", omega, d)
-        return _project_perp(omega, out)
+        return _project_perp(om, [
+            om[0] * d(vec[k], 0) + om[1] * d(vec[k], 1) + om[2] * d(vec[k], 2)
+            for k in range(3)])
 
     def div_tensor(tens):
         """(div T)_k = d_j T_jk, projected transverse."""
-        out = np.zeros(tens.shape[:-2] + (3,))
-        for k in range(3):
-            out[..., k] = sum(
-                deriv(tens[..., j, k], j, grid.spacing[j], order) for j in range(3))
-        return _project_perp(omega, out)
+        return _project_perp(om, [
+            d(tens[0, k], 0) + d(tens[1, k], 1) + d(tens[2, k], 2) for k in range(3)])
 
-    if rho.min() <= 0:
-        raise FieldStateError("velocity correction needs strictly positive density")
-
-    terms = {
-        1: divo[..., None] * gperp,
-        2: rho[..., None] * _project_perp(
-            omega, _grad_scalar(grid, divo, order)),
-        3: np.einsum("...jk,...k->...j", sig, gperp),
-        4: np.einsum("...jk,...k->...j", gam, gperp),
-        5: par_deriv_vec(gperp),
-        6: dpar[..., None] * tilt,
-        7: (dpar / rho)[..., None] * gperp,
-        8: (rho * divo)[..., None] * tilt,
-        9: rho[..., None] * np.einsum("...jk,...k->...j", sig, tilt),
-        10: rho[..., None] * np.einsum("...jk,...k->...j", gam, tilt),
-        11: rho[..., None] * par_deriv_vec(tilt),
-        12: rho[..., None] * div_tensor(sig),
-        13: rho[..., None] * div_tensor(gam),
-    }
-    return terms
+    yield 1, scaled(divo, gperp)
+    yield 2, scaled(rho, _project_perp(om, [d(divo, j) for j in range(3)]))
+    yield 3, contract(sig, gperp)
+    yield 4, contract(gam, gperp)
+    yield 5, par_deriv_vec(gperp)
+    yield 6, scaled(dpar, tilt)
+    yield 7, scaled(dpar / rho, gperp)
+    yield 8, scaled(rho * divo, tilt)
+    yield 9, scaled(rho, contract(sig, tilt))
+    yield 10, scaled(rho, contract(gam, tilt))
+    yield 11, scaled(rho, par_deriv_vec(tilt))
+    yield 12, scaled(rho, div_tensor(sig))
+    yield 13, scaled(rho, div_tensor(gam))
 
 
-def evaluate_r2(state: FieldState, bundle: GradientBundle, coeffs,
-                scheme_order: int = 2) -> np.ndarray:
+def r2_terms(state: FieldState, bundle: GradientBundle) -> dict:
+    """The 13 tensor structures of the velocity correction, slot -> field.
+
+    Second-derivative structures differentiate stored bundle entries with the
+    bundle's scheme order and project transverse; quadratic structures are
+    pointwise products of bundle entries.  Every returned field is orthogonal
+    to omega and has the shape grid + (3,), as a view of (3, ...) storage.
+    """
+    return {slot: np.moveaxis(np.stack(comps), 0, -1)
+            for slot, comps in _r2_slots(state, bundle)}
+
+
+def evaluate_r2(state: FieldState, bundle: GradientBundle, coeffs) -> np.ndarray:
     """Velocity-equation correction field: sum of zeta_j times structure j.
 
     `coeffs` is either a coefficient-set object exposing `.zeta` or a plain
-    13-vector.  Linear in the zeta vector by construction.
+    13-vector.  Linear in the zeta vector by construction.  The structures
+    are accumulated one slot at a time; second derivatives use the bundle's
+    scheme order.
     """
     zeta = np.asarray(getattr(coeffs, "zeta", coeffs), dtype=float)
     if zeta.shape != (13,):
         raise DomainError(f"expected 13 coefficients, got shape {zeta.shape}")
-    terms = r2_terms(state, bundle, scheme_order)
-    out = np.zeros(state.grid.shape + (3,))
-    for slot, term in terms.items():
-        out += zeta[slot - 1] * term
-    return out
+    out = np.zeros((3,) + state.grid.shape)
+    for slot, comps in _r2_slots(state, bundle):
+        for k in range(3):
+            out[k] += zeta[slot - 1] * comps[k]
+    return np.moveaxis(out, 0, -1)
 
 
 def evaluate_corrections(state: FieldState, coeffs, scheme_order: int = 2,
                          eps: float = 1.0) -> CorrectionFields:
     """Both corrections, scaled by the scale-ratio eps used for reporting."""
     bundle = decompose_gradients(state, scheme_order)
-    r1 = evaluate_r1(state, bundle, coeffs.beta, coeffs.gamma, scheme_order)
-    r2 = evaluate_r2(state, bundle, coeffs, scheme_order)
+    r1 = evaluate_r1(state, bundle, coeffs.beta, coeffs.gamma)
+    r2 = evaluate_r2(state, bundle, coeffs)
     return CorrectionFields(r1=eps * r1, r2=eps * r2)
 
 

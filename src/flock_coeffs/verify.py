@@ -146,7 +146,7 @@ def _trivial_checks(report: VerificationReport):
 
 def _pipeline_checks(report, kernel, kappa, n, oracle_m, seed):
     hydro = compute_coefficients(kernel, n=n, kappa=kappa)
-    eq = build_equilibrium(kernel, build_rule(quadrature_size(kernel, n + 10)).n)
+    eq = build_equilibrium(kernel, quadrature_size(kernel, n + 10))
     gci = solve_gci(kernel, n, rule=eq.rule)
     c = (hydro.c1, hydro.c2, hydro.c3)
     profiles = solve_profiles(kernel, c, n, rule=eq.rule, eq=eq)

@@ -224,7 +224,7 @@ def test_r2_superposition_over_slots():
 def test_fourth_order_scheme_available():
     state = make_field("axial-sine", (8, 8, 32))
     b = decompose_gradients(state, scheme_order=4)
-    r1 = evaluate_r1(state, b, 0.5, 0.5, scheme_order=4)
+    r1 = evaluate_r1(state, b, 0.5, 0.5)
     z = state.grid.coordinates()[2]
     assert np.abs(r1 + 0.5 * np.sin(z)).max() < 1e-4
 
@@ -290,3 +290,178 @@ def test_npz_roundtrip(tmp_path):
 def test_unknown_field_name():
     with pytest.raises(DomainError):
         make_field("vortex-soup", (4, 4, 4))
+
+
+# --- reference field path -----------------------------------------------------
+# The np.roll stencils, the einsum projections and the all-at-once R2 dict,
+# kept as the reference the component-major path is checked against.
+
+def ref_deriv(values, axis, h, order):
+    if order == 2:
+        return (np.roll(values, -1, axis=axis) - np.roll(values, 1, axis=axis)) / (2.0 * h)
+    return (
+        -np.roll(values, -2, axis=axis)
+        + 8.0 * np.roll(values, -1, axis=axis)
+        - 8.0 * np.roll(values, 1, axis=axis)
+        + np.roll(values, 2, axis=axis)
+    ) / (12.0 * h)
+
+
+def ref_grad_scalar(grid, values, order):
+    return np.stack([ref_deriv(values, ax, grid.spacing[ax], order) for ax in range(3)],
+                    axis=-1)
+
+
+def ref_grad_vector_jk(grid, vec, order):
+    out = np.empty(vec.shape[:-1] + (3, 3))
+    for j in range(3):
+        for k in range(3):
+            out[..., j, k] = ref_deriv(vec[..., k], j, grid.spacing[j], order)
+    return out
+
+
+def ref_project_perp(omega, vec):
+    return vec - np.sum(vec * omega, axis=-1, keepdims=True) * omega
+
+
+def ref_decompose(state, order):
+    omega = state.omega
+    grad_rho = ref_grad_scalar(state.grid, state.rho, order)
+    grad_omega = ref_grad_vector_jk(state.grid, omega, order)
+    par_grad_rho = np.sum(grad_rho * omega, axis=-1)
+    grad_perp_rho = grad_rho - par_grad_rho[..., None] * omega
+    omega_tilt = ref_project_perp(omega, np.einsum("...jk,...j->...k", grad_omega, omega))
+    proj = np.eye(3) - omega[..., :, None] * omega[..., None, :]
+    bb = np.einsum("...ij,...jk,...kl->...il", proj, grad_omega, proj)
+    div_omega = np.einsum("...ii->...", bb)
+    bb_t = bb.swapaxes(-1, -2)
+    return {
+        "grad_perp_rho": grad_perp_rho,
+        "par_grad_rho": par_grad_rho,
+        "omega_tilt": omega_tilt,
+        "div_omega": div_omega,
+        "sigma_omega": bb + bb_t - div_omega[..., None, None] * proj,
+        "gamma_omega": bb - bb_t,
+    }
+
+
+def ref_r1(state, ref, beta, gamma, order):
+    def divergence(vec):
+        return sum(ref_deriv(vec[..., ax], ax, state.grid.spacing[ax], order)
+                   for ax in range(3))
+
+    v1 = ref["par_grad_rho"][..., None] * state.omega
+    v2 = (state.rho * ref["div_omega"])[..., None] * state.omega
+    return beta * divergence(v1) + gamma * divergence(v2)
+
+
+def ref_r2_terms(state, ref, order):
+    grid, omega, rho = state.grid, state.omega, state.rho
+    gperp, dpar, tilt = ref["grad_perp_rho"], ref["par_grad_rho"], ref["omega_tilt"]
+    divo, sig, gam = ref["div_omega"], ref["sigma_omega"], ref["gamma_omega"]
+
+    def par_deriv_vec(vec):
+        d = ref_grad_vector_jk(grid, vec, order)
+        return ref_project_perp(omega, np.einsum("...j,...jk->...k", omega, d))
+
+    def div_tensor(tens):
+        out = np.zeros(tens.shape[:-2] + (3,))
+        for k in range(3):
+            out[..., k] = sum(ref_deriv(tens[..., j, k], j, grid.spacing[j], order)
+                              for j in range(3))
+        return ref_project_perp(omega, out)
+
+    return {
+        1: divo[..., None] * gperp,
+        2: rho[..., None] * ref_project_perp(omega, ref_grad_scalar(grid, divo, order)),
+        3: np.einsum("...jk,...k->...j", sig, gperp),
+        4: np.einsum("...jk,...k->...j", gam, gperp),
+        5: par_deriv_vec(gperp),
+        6: dpar[..., None] * tilt,
+        7: (dpar / rho)[..., None] * gperp,
+        8: (rho * divo)[..., None] * tilt,
+        9: rho[..., None] * np.einsum("...jk,...k->...j", sig, tilt),
+        10: rho[..., None] * np.einsum("...jk,...k->...j", gam, tilt),
+        11: rho[..., None] * par_deriv_vec(tilt),
+        12: rho[..., None] * div_tensor(sig),
+        13: rho[..., None] * div_tensor(gam),
+    }
+
+
+def assert_matches_reference(new, ref, label):
+    assert new.shape == ref.shape, label
+    scale = np.abs(ref).max()
+    gap = np.abs(new - ref).max()
+    assert gap <= 1e-12 * scale, f"{label}: gap {gap:.3e} against max {scale:.3e}"
+
+
+@pytest.mark.parametrize("shape,order", [
+    ((12, 12, 12), 2), ((12, 12, 12), 4), ((1, 9, 7), 2), ((1, 6, 8), 4)])
+def test_field_path_matches_reference(shape, order):
+    state = make_field("random-smooth", shape, lengths=(2.0, 3.0, 2.5), seed=14)
+    bundle = decompose_gradients(state, scheme_order=order)
+    ref = ref_decompose(state, order)
+    for name, want in ref.items():
+        assert_matches_reference(getattr(bundle, name), want, name)
+
+    for ax in (ax for ax in range(3) if shape[ax] > 1):
+        assert_matches_reference(deriv(state.rho, ax, state.grid.spacing[ax], order),
+                                 ref_deriv(state.rho, ax, state.grid.spacing[ax], order),
+                                 f"deriv axis {ax}")
+    assert_matches_reference(evaluate_r1(state, bundle, 0.37, -0.91),
+                             ref_r1(state, ref, 0.37, -0.91, order), "r1")
+
+    ref_terms = ref_r2_terms(state, ref, order)
+    terms = r2_terms(state, bundle)
+    assert sorted(terms) == sorted(ref_terms)
+    for slot, want in ref_terms.items():
+        assert_matches_reference(terms[slot], want, f"r2 slot {slot}")
+    zeta = np.random.default_rng(15).standard_normal(13)
+    ref_r2 = np.zeros(state.grid.shape + (3,))
+    for slot, term in ref_terms.items():
+        ref_r2 += zeta[slot - 1] * term
+    assert_matches_reference(evaluate_r2(state, bundle, zeta), ref_r2, "r2")
+
+
+def test_degenerate_axis_has_zero_derivative():
+    values = np.random.default_rng(16).standard_normal((1, 5, 6))
+    for order in (2, 4):
+        d = deriv(values, 0, 0.3, order)
+        assert d.shape == values.shape
+        assert np.array_equal(d, np.zeros_like(values))
+
+
+def test_corrections_bitwise_reproducible(pipeline_even):
+    state = make_field("random-smooth", (12, 10, 9), seed=17)
+    hydro = pipeline_even["hydro"]
+    for order in (2, 4):
+        first = evaluate_corrections(state, hydro, scheme_order=order)
+        second = evaluate_corrections(state, hydro, scheme_order=order)
+        assert first.r1.tobytes() == second.r1.tobytes()
+        assert first.r2.tobytes() == second.r2.tobytes()
+
+
+def test_order4_bundle_sets_correction_stencil():
+    # the second derivatives in R1 and R2 follow the bundle's scheme order:
+    # an order-4 bundle gives fourth-order convergence of both closed forms
+    beta = 0.37
+    r1_errs, r2_errs = [], []
+    for n in (32, 64):
+        st = make_field("axial-sine", (1, 1, n))
+        b = decompose_gradients(st, scheme_order=4)
+        z = st.grid.coordinates()[2]
+        r1_errs.append(np.abs(evaluate_r1(st, b, beta, 0.9) + beta * np.sin(z)).max())
+
+        grid = Grid((n, 1, n), (TWO_PI / n, 1.0, TWO_PI / n))
+        x, y, z = grid.coordinates()
+        omega = np.zeros((n, 1, n, 3))
+        omega[..., 2] = 1.0
+        state = FieldState(grid, 2.0 + np.sin(x) * np.sin(z), omega).validate()
+        b = decompose_gradients(state, scheme_order=4)
+        zeta = np.zeros(13)
+        zeta[4] = 0.8
+        exact = np.zeros(state.grid.shape + (3,))
+        exact[..., 0] = 0.8 * np.cos(x) * np.cos(z)
+        r2_errs.append(np.abs(evaluate_r2(state, b, zeta) - exact).max())
+    assert 13.0 <= r1_errs[0] / r1_errs[1] <= 19.0
+    assert 13.0 <= r2_errs[0] / r2_errs[1] <= 19.0
