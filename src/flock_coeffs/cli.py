@@ -99,8 +99,6 @@ def _build_parser():
     sp.add_argument("--oracle-m", type=int, default=4000,
                     help="dense-grid resolution for the FD cross-check")
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--inject-zeta-flip", type=int, default=None,
-                    help=argparse.SUPPRESS)  # mutation-test hook
     return p
 
 
@@ -275,8 +273,7 @@ def cmd_fields(args) -> int:
 def cmd_verify(args) -> int:
     kernel, kappa, n = _resolve(args)
     report = run_verification(kernel=kernel, kappa=kappa, n=n, quick=args.quick,
-                              oracle_m=args.oracle_m, seed=args.seed,
-                              corrupt_slot=args.inject_zeta_flip)
+                              oracle_m=args.oracle_m, seed=args.seed)
     for line in report.summary_lines():
         sys.stdout.write(line + "\n")
     sys.stdout.write(

@@ -45,12 +45,6 @@ __all__ = [
     "elliptic_problem_data",
 ]
 
-# test hook: when set to a 1-based slot index, the sign of the time-route
-# contribution to that zeta slot is flipped during assembly (verification
-# suite must detect the corruption)
-_corrupt_zeta_slot = None
-
-
 @dataclass
 class ProfileSet:
     """The five response profiles, all smooth reduced factors.
@@ -176,20 +170,20 @@ def solve_profiles(kernel: CollisionKernel, c, n: int, *,
 
     probs = elliptic_problem_data(kernel, c)
     a_perp = solve_type1(kernel, probs["a_perp"]["alpha"], probs["a_perp"]["f"],
-                         n, sing_order=1, rule=rule)
-    a_par = solve_type2(kernel, probs["a_par"]["f"], n, rule=rule)
+                         n, sing_order=1, rule=rule, name="a_perp")
+    a_par = solve_type2(kernel, probs["a_par"]["f"], n, rule=rule, name="a_par")
     a_par = a_par.shifted(-eq.average(a_par.values_on(eq.rule)))
 
     b1 = solve_type1(kernel, probs["b1"]["alpha"], probs["b1"]["f"],
-                     n, sing_order=2, rule=rule)
+                     n, sing_order=2, rule=rule, name="b1")
     probs = elliptic_problem_data(kernel, c, b1=b1)
-    b2 = solve_type2(kernel, probs["b2"]["f"], n, rule=rule)
+    b2 = solve_type2(kernel, probs["b2"]["f"], n, rule=rule, name="b2")
     xs = eq.rule.nodes
     b2 = b2.shifted(-eq.average(0.5 * b1.values_on(eq.rule) * (1.0 - xs * xs)
                                 + b2.values_on(eq.rule)))
 
     b_par = solve_type1(kernel, probs["b_par"]["alpha"], probs["b_par"]["f"],
-                        n, sing_order=1, rule=rule)
+                        n, sing_order=1, rule=rule, name="b_par")
     return ProfileSet(a_perp=a_perp, a_par=a_par, b1=b1, b2=b2, b_par=b_par)
 
 
@@ -417,10 +411,7 @@ def compute_r2_coeffs(kernel: CollisionKernel, gci: GciSolution,
     lam, eta, xi, lpp, ep, xslots, prefactor = _route_tables(
         kernel, gci, profiles, c, kappa, eq)
 
-    time_route = lpp.copy()
-    if _corrupt_zeta_slot is not None:
-        time_route[int(_corrupt_zeta_slot)] *= -1.0
-    zeta = prefactor * (time_route[1:] + ep[1:] + xslots[1:])
+    zeta = prefactor * (lpp[1:] + ep[1:] + xslots[1:])
 
     beta, gamma = compute_r1_coeffs(kernel, profiles, eq)
     res = dict(residuals or {})

@@ -13,6 +13,13 @@ type-1 solution space forces g to vanish like (1-mu^2)^(k/2) at the endpoints
 u = g / (1-mu^2)^(k/2), represented in a Legendre basis.  Type-2 solutions are
 smooth and are solved directly, with the zero-mean gauge imposed through a
 bordered Lagrange row.
+
+Both problems are solved in one formulation: the strong equation divided
+through by the weight w (for type 1 also by (1-mu^2)^(k/2+1)), tested against
+unweighted Legendre polynomials.  The divided equation has smooth
+coefficients and bounded data (alpha/w, f/w), so the system stays well
+conditioned however sharply the equilibrium weight peaks; the symmetric
+weighted Galerkin form lives in `oracle` as an independent discretization.
 """
 
 from __future__ import annotations
@@ -147,6 +154,12 @@ def _basis(rule: QuadratureRule, degree: int):
     return rule.bases.setdefault(degree, (V, Vd, Vdd))
 
 
+def _sampled(fn, x):
+    """Values of a data callable at the nodes, broadcast to the node count."""
+    vals = np.asarray(fn(x), dtype=float)
+    return np.full(len(x), float(vals)) if vals.ndim == 0 else vals
+
+
 def _solve_checked(A, F, what):
     try:
         u = np.linalg.solve(A, F)
@@ -162,123 +175,21 @@ def _solve_checked(A, F, what):
     return u, linres
 
 
-def _type1_strong_residual(kernel, w, alpha_vals, f_vals, u_coef, k, rule):
-    """Pointwise residual of the type-1 equation in the substituted form.
+def _strong_residual(defect, data, what, d):
+    """Sup norm of the pointwise defect at the nodes, relative to the data.
 
-    The equation is divided through by w (1-mu^2)^(k/2+1), the form in which
-    the solution is substituted back into the reduced operator downstream, so
-    this metric is not flattered by the weight or the endpoint degeneracy.
-    No negative power of (1-mu^2) is formed against the data (f carries the
-    (1-mu^2)^(k/2) factor of the solution space).
+    A non-finite value means the data overflowed or underflowed at the nodes,
+    which no degree can repair, so it is raised rather than recorded.
     """
-    x = rule.nodes
-    s2 = 1.0 - x * x
-    sp = s2 ** (k / 2.0)
-    nu_over_d = np.asarray(kernel.nu(x), dtype=float) / kernel.d
-
-    V, Vd, Vdd = _basis(rule, len(u_coef) - 1)
-    u, up, upp = V @ u_coef, Vd @ u_coef, Vdd @ u_coef
-
-    bracket = (
-        s2 * s2 * upp
-        + s2 * (nu_over_d * s2 - 2.0 * (k + 1) * x) * up
-        - k * (nu_over_d * x * s2 + 1.0 - (k + 1) * x * x) * u
-    )
-    lhs = (-bracket + (alpha_vals / w) * u) / s2
-    rhs = f_vals / (w * sp * s2)
-    scale = float(np.max(np.abs(rhs)))
-    if scale == 0.0:
-        scale = float(np.max(np.abs(lhs))) or 1.0
-    return float(np.max(np.abs(lhs - rhs)) / scale)
-
-
-def assemble_type1_form(kernel: CollisionKernel, alpha, n: int, sing_order: int = 1,
-                        rule: QuadratureRule | None = None):
-    """Discrete weighted bilinear form of the coercive problem (SPD matrix).
-
-    Assembled in the reduced variable with the equilibrium weight rescaled by
-    its maximum; exposed separately so its coercivity is testable.
-    """
-    k = int(sing_order)
-    if rule is None:
-        rule = build_rule(quadrature_size(kernel, n + k + 2))
-    x, qw = rule.nodes, rule.weights
-    s2 = 1.0 - x * x
-    lw = kernel.log_weight(x)
-    shift = float(lw.max())
-    w = np.exp(lw - shift)
-    alpha_vals = np.asarray(alpha(x), dtype=float) * np.exp(-shift)
-    if alpha_vals.ndim == 0:
-        alpha_vals = np.full(rule.n, float(alpha_vals))
-
-    V, Vd, _ = _basis(rule, n)
-    # weak form a(g, v) = int w (1-mu^2) g' v' + int alpha g v / (1-mu^2)
-    # with g = s^k u, v = s^k p
-    w_dd = qw * w * s2 ** (k + 1)
-    w_dm = qw * w * x * s2**k
-    w_mm = qw * w * (k * x) ** 2 * s2 ** (k - 1)
-    w_al = qw * alpha_vals * s2 ** (k - 1)
-    A = (
-        Vd.T @ (Vd * w_dd[:, None])
-        - k * (Vd.T @ (V * w_dm[:, None]) + V.T @ (Vd * w_dm[:, None]))
-        + V.T @ (V * w_mm[:, None])
-        + V.T @ (V * w_al[:, None])
-    )
-    return A, shift
-
-
-def _divided_type1_system(kernel, alpha_vals, f_vals, k, rule, n):
-    """Petrov-Galerkin system for the weight-divided (regular) equation.
-
-    Dividing the strong equation by w (1-mu^2)^(k/2+1) leaves an ODE with
-    smooth coefficients; testing against unweighted Legendre polynomials keeps
-    the system well conditioned when the equilibrium weight is sharply peaked
-    and the data carry the weight (alpha/w, f/w bounded).
-    """
-    x, qw = rule.nodes, rule.weights
-    s2 = 1.0 - x * x
-    sp = s2 ** (k / 2.0)
-    lw = kernel.log_weight(x)
-    nu_over_d = np.asarray(kernel.nu(x), dtype=float) / kernel.d
-
-    V, Vd, Vdd = _basis(rule, n)
-    c2_ = -s2 * s2
-    c1_ = -s2 * (nu_over_d * s2 - 2.0 * (k + 1) * x)
-    c0_ = k * (nu_over_d * x * s2 + 1.0 - (k + 1) * x * x) + alpha_vals * np.exp(-lw)
-    ops = Vdd * c2_[:, None] + Vd * c1_[:, None] + V * c0_[:, None]
-    A = V.T @ (ops * qw[:, None])
-    F = V.T @ (qw * f_vals * np.exp(-lw) / sp)
-    return A, F
-
-
-def _run_formulation(formulation, weighted, divided):
-    """Run the requested formulation; returns (result, name of the form used).
-
-    `weighted` and `divided` are attempts returning tuples whose last entry
-    is the strong residual.  "auto" runs the weighted form and falls back to
-    the divided one when the weighted solve fails or its residual exceeds
-    1e-9, keeping the smaller residual; when both solves fail, the divided
-    form's error is raised.
-    """
-    if formulation == "weighted":
-        return weighted(), "weighted"
-    if formulation == "divided":
-        return divided(), "divided"
-    if formulation != "auto":
-        raise PreconditionError(f"unknown formulation {formulation!r}")
-    try:
-        first = weighted()
-    except SolverError:
-        return divided(), "divided"
-    if first[-1] <= 1e-9:
-        return first, "weighted"
-    second = divided()
-    return (second, "divided") if second[-1] < first[-1] else (first, "weighted")
+    scale = float(np.max(np.abs(data))) or 1.0
+    residual = float(np.max(np.abs(defect)) / scale)
+    if not np.isfinite(residual):
+        raise SolverError(f"{what}: non-finite strong residual at d = {d:g}")
+    return residual
 
 
 def solve_type1(kernel: CollisionKernel, alpha, f, n: int, *, sing_order: int = 1,
-                rule: QuadratureRule | None = None,
-                formulation: str = "auto") -> MuProfile:
+                rule: QuadratureRule | None = None, name: str = "type-1") -> MuProfile:
     """Solve the coercive degenerate problem; returns the reduced factor u.
 
     The full solution is g(mu) = (1-mu^2)^(sing_order/2) * u(mu); u is the
@@ -286,13 +197,15 @@ def solve_type1(kernel: CollisionKernel, alpha, f, n: int, *, sing_order: int = 
     bounded below by a positive constant (checked by sampling); `f` must
     vanish at the endpoints at least like the (1-mu^2)^(k/2) carried by the
     solution space.  By the maximum principle, one-signed f gives a
-    one-signed solution.
+    one-signed solution.  `name` labels the problem in error messages.
 
-    The default path is the symmetric weighted Galerkin form.  For sharply
-    peaked equilibrium weights that form exhausts double precision, so when
-    its solve fails or its pointwise residual is poor the solver reassembles
-    the weight-divided regular equation and keeps the better of the two
-    (`formulation` forces either path).
+    The equation is divided through by w (1-mu^2)^(k/2+1), which leaves an
+    ODE with smooth coefficients whose data are the bounded ratios alpha/w
+    and f/w, and is tested against unweighted Legendre polynomials
+    (Petrov-Galerkin).  This stays well conditioned when the equilibrium
+    weight is sharply peaked.  The pointwise residual of the same divided
+    equation at the nodes is recorded in `meta["residual"]`.  The symmetric
+    weighted Galerkin form is kept in `oracle` as an independent check.
     """
     k = int(sing_order)
     if k < 1:
@@ -311,35 +224,30 @@ def solve_type1(kernel: CollisionKernel, alpha, f, n: int, *, sing_order: int = 
     x, qw = rule.nodes, rule.weights
     s2 = 1.0 - x * x
     lw = kernel.log_weight(x)
-    shift = float(lw.max())
-    w = np.exp(lw - shift)
+    nu_over_d = np.asarray(kernel.nu(x), dtype=float) / kernel.d
 
-    alpha_vals = np.asarray(alpha(x), dtype=float)
-    if alpha_vals.ndim == 0:
-        alpha_vals = np.full(rule.n, float(alpha_vals))
+    alpha_vals = _sampled(alpha, x)
     a0 = float(alpha_vals.min())
     if not a0 > 0:
-        raise PreconditionError(f"alpha must be positive on [-1, 1]; min sampled {a0:.3e}")
-    f_vals = np.asarray(f(x), dtype=float)
-    if f_vals.ndim == 0:
-        f_vals = np.full(rule.n, float(f_vals))
+        raise PreconditionError(
+            f"{name} solve: alpha must be positive on [-1, 1]; min sampled {a0:.3e}")
+    inv_w = np.exp(-lw)
+    alpha_ratio = alpha_vals * inv_w
+    rhs = _sampled(f, x) * inv_w / s2 ** (k / 2.0)
 
-    def _weighted():
-        A, _ = assemble_type1_form(kernel, alpha, n, k, rule)
-        F = _basis(rule, n)[0].T @ (qw * f_vals * np.exp(-shift) * s2 ** (k / 2.0 - 1.0))
-        u, linres = _solve_checked(A, F, "type-1 solve (weighted form)")
-        res = _type1_strong_residual(kernel, w, alpha_vals * np.exp(-shift),
-                                     f_vals * np.exp(-shift), u, k, rule)
-        return u, linres, res
-
-    def _divided():
-        A, F = _divided_type1_system(kernel, alpha_vals, f_vals, k, rule, n)
-        u, linres = _solve_checked(A, F, "type-1 solve (divided form)")
-        res = _type1_strong_residual(kernel, w, alpha_vals * np.exp(-shift),
-                                     f_vals * np.exp(-shift), u, k, rule)
-        return u, linres, res
-
-    (u, linres, residual), used = _run_formulation(formulation, _weighted, _divided)
+    # nodal image of each basis function under the divided operator
+    V, Vd, Vdd = _basis(rule, n)
+    c2_ = -s2 * s2
+    c1_ = -s2 * (nu_over_d * s2 - 2.0 * (k + 1) * x)
+    c0_ = k * (nu_over_d * x * s2 + 1.0 - (k + 1) * x * x) + alpha_ratio
+    ops = Vdd * c2_[:, None] + Vd * c1_[:, None] + V * c0_[:, None]
+    A = V.T @ (ops * qw[:, None])
+    F = V.T @ (qw * rhs)
+    what = f"{name} solve"
+    u, linres = _solve_checked(A, F, what)
+    # one more factor 1/(1-mu^2) so the metric is not flattered by the
+    # endpoint degeneracy
+    residual = _strong_residual((ops @ u - rhs) / s2, rhs / s2, what, kernel.d)
 
     meta = {
         "problem": "type1",
@@ -347,8 +255,8 @@ def solve_type1(kernel: CollisionKernel, alpha, f, n: int, *, sing_order: int = 
         "degree": n,
         "residual": residual,
         "linear_residual": linres,
-        "weight_shift": shift,
-        "formulation": used,
+        "weight_shift": float(lw.max()),
+        "formulation": "divided",
     }
     return MuProfile.from_coef(rule, u, meta)
 
@@ -372,15 +280,18 @@ def _bordered_solve(A, F, column, what):
 
 
 def solve_type2(kernel: CollisionKernel, f, n: int, *,
-                rule: QuadratureRule | None = None,
-                formulation: str = "auto") -> MuProfile:
+                rule: QuadratureRule | None = None, name: str = "type-2") -> MuProfile:
     """Solve the conservative degenerate problem in the zero-mean gauge.
 
     Solvability requires int f dmu = 0 (checked to 1e-10 on the data with the
     weight rescaled to O(1)); the returned representative has int g dmu = 0,
     imposed through a bordered constraint row rather than post-shifting.
-    Callers re-gauge as needed.  The weighted/divided formulation choice
-    mirrors solve_type1.
+    Callers re-gauge as needed.  `name` labels the problem in error messages.
+
+    As for solve_type1, the equation is divided through by w, so the data
+    enter as the ratio f/w and the operator has smooth coefficients; it is
+    tested against unweighted Legendre polynomials, and the pointwise
+    residual of the divided equation is recorded in `meta["residual"]`.
     """
     if n < 1:
         raise PreconditionError(f"degree must be >= 1, got {n}")
@@ -397,43 +308,23 @@ def solve_type2(kernel: CollisionKernel, f, n: int, *,
     w = np.exp(lw - shift)
     nu_over_d = np.asarray(kernel.nu(x), dtype=float) / kernel.d
 
-    f_vals = np.asarray(f(x), dtype=float)
-    if f_vals.ndim == 0:
-        f_vals = np.full(rule.n, float(f_vals))
-    fs_vals = f_vals * np.exp(-shift)
-    fmean = float(qw @ fs_vals)
+    f_vals = _sampled(f, x)
+    fmean = float(qw @ (f_vals * np.exp(-shift)))
     if abs(fmean) >= 1e-10:
         raise PreconditionError(
-            f"type-2 data must have zero mean; int f dmu = {fmean:.6e}"
+            f"{name} solve: type-2 data must have zero mean; "
+            f"int f dmu = {fmean:.6e} at d = {kernel.d:g}"
         )
+    rhs = f_vals * np.exp(-lw)
 
     V, Vd, Vdd = _basis(rule, n)
-
-    def _strong_residual(u):
-        # substituted (weight-divided) form, matching the reduced-operator
-        # metric used for type 1
-        up, upp = Vd @ u, Vdd @ u
-        r = -(nu_over_d * s2 * up + s2 * upp - 2.0 * x * up) - fs_vals / w
-        scale = float(np.max(np.abs(fs_vals / w))) or 1.0
-        return float(np.max(np.abs(r)) / scale)
-
-    def _weighted():
-        A = Vd.T @ (Vd * (qw * w * s2)[:, None])
-        F = V.T @ (qw * fs_vals)
-        m = np.zeros(n + 1)
-        m[0] = 2.0
-        u, mult, linres = _bordered_solve(A, F, m, "type-2 solve (weighted form)")
-        return u, mult, linres, _strong_residual(u)
-
-    def _divided():
-        ops = (Vdd * (-s2)[:, None] + Vd * (2.0 * x - nu_over_d * s2)[:, None])
-        A = V.T @ (ops * qw[:, None])
-        F = V.T @ (qw * f_vals * np.exp(-lw))
-        col = V.T @ (qw * w)  # spans the left-null complement of the operator
-        u, mult, linres = _bordered_solve(A, F, col, "type-2 solve (divided form)")
-        return u, mult, linres, _strong_residual(u)
-
-    (u, mult, linres, residual), used = _run_formulation(formulation, _weighted, _divided)
+    ops = Vdd * (-s2)[:, None] + Vd * (2.0 * x - nu_over_d * s2)[:, None]
+    A = V.T @ (ops * qw[:, None])
+    F = V.T @ (qw * rhs)
+    col = V.T @ (qw * w)  # spans the left-null complement of the operator
+    what = f"{name} solve"
+    u, mult, linres = _bordered_solve(A, F, col, what)
+    residual = _strong_residual(ops @ u - rhs, rhs, what, kernel.d)
 
     meta = {
         "problem": "type2",
@@ -443,7 +334,7 @@ def solve_type2(kernel: CollisionKernel, f, n: int, *,
         "linear_residual": linres,
         "multiplier": mult,
         "weight_shift": shift,
-        "formulation": used,
+        "formulation": "divided",
     }
     return MuProfile.from_coef(rule, u, meta)
 
@@ -464,6 +355,7 @@ def solve_gci(kernel: CollisionKernel, n: int,
         n=n,
         sing_order=1,
         rule=rule,
+        name="gci",
     )
     hmax = float(h.values.max())
     if hmax > 1e-8:

@@ -327,10 +327,20 @@ def _r2_slots(state, bundle):
             om[0] * d(vec[k], 0) + om[1] * d(vec[k], 1) + om[2] * d(vec[k], 2)
             for k in range(3)])
 
-    def div_tensor(tens):
-        """(div T)_k = d_j T_jk, projected transverse."""
-        return _project_perp(om, [
-            d(tens[0, k], 0) + d(tens[1, k], 1) + d(tens[2, k], 2) for k in range(3)])
+    def div_tensor(tens, zero_diagonal=False):
+        """(div T)_k = d_j T_jk, projected transverse.
+
+        With `zero_diagonal` the terms d_k T_kk are not formed: the diagonal
+        of the swirl tensor is stored as exact zeros, so they add nothing.
+        """
+        cols = []
+        for k in range(3):
+            js = [j for j in range(3) if j != k or not zero_diagonal]
+            col = d(tens[js[0], k], js[0])
+            for j in js[1:]:
+                col = col + d(tens[j, k], j)
+            cols.append(col)
+        return _project_perp(om, cols)
 
     yield 1, scaled(divo, gperp)
     yield 2, scaled(rho, _project_perp(om, [d(divo, j) for j in range(3)]))
@@ -344,7 +354,7 @@ def _r2_slots(state, bundle):
     yield 10, scaled(rho, contract(gam, tilt))
     yield 11, scaled(rho, par_deriv_vec(tilt))
     yield 12, scaled(rho, div_tensor(sig))
-    yield 13, scaled(rho, div_tensor(gam))
+    yield 13, scaled(rho, div_tensor(gam, zero_diagonal=True))
 
 
 def r2_terms(state: FieldState, bundle: GradientBundle) -> dict:

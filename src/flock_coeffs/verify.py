@@ -14,7 +14,6 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from . import coeffs as coeffs_mod
 from .coeffs import (
     beta_quadratic_form,
     c_relation_residuals,
@@ -310,25 +309,15 @@ def _field_checks(report, coeffs, seed):
 
 def run_verification(kernel: CollisionKernel | None = None, kappa: float = 0.1,
                      n: int = 64, quick: bool = False, oracle_m: int = 4000,
-                     seed: int = 0, corrupt_slot: int | None = None) -> VerificationReport:
-    """Run the suite; `quick` restricts to the closed-form tier.
-
-    `corrupt_slot` is a test hook that flips the sign of one time-route
-    contribution inside the coefficient assembly; the suite must then fail
-    (exercised by the mutation test).
-    """
+                     seed: int = 0) -> VerificationReport:
+    """Run the suite; `quick` restricts to the closed-form tier."""
     t0 = time.time()
     if kernel is None:
         kernel = constant_kernel(1.0, d=1.0)
     report = VerificationReport()
     _trivial_checks(report)
     if not quick:
-        previous = coeffs_mod._corrupt_zeta_slot
-        coeffs_mod._corrupt_zeta_slot = corrupt_slot
-        try:
-            hydro = _pipeline_checks(report, kernel, kappa, n, oracle_m, seed)
-        finally:
-            coeffs_mod._corrupt_zeta_slot = previous
+        hydro = _pipeline_checks(report, kernel, kappa, n, oracle_m, seed)
         _max_principle_checks(report)
         _field_checks(report, hydro, seed)
     report.elapsed = time.time() - t0

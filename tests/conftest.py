@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import flock_coeffs.coeffs as coeffs_mod
 from flock_coeffs.coeffs import compute_c123, compute_coefficients, solve_profiles
 from flock_coeffs.elliptic import solve_gci
 from flock_coeffs.kernel import CollisionKernel, constant_kernel, even_poly_kernel
@@ -47,3 +48,24 @@ def pipeline_const(const_kernel):
 @pytest.fixture(scope="session")
 def pipeline_even(even_kernel):
     return _pipeline(even_kernel)
+
+
+@pytest.fixture
+def flip_time_route_slot(monkeypatch):
+    """Flip the sign of one time-route slot (1-based) inside the zeta assembly.
+
+    The recorded route tables keep their true values, so the assembled zeta
+    no longer matches them; the verification suite must notice.
+    """
+    def flip(slot):
+        route_tables = coeffs_mod._route_tables
+
+        def corrupted(*args):
+            lam, eta, xi, lpp, ep, xslots, prefactor = route_tables(*args)
+            lpp = lpp.copy()
+            lpp[slot] *= -1.0
+            return lam, eta, xi, lpp, ep, xslots, prefactor
+
+        monkeypatch.setattr(coeffs_mod, "_route_tables", corrupted)
+
+    return flip

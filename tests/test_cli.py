@@ -162,6 +162,12 @@ def test_coeffs_numeric_failure_exits_3():
                 "--format", "json", "-o", "-"]) == 3
 
 
+def test_noise_below_range_exits_3_naming_d(capsys):
+    # below what n=64 resolves: an input-range failure (3), not an invariant bug (2)
+    assert run(["coeffs", "--nu", "const:1", "--d", "0.0015", "--n", "64"]) == 3
+    assert "d = 0.0015" in capsys.readouterr().err
+
+
 def test_verify_quick_tier_and_speed(tmp_path):
     report_path = tmp_path / "report.json"
     t0 = time.perf_counter()
@@ -193,10 +199,10 @@ def test_verify_reports_are_reproducible(tmp_path):
     assert strip(ra) == strip(rb)
 
 
-def test_verify_detects_injected_sign_flip(tmp_path):
+def test_verify_detects_injected_sign_flip(tmp_path, flip_time_route_slot):
     report_path = tmp_path / "report.json"
-    code = run(["verify", "--nu", "const:1", "--d", "1",
-                "--inject-zeta-flip", "3", "-o", str(report_path)])
+    flip_time_route_slot(3)
+    code = run(["verify", "--nu", "const:1", "--d", "1", "-o", str(report_path)])
     assert code == 2
     report = json.loads(report_path.read_text())
     failed = [c["name"] for c in report["checks"] if not c["passed"]]

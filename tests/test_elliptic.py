@@ -10,13 +10,13 @@ from flock_coeffs import elliptic
 from flock_coeffs.elliptic import (
     MuProfile,
     _basis,
-    assemble_type1_form,
     solve_gci,
     solve_type1,
     solve_type2,
 )
 from flock_coeffs.errors import PreconditionError, SolverError
 from flock_coeffs.kernel import registry_kernels
+from flock_coeffs.oracle import assemble_type1_form, solve_type1_weighted
 from flock_coeffs.quad import build_rule
 
 
@@ -91,6 +91,14 @@ def test_type1_maximum_principle(legendre_kernel):
 def test_type1_requires_positive_alpha(legendre_kernel):
     with pytest.raises(PreconditionError):
         solve_type1(legendre_kernel, lambda mu: mu, lambda mu: 0 * mu, 8)
+
+
+def test_solver_errors_name_the_problem(legendre_kernel):
+    bad = lambda mu: np.where(np.asarray(mu) > 0.5, np.nan, 0.0)
+    with pytest.raises(SolverError, match="probe"):
+        solve_type1(legendre_kernel, ones, bad, 8, name="probe")
+    with pytest.raises(SolverError, match="probe"):
+        solve_type2(legendre_kernel, bad, 8, name="probe")
 
 
 def test_type1_requires_endpoint_factor(legendre_kernel):
@@ -180,11 +188,14 @@ def test_gci_self_convergence(const_kernel):
 
 
 def test_gci_formulations_agree(const_kernel):
-    w = const_kernel.weight
-    f = lambda mu: -((1 - mu * mu) ** 1.5) * w(mu)
-    uw = solve_type1(const_kernel, w, f, 64, formulation="weighted")
-    ud = solve_type1(const_kernel, w, f, 64, formulation="divided")
-    assert np.max(np.abs(uw.values - ud.values)) < 1e-9
+    # production (weight-divided) against the oracle's weighted form
+    for kernel in (const_kernel, *registry_kernels(d=0.5)):
+        w = kernel.weight
+        f = lambda mu: -((1 - mu * mu) ** 1.5) * w(mu)
+        ud = solve_type1(kernel, w, f, 64)
+        uw = solve_type1_weighted(kernel, w, f, 64, rule=ud.rule)
+        assert ud.meta["formulation"] == "divided"
+        assert np.max(np.abs(uw.values - ud.values)) < 1e-9
 
 
 def test_factored_profile_evaluation(pipeline_const):
@@ -281,30 +292,13 @@ def test_basis_memo_under_concurrent_first_use():
     assert all(b is rule.bases[128] for b in got)
 
 
-def _failing_weighted_solve(monkeypatch, fail_divided=False):
-    real = elliptic._solve_checked
+def test_divided_solver_error_propagates(monkeypatch, even_kernel):
+    def fail(A, F, what):
+        raise SolverError(f"{what}: forced failure", 1e18)
 
-    def solve(A, F, what):
-        if "weighted" in what or fail_divided:
-            raise SolverError(f"{what}: forced failure", 1e18)
-        return real(A, F, what)
-
-    monkeypatch.setattr(elliptic, "_solve_checked", solve)
-
-
-def test_auto_falls_back_when_weighted_solve_fails(monkeypatch, even_kernel):
-    _failing_weighted_solve(monkeypatch)
+    monkeypatch.setattr(elliptic, "_solve_checked", fail)
     w = even_kernel.weight
-    u = solve_type1(even_kernel, w, lambda mu: -((1 - mu * mu) ** 1.5) * w(mu), 24)
-    assert u.meta["formulation"] == "divided"
-    g = solve_type2(even_kernel, lambda mu: 2.0 * mu, 24)
-    assert g.meta["formulation"] == "divided"
-
-
-def test_auto_raises_divided_error_when_both_solves_fail(monkeypatch, even_kernel):
-    _failing_weighted_solve(monkeypatch, fail_divided=True)
-    w = even_kernel.weight
-    with pytest.raises(SolverError, match="divided form"):
+    with pytest.raises(SolverError, match="forced failure"):
         solve_type1(even_kernel, w, lambda mu: -((1 - mu * mu) ** 1.5) * w(mu), 24)
-    with pytest.raises(SolverError, match="divided form"):
+    with pytest.raises(SolverError, match="forced failure"):
         solve_type2(even_kernel, lambda mu: 2.0 * mu, 24)
