@@ -310,7 +310,7 @@ def solve_type2(kernel: CollisionKernel, f, n: int, *,
 
     f_vals = _sampled(f, x)
     fmean = float(qw @ (f_vals * np.exp(-shift)))
-    if abs(fmean) >= 1e-10:
+    if not abs(fmean) < 1e-10:  # also rejects non-finite data
         raise PreconditionError(
             f"{name} solve: type-2 data must have zero mean; "
             f"int f dmu = {fmean:.6e} at d = {kernel.d:g}"

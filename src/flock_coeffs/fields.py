@@ -17,7 +17,9 @@ The corrections:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -67,6 +69,12 @@ class Grid:
     def coordinates(self):
         axes = [np.arange(n) * h for n, h in zip(self.shape, self.spacing)]
         return np.meshgrid(*axes, indexing="ij")
+
+    def axes(self):
+        """The coordinates of `coordinates()` on one axis each, shaped
+        (n0, 1, 1), (1, n1, 1) and (1, 1, n2) to broadcast against the grid."""
+        return [(np.arange(n) * h).reshape([n if i == ax else 1 for i in range(3)])
+                for ax, (n, h) in enumerate(zip(self.shape, self.spacing))]
 
 
 @dataclass
@@ -138,35 +146,111 @@ class CorrectionFields:
     r2: np.ndarray
 
 
-def deriv(values: np.ndarray, axis: int, h: float, order: int = 2) -> np.ndarray:
-    """Centered periodic finite difference along `axis` (order 2 or 4).
+# Cells per slab when evaluate_corrections streams the grid along axis 0: a
+# slab is this many cells' worth of whole planes (at least one).  A scalar
+# over 2**15 cells is 256 KiB, so the operands of the pointwise operations
+# stay in a core's L2 cache instead of the whole grid streaming through
+# memory once per numpy operation.
+SLAB_CELLS = 2 ** 15
 
-    Each stencil tap is a slice of one wrap-padded copy of `values`; an axis
-    of extent 1 is constant and has a zero derivative.
-    """
-    if order not in (2, 4):
-        raise DomainError(f"scheme order must be 2 or 4, got {order}")
-    n = values.shape[axis]
-    if n == 1:
-        return np.zeros(values.shape)
+
+def _along(axis, start, stop):
+    """Index of the cells [start, stop) along `axis`."""
+    return (slice(None),) * axis + (slice(start, stop),)
+
+
+def _difference(padded, axis, h, order, out=None, stride=1):
+    """Centered difference along `axis` of values that carry order // 2
+    stencil steps of `stride` cells at each end of that axis; the result
+    leaves those cells out."""
     w = order // 2
-    padded = np.take(values, np.arange(-w, n + w) % n, axis=axis)
+    n = padded.shape[axis] - 2 * w * stride
 
     def tap(s):
-        """values shifted by s cells: tap(s)[i] = values[i + s]."""
-        return padded[(slice(None),) * axis + (slice(w + s, w + s + n),)]
+        """values shifted by s steps: tap(s)[i] = values[i + s * stride]."""
+        start = (w + s) * stride
+        return padded[_along(axis, start, start + n)]
 
     if order == 2:
-        out = tap(1) - tap(-1)
+        out = np.subtract(tap(1), tap(-1), out=out)
         out /= 2.0 * h
     else:
-        out = -tap(2)
+        out = np.negative(tap(2), out=out)
         out += 8.0 * tap(1)
         out -= 8.0 * tap(-1)
         out += tap(-2)
         out /= 12.0 * h
     return out
 
+
+def _periodic_difference(values, axis, h, order, out=None):
+    """deriv, written into `out` (C-contiguous) when one is given.
+
+    The stencil runs once over the flattened array, shifted by the axis's
+    stride, so every numpy operation is one contiguous pass; that is right
+    except in the order // 2 cells at each end of the axis, which are then
+    redone from a wrapped copy of the few cells they need.
+    """
+    n = values.shape[axis]
+    if out is None:
+        out = np.empty(values.shape)
+    if n == 1:
+        out[...] = 0.0
+        return out
+    w = order // 2
+    if n <= 2 * w:
+        return _difference(np.take(values, np.arange(-w, n + w) % n, axis=axis),
+                           axis, h, order, out=out)
+    stride = math.prod(values.shape[axis + 1:])
+    flat = out.reshape(-1)
+    _difference(values.reshape(-1), 0, h, order, stride=stride,
+                out=flat[w * stride:flat.size - w * stride])
+    for start in (0, n - w):
+        wrapped = np.take(values, np.arange(start - w, start + 2 * w) % n, axis=axis)
+        _difference(wrapped, axis, h, order, out=out[_along(axis, start, start + w)])
+    return out
+
+
+def deriv(values: np.ndarray, axis: int, h: float, order: int = 2) -> np.ndarray:
+    """Centered periodic finite difference along `axis` (order 2 or 4).
+
+    An axis of extent 1 is constant and has a zero derivative.
+    """
+    if order not in (2, 4):
+        raise DomainError(f"scheme order must be 2 or 4, got {order}")
+    return _periodic_difference(values, axis, h, order)
+
+
+@dataclass(frozen=True)
+class _Stencil:
+    """Derivatives on a slab of whole planes along grid axis 0.
+
+    With halo 0 the slab is the whole periodic grid and every axis wraps.
+    With halo w = order // 2 the slab carries w planes on each side of axis 0
+    for every derivative level still to come: an axis-0 derivative consumes
+    them, and derivatives along axes 1 and 2 are taken on the inner planes
+    only.  Either way d(values, j) lies on the planes of inner(values).
+    """
+
+    spacing: tuple
+    order: int
+    halo: int
+
+    def inner(self, values):
+        """The planes of `values` one level in (grid axis 0 is array axis -3)."""
+        t = self.halo
+        return values[..., t:values.shape[-3] - t, :, :]
+
+    def d(self, values, j, out=None):
+        if j == 0 and self.halo:
+            return _difference(values, 0, self.spacing[0], self.order, out=out)
+        return _periodic_difference(self.inner(values), j, self.spacing[j], self.order,
+                                    out=out)
+
+
+# The pointwise algebra below keeps the operation order of the plain
+# expressions in its comments, so every cell gets the same bits; it writes
+# into temporaries it owns to save allocations and memory traffic.
 
 def _vector_components(vec):
     """Component-major (3, ...) view of a grid + (3,) field."""
@@ -179,7 +263,12 @@ def _tensor_components(tens):
 
 
 def _dot(u, v):
-    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+    """u[0] * v[0] + u[1] * v[1] + u[2] * v[2]."""
+    out = u[0] * v[0]
+    tmp = u[1] * v[1]
+    out += tmp
+    out += np.multiply(u[2], v[2], out=tmp)
+    return out
 
 
 def _omega_components(state):
@@ -187,10 +276,196 @@ def _omega_components(state):
     return np.ascontiguousarray(_vector_components(state.omega))
 
 
-def _project_perp(omega, vec):
-    """(Id - omega otimes omega) vec on components, exact pointwise algebra."""
+def _project_perp(omega, vec, out):
+    """(Id - omega otimes omega) vec on components, exact pointwise algebra:
+    out[k] = vec[k] - (vec . omega) * omega[k]; `out` may be `vec`."""
     along = _dot(vec, omega)
-    return [vec[k] - along * omega[k] for k in range(3)]
+    tmp = np.empty_like(along)
+    for k in range(3):
+        np.subtract(vec[k], np.multiply(along, omega[k], out=tmp), out=out[k])
+    return out
+
+
+def _check_state(state, scheme_order):
+    state.validate()
+    if scheme_order not in (2, 4):
+        raise DomainError(f"scheme order must be 2 or 4, got {scheme_order}")
+    if scheme_order == 4 and any(1 < n < 5 for n in state.grid.shape):
+        raise DomainError("order-4 stencil needs periodic extents of >= 5 cells (or 1)")
+
+
+def _check_positive_density(rho):
+    if rho.min() <= 0:
+        raise FieldStateError("velocity correction needs strictly positive density")
+
+
+class _Bundle(NamedTuple):
+    """The bundle entries, component-major (see GradientBundle)."""
+
+    gperp: np.ndarray
+    dpar: np.ndarray
+    tilt: np.ndarray
+    divo: np.ndarray
+    sig: np.ndarray
+    gam: np.ndarray
+
+
+def _bundle_fields(rho, om, st):
+    """The gradient bundle of decompose_gradients on the planes of
+    st.inner(rho), from rho and the component-major orientation om."""
+    d = st.d
+    om_halo, om = om, st.inner(om)
+    grad_rho = [d(rho, j) for j in range(3)]
+    shape = grad_rho[0].shape
+    par_grad_rho = _dot(grad_rho, om)
+    grad_perp_rho = np.empty((3,) + shape)
+    tmp = np.empty(shape)
+    for k in range(3):
+        np.multiply(par_grad_rho, om[k], out=tmp)
+        np.subtract(grad_rho[k], tmp, out=grad_perp_rho[k])
+    del grad_rho
+
+    # g[j, k] = d_j omega_k; a = omega^T g is (omega . grad) omega, b = g omega
+    g = np.empty((3, 3) + shape)
+    for j in range(3):
+        for k in range(3):
+            d(om_halo[k], j, out=g[j, k])
+    del om_halo
+    a = [_dot(om, g[:, k]) for k in range(3)]
+    b = [_dot(g[j], om) for j in range(3)]
+    c = _dot(om, b)
+    omega_tilt = np.empty((3,) + shape)
+    _project_perp(om, a, out=omega_tilt)
+
+    # transverse-transverse block P g P = g - omega a^T - b omega^T
+    # + c omega omega^T, written over g entry by entry; u = c omega - a
+    u = a
+    for k in range(3):
+        np.subtract(np.multiply(c, om[k], out=tmp), a[k], out=u[k])
+    for j in range(3):
+        for k in range(3):
+            g[j, k] += np.multiply(om[j], u[k], out=tmp)
+            g[j, k] -= np.multiply(b[j], om[k], out=tmp)
+    del a, b, c, u
+    div_omega = g[0, 0] + g[1, 1]
+    div_omega += g[2, 2]
+
+    # sigma_jj = 2 g_jj - div_omega (1 - om_j om_j),
+    # sigma_jk = g_jk + g_kj + div_omega (om_j om_k), gamma_jk = g_jk - g_kj
+    sigma = np.empty((3, 3) + shape)
+    gamma = np.empty((3, 3) + shape)
+    for j in range(3):
+        np.multiply(g[j, j], 2.0, out=sigma[j, j])
+        np.multiply(om[j], om[j], out=tmp)
+        np.subtract(1.0, tmp, out=tmp)
+        sigma[j, j] -= np.multiply(div_omega, tmp, out=tmp)
+        gamma[j, j] = 0.0
+        for k in range(j + 1, 3):
+            np.add(g[j, k], g[k, j], out=sigma[j, k])
+            np.multiply(om[j], om[k], out=tmp)
+            sigma[j, k] += np.multiply(div_omega, tmp, out=tmp)
+            sigma[k, j] = sigma[j, k]
+            np.subtract(g[j, k], g[k, j], out=gamma[j, k])
+            np.negative(gamma[j, k], out=gamma[k, j])
+    return _Bundle(grad_perp_rho, par_grad_rho, omega_tilt, div_omega, sigma, gamma)
+
+
+def _r1_field(rho, om, bundle, beta, gamma, st):
+    """R1 on the planes of st.inner(rho); rho, om and bundle share planes."""
+    rho_div = rho * bundle.divo
+
+    def divergence(scalar):
+        """div(scalar * omega)."""
+        return sum(st.d(scalar * om[ax], ax) for ax in range(3))
+
+    return beta * divergence(bundle.dpar) + gamma * divergence(rho_div)
+
+
+def _r2_slot_fields(rho, om, bundle, st):
+    """Yield (slot, [x, y, z]) for the 13 structures of R2, one slot at a time,
+    on the planes of st.inner(rho); rho, om and bundle share planes.
+
+    Each slot is three fresh scalar component arrays, which the caller may
+    overwrite; only one slot is alive at a time.  Second-derivative
+    structures differentiate bundle entries and are projected transverse;
+    quadratic structures are pointwise products of transverse bundle entries.
+    """
+    d = st.d
+    rho_in, om_in = st.inner(rho), st.inner(om)
+    gperp, tilt, sig, gam = (st.inner(x) for x in (bundle.gperp, bundle.tilt,
+                                                     bundle.sig, bundle.gam))
+    dpar, divo = st.inner(bundle.dpar), st.inner(bundle.divo)
+
+    def scaled(s, vec):
+        """s * vec[k], as new arrays."""
+        return [s * vec[k] for k in range(3)]
+
+    def rescaled(s, vec):
+        """s * vec[k], written over the temporaries vec."""
+        for k in range(3):
+            vec[k] *= s
+        return vec
+
+    def contract(tens, vec):
+        """(T vec)_j = T_jk vec_k."""
+        return [_dot(tens[j], vec) for j in range(3)]
+
+    def par_deriv_vec(vec):
+        """(omega . grad) vec, projected transverse:
+        om[0] * d(vec[k], 0) + om[1] * d(vec[k], 1) + om[2] * d(vec[k], 2)."""
+        cols = []
+        for k in range(3):
+            col = d(vec[k], 0)
+            col *= om_in[0]
+            tmp = d(vec[k], 1)
+            col += np.multiply(tmp, om_in[1], out=tmp)
+            col += np.multiply(d(vec[k], 2, out=tmp), om_in[2], out=tmp)
+            cols.append(col)
+        return _project_perp(om_in, cols, out=cols)
+
+    def div_tensor(tens, zero_diagonal=False):
+        """(div T)_k = d_j T_jk, projected transverse.
+
+        With `zero_diagonal` the terms d_k T_kk are not formed: the diagonal
+        of the swirl tensor is stored as exact zeros, so they add nothing.
+        """
+        cols = []
+        tmp = None
+        for k in range(3):
+            js = [j for j in range(3) if j != k or not zero_diagonal]
+            col = d(tens[js[0], k], js[0])
+            for j in js[1:]:
+                tmp = d(tens[j, k], j, out=tmp)
+                col += tmp
+            cols.append(col)
+        return _project_perp(om_in, cols, out=cols)
+
+    yield 1, scaled(divo, gperp)
+    grad_divo = [d(bundle.divo, j) for j in range(3)]
+    yield 2, rescaled(rho_in, _project_perp(om_in, grad_divo, out=grad_divo))
+    yield 3, contract(sig, gperp)
+    yield 4, contract(gam, gperp)
+    yield 5, par_deriv_vec(bundle.gperp)
+    yield 6, scaled(dpar, tilt)
+    yield 7, scaled(dpar / rho_in, gperp)
+    yield 8, scaled(rho_in * divo, tilt)
+    yield 9, rescaled(rho_in, contract(sig, tilt))
+    yield 10, rescaled(rho_in, contract(gam, tilt))
+    yield 11, rescaled(rho_in, par_deriv_vec(bundle.tilt))
+    yield 12, rescaled(rho_in, div_tensor(bundle.sig))
+    yield 13, rescaled(rho_in, div_tensor(bundle.gam, zero_diagonal=True))
+
+
+def _whole_grid(state, order):
+    """The stencil of the whole grid taken as one periodic slab."""
+    return _Stencil(state.grid.spacing, order, 0)
+
+
+def _stored_bundle(bundle):
+    return _Bundle(_vector_components(bundle.grad_perp_rho), bundle.par_grad_rho,
+                   _vector_components(bundle.omega_tilt), bundle.div_omega,
+                   _tensor_components(bundle.sigma_omega),
+                   _tensor_components(bundle.gamma_omega))
 
 
 def decompose_gradients(state: FieldState, scheme_order: int = 2) -> GradientBundle:
@@ -200,64 +475,16 @@ def decompose_gradients(state: FieldState, scheme_order: int = 2) -> GradientBun
     its trace defines div_omega, and the shear/swirl split is taken as the
     definition (so the reassembly identities hold exactly).
     """
-    state.validate()
-    if scheme_order == 4 and any(1 < n < 5 for n in state.grid.shape):
-        raise DomainError("order-4 stencil needs periodic extents of >= 5 cells (or 1)")
-    grid, shape = state.grid, state.grid.shape
-    om = _omega_components(state)
-
-    def d(values, j):
-        return deriv(values, j, grid.spacing[j], scheme_order)
-
-    grad_rho = [d(state.rho, j) for j in range(3)]
-    par_grad_rho = _dot(grad_rho, om)
-    grad_perp_rho = np.empty((3,) + shape)
-    for k in range(3):
-        np.subtract(grad_rho[k], par_grad_rho * om[k], out=grad_perp_rho[k])
-    del grad_rho
-
-    # g[j, k] = d_j omega_k; a = omega^T g is (omega . grad) omega, b = g omega
-    g = np.empty((3, 3) + shape)
-    for j in range(3):
-        for k in range(3):
-            g[j, k] = d(om[k], j)
-    a = [_dot(om, g[:, k]) for k in range(3)]
-    b = [_dot(g[j], om) for j in range(3)]
-    c = _dot(om, b)
-    omega_tilt = np.stack(_project_perp(om, a))
-
-    # transverse-transverse block P g P = g - omega a^T - b omega^T
-    # + c omega omega^T, written over g entry by entry
-    u = [c * om[k] - a[k] for k in range(3)]
-    del a
-    for j in range(3):
-        for k in range(3):
-            g[j, k] += om[j] * u[k]
-            g[j, k] -= b[j] * om[k]
-    del b, c, u
-    div_omega = g[0, 0] + g[1, 1] + g[2, 2]
-
-    sigma = np.empty((3, 3) + shape)
-    gamma = np.empty((3, 3) + shape)
-    for j in range(3):
-        np.multiply(g[j, j], 2.0, out=sigma[j, j])
-        sigma[j, j] -= div_omega * (1.0 - om[j] * om[j])
-        gamma[j, j] = 0.0
-        for k in range(j + 1, 3):
-            np.add(g[j, k], g[k, j], out=sigma[j, k])
-            sigma[j, k] += div_omega * (om[j] * om[k])
-            sigma[k, j] = sigma[j, k]
-            np.subtract(g[j, k], g[k, j], out=gamma[j, k])
-            np.negative(gamma[j, k], out=gamma[k, j])
-
+    _check_state(state, scheme_order)
+    b = _bundle_fields(state.rho, _omega_components(state), _whole_grid(state, scheme_order))
     return GradientBundle(
         scheme_order=scheme_order,
-        grad_perp_rho=np.moveaxis(grad_perp_rho, 0, -1),
-        par_grad_rho=par_grad_rho,
-        omega_tilt=np.moveaxis(omega_tilt, 0, -1),
-        div_omega=div_omega,
-        sigma_omega=np.moveaxis(sigma, (0, 1), (-2, -1)),
-        gamma_omega=np.moveaxis(gamma, (0, 1), (-2, -1)),
+        grad_perp_rho=np.moveaxis(b.gperp, 0, -1),
+        par_grad_rho=b.dpar,
+        omega_tilt=np.moveaxis(b.tilt, 0, -1),
+        div_omega=b.divo,
+        sigma_omega=np.moveaxis(b.sig, (0, 1), (-2, -1)),
+        gamma_omega=np.moveaxis(b.gam, (0, 1), (-2, -1)),
     )
 
 
@@ -265,15 +492,8 @@ def evaluate_r1(state: FieldState, bundle: GradientBundle, beta: float,
                 gamma: float) -> np.ndarray:
     """Mass-equation correction field, at the bundle's scheme order."""
     _check_bundle(state, bundle)
-    grid, order = state.grid, bundle.scheme_order
-    om = _omega_components(state)
-    rho_div = state.rho * bundle.div_omega
-
-    def divergence(scalar):
-        """div(scalar * omega)."""
-        return sum(deriv(scalar * om[ax], ax, grid.spacing[ax], order) for ax in range(3))
-
-    return beta * divergence(bundle.par_grad_rho) + gamma * divergence(rho_div)
+    return _r1_field(state.rho, _omega_components(state), _stored_bundle(bundle),
+                     beta, gamma, _whole_grid(state, bundle.scheme_order))
 
 
 # slot tags: which of the 13 structures are quadratic in first derivatives
@@ -293,68 +513,11 @@ def _check_bundle(state, bundle):
 
 
 def _r2_slots(state, bundle):
-    """Yield (slot, [x, y, z]) for the 13 structures of R2, one slot at a time.
-
-    Each slot is three scalar component arrays, so only one slot is alive at
-    a time.  Second-derivative structures differentiate stored bundle entries
-    with the bundle's scheme and are projected transverse; quadratic
-    structures are pointwise products of transverse bundle entries.
-    """
+    """The 13 structures of R2 on the whole grid, as from _r2_slot_fields."""
     _check_bundle(state, bundle)
-    if state.rho.min() <= 0:
-        raise FieldStateError("velocity correction needs strictly positive density")
-    grid, rho, order = state.grid, state.rho, bundle.scheme_order
-    om = _omega_components(state)
-    gperp = _vector_components(bundle.grad_perp_rho)
-    tilt = _vector_components(bundle.omega_tilt)
-    sig = _tensor_components(bundle.sigma_omega)
-    gam = _tensor_components(bundle.gamma_omega)
-    dpar, divo = bundle.par_grad_rho, bundle.div_omega
-
-    def d(values, j):
-        return deriv(values, j, grid.spacing[j], order)
-
-    def scaled(s, vec):
-        return [s * vec[k] for k in range(3)]
-
-    def contract(tens, vec):
-        """(T vec)_j = T_jk vec_k."""
-        return [_dot(tens[j], vec) for j in range(3)]
-
-    def par_deriv_vec(vec):
-        """(omega . grad) vec, projected transverse."""
-        return _project_perp(om, [
-            om[0] * d(vec[k], 0) + om[1] * d(vec[k], 1) + om[2] * d(vec[k], 2)
-            for k in range(3)])
-
-    def div_tensor(tens, zero_diagonal=False):
-        """(div T)_k = d_j T_jk, projected transverse.
-
-        With `zero_diagonal` the terms d_k T_kk are not formed: the diagonal
-        of the swirl tensor is stored as exact zeros, so they add nothing.
-        """
-        cols = []
-        for k in range(3):
-            js = [j for j in range(3) if j != k or not zero_diagonal]
-            col = d(tens[js[0], k], js[0])
-            for j in js[1:]:
-                col = col + d(tens[j, k], j)
-            cols.append(col)
-        return _project_perp(om, cols)
-
-    yield 1, scaled(divo, gperp)
-    yield 2, scaled(rho, _project_perp(om, [d(divo, j) for j in range(3)]))
-    yield 3, contract(sig, gperp)
-    yield 4, contract(gam, gperp)
-    yield 5, par_deriv_vec(gperp)
-    yield 6, scaled(dpar, tilt)
-    yield 7, scaled(dpar / rho, gperp)
-    yield 8, scaled(rho * divo, tilt)
-    yield 9, scaled(rho, contract(sig, tilt))
-    yield 10, scaled(rho, contract(gam, tilt))
-    yield 11, scaled(rho, par_deriv_vec(tilt))
-    yield 12, scaled(rho, div_tensor(sig))
-    yield 13, scaled(rho, div_tensor(gam, zero_diagonal=True))
+    _check_positive_density(state.rho)
+    return _r2_slot_fields(state.rho, _omega_components(state), _stored_bundle(bundle),
+                           _whole_grid(state, bundle.scheme_order))
 
 
 def r2_terms(state: FieldState, bundle: GradientBundle) -> dict:
@@ -369,6 +532,21 @@ def r2_terms(state: FieldState, bundle: GradientBundle) -> dict:
             for slot, comps in _r2_slots(state, bundle)}
 
 
+def _zeta_vector(coeffs):
+    zeta = np.asarray(getattr(coeffs, "zeta", coeffs), dtype=float)
+    if zeta.shape != (13,):
+        raise DomainError(f"expected 13 coefficients, got shape {zeta.shape}")
+    return zeta
+
+
+def _accumulate_r2(out, zeta, slots):
+    """out[k] += zeta_s * slot_s[k] over the slots, in slot order."""
+    for slot, comps in slots:
+        for k in range(3):
+            comps[k] *= zeta[slot - 1]
+            out[k] += comps[k]
+
+
 def evaluate_r2(state: FieldState, bundle: GradientBundle, coeffs) -> np.ndarray:
     """Velocity-equation correction field: sum of zeta_j times structure j.
 
@@ -377,29 +555,76 @@ def evaluate_r2(state: FieldState, bundle: GradientBundle, coeffs) -> np.ndarray
     are accumulated one slot at a time; second derivatives use the bundle's
     scheme order.
     """
-    zeta = np.asarray(getattr(coeffs, "zeta", coeffs), dtype=float)
-    if zeta.shape != (13,):
-        raise DomainError(f"expected 13 coefficients, got shape {zeta.shape}")
+    zeta = _zeta_vector(coeffs)
     out = np.zeros((3,) + state.grid.shape)
-    for slot, comps in _r2_slots(state, bundle):
-        for k in range(3):
-            out[k] += zeta[slot - 1] * comps[k]
+    _accumulate_r2(out, zeta, _r2_slots(state, bundle))
     return np.moveaxis(out, 0, -1)
+
+
+def _slabs(state, order):
+    """Yield (i0, i1, rho, om, stencil) for the slabs [i0, i1) along axis 0.
+
+    rho and the component-major om cover the slab's planes plus a halo of
+    two derivative levels, taken periodically; a grid of at most one slab's
+    planes is one slab with no halo that wraps like the whole-grid path.
+    """
+    n0, n1, n2 = state.grid.shape
+    planes = max(1, SLAB_CELLS // (n1 * n2))
+    if n0 <= planes:
+        yield 0, n0, state.rho, _omega_components(state), _whole_grid(state, order)
+        return
+    w = order // 2
+    st = _Stencil(state.grid.spacing, order, w)
+    for i0 in range(0, n0, planes):
+        i1 = min(i0 + planes, n0)
+        idx = np.arange(i0 - 2 * w, i1 + 2 * w) % n0
+        om = np.ascontiguousarray(_vector_components(state.omega[idx]))
+        yield i0, i1, state.rho[idx], om, st
 
 
 def evaluate_corrections(state: FieldState, coeffs, scheme_order: int = 2,
                          eps: float = 1.0) -> CorrectionFields:
-    """Both corrections, scaled by the scale-ratio eps used for reporting."""
-    bundle = decompose_gradients(state, scheme_order)
-    r1 = evaluate_r1(state, bundle, coeffs.beta, coeffs.gamma)
-    r2 = evaluate_r2(state, bundle, coeffs)
-    return CorrectionFields(r1=eps * r1, r2=eps * r2)
+    """Both corrections, scaled by the scale-ratio eps used for reporting.
+
+    The state checks run once on the whole grid.  Then the grid is streamed
+    in slabs of whole planes along axis 0, about SLAB_CELLS cells each: a
+    slab's bundle covers its planes plus one derivative level of halo, of
+    which the planes shared with the previous slab are carried over rather
+    than formed again, and its R1 and R2 are formed on its own planes and
+    written once, scaled by eps, into the outputs.  Every cell sees the same
+    operations in the same order as in decompose_gradients, evaluate_r1 and
+    evaluate_r2, so the result does not depend on the slab size.
+    """
+    _check_state(state, scheme_order)
+    beta, gamma = coeffs.beta, coeffs.gamma
+    zeta = _zeta_vector(coeffs)
+    _check_positive_density(state.rho)
+    r1 = np.empty(state.grid.shape)
+    r2 = np.zeros((3,) + state.grid.shape)
+    carry = None
+    for i0, i1, rho, om, st in _slabs(state, scheme_order):
+        t = 2 * st.halo
+        if carry is None:
+            bundle = _bundle_fields(rho, om, st)
+        else:
+            # the previous slab's last 2w bundle planes are this slab's first
+            fresh = _bundle_fields(rho[t:], om[:, t:], st)
+            bundle = _Bundle(*(np.concatenate(pair, axis=-3) for pair in zip(carry, fresh)))
+        if t:
+            carry = _Bundle(*(x[..., x.shape[-3] - t:, :, :] for x in bundle))
+        rho, om = st.inner(rho), st.inner(om)
+        np.multiply(_r1_field(rho, om, bundle, beta, gamma, st), eps, out=r1[i0:i1])
+        out = r2[:, i0:i1]
+        _accumulate_r2(out, zeta, _r2_slot_fields(rho, om, bundle, st))
+        out *= eps
+    return CorrectionFields(r1=r1, r2=np.moveaxis(r2, 0, -1))
 
 
 # --- analytic test fields ------------------------------------------------------
 
-def _unit(vec):
-    return vec / np.linalg.norm(vec, axis=-1, keepdims=True)
+def _normalize(vec):
+    """Scale each grid + (3,) vector to unit length, in place."""
+    vec /= np.linalg.norm(vec, axis=-1, keepdims=True)
 
 
 def make_field(name: str, shape=(16, 16, 16), lengths=None, params=None,
@@ -416,36 +641,39 @@ def make_field(name: str, shape=(16, 16, 16), lengths=None, params=None,
         lengths = (2 * np.pi,) * 3
     shape = tuple(int(n) for n in shape)
     grid = Grid(shape=shape, spacing=tuple(L / n for L, n in zip(lengths, shape)))
-    x, y, z = grid.coordinates()
+    x, y, z = grid.axes()
     params = params or {}
+    omega = np.zeros(shape + (3,))
 
+    # every factor is evaluated on its own axis and broadcast; each cell gets
+    # the same operations as on full coordinate arrays
     if name == "uniform":
         rho = np.full(shape, float(params.get("rho", 1.0)))
-        omega = np.zeros(shape + (3,))
         omega[..., 2] = 1.0
     elif name == "axial-sine":
         amp = float(params.get("amplitude", 1.0))
-        rho = 2.0 + amp * np.sin(2 * np.pi * z / lengths[2])
-        omega = np.zeros(shape + (3,))
+        rho = np.empty(shape)
+        rho[...] = 2.0 + amp * np.sin(2 * np.pi * z / lengths[2])
         omega[..., 2] = 1.0
     elif name == "tilt-sine":
         alpha0 = float(params.get("alpha0", 0.7))
         alpha = alpha0 * np.sin(2 * np.pi * z / lengths[2])
         rho = np.ones(shape)
-        omega = np.stack([np.sin(alpha), np.zeros_like(alpha), np.cos(alpha)], axis=-1)
+        omega[..., 0] = np.sin(alpha)
+        omega[..., 2] = np.cos(alpha)
     elif name == "random-smooth":
         rng = np.random.default_rng(seed)
         kx, ky, kz = (2 * np.pi / L for L in lengths)
-        base = np.zeros(shape + (3,))
-        base[..., 2] = 2.0
+        omega[..., 2] = 2.0
         for _ in range(4):
             amp = 0.25 * rng.standard_normal(3)
             kv = rng.integers(1, 3, size=3)
             ph = rng.uniform(0, 2 * np.pi, size=3)
             mode = np.cos(kv[0] * kx * x + ph[0]) * np.cos(kv[1] * ky * y + ph[1]) \
                 * np.sin(kv[2] * kz * z + ph[2])
-            base += amp * mode[..., None]
-        omega = _unit(base)
+            for c in range(3):
+                omega[..., c] += amp[c] * mode
+        _normalize(omega)
         rho = 1.5 + 0.4 * np.cos(kx * x) * np.sin(kz * z) + 0.2 * np.cos(ky * y)
     else:
         raise DomainError(

@@ -155,7 +155,7 @@ def fd_solve(kernel: CollisionKernel, problem_type: int, alpha, f, m: int,
         rule = build_rule(quadrature_size(kernel, 96))
         fmean = float(rule.weights @ (np.asarray(f(rule.nodes), dtype=float)
                                       * np.exp(-shift)))
-        if abs(fmean) >= 1e-10:
+        if not abs(fmean) < 1e-10:  # also rejects non-finite data
             raise PreconditionError(
                 f"type-2 data must have zero mean; int f dmu = {fmean:.6e}")
         from scipy.sparse import bmat

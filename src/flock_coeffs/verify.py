@@ -17,7 +17,7 @@ import numpy as np
 from .coeffs import (
     beta_quadratic_form,
     c_relation_residuals,
-        compute_coefficients,
+    compute_coefficients,
     profile_moment_residuals,
     solve_profiles,
 )

@@ -97,7 +97,8 @@ def test_solver_errors_name_the_problem(legendre_kernel):
     bad = lambda mu: np.where(np.asarray(mu) > 0.5, np.nan, 0.0)
     with pytest.raises(SolverError, match="probe"):
         solve_type1(legendre_kernel, ones, bad, 8, name="probe")
-    with pytest.raises(SolverError, match="probe"):
+    # NaN data fail the type-2 solvability check, which names problem and d
+    with pytest.raises(PreconditionError, match=r"probe solve: .* at d = "):
         solve_type2(legendre_kernel, bad, 8, name="probe")
 
 

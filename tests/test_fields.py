@@ -1,6 +1,9 @@
+import types
+
 import numpy as np
 import pytest
 
+from flock_coeffs import fields
 from flock_coeffs.errors import DomainError, FieldStateError
 from flock_coeffs.fields import (
     FIELD_CSV_HEADER,
@@ -465,3 +468,113 @@ def test_order4_bundle_sets_correction_stencil():
         r2_errs.append(np.abs(evaluate_r2(state, b, zeta) - exact).max())
     assert 13.0 <= r1_errs[0] / r1_errs[1] <= 19.0
     assert 13.0 <= r2_errs[0] / r2_errs[1] <= 19.0
+
+
+# --- streamed evaluate_corrections ----------------------------------------------
+
+SLAB_COEFFS = types.SimpleNamespace(
+    beta=0.37, gamma=-0.91, zeta=np.random.default_rng(19).standard_normal(13))
+
+
+def record_slabs(monkeypatch):
+    """Record the [i0, i1) plane ranges evaluate_corrections streams."""
+    seen = []
+    slabs = fields._slabs
+
+    def spy(state, order):
+        for item in slabs(state, order):
+            seen.append(item[:2])
+            yield item
+
+    monkeypatch.setattr(fields, "_slabs", spy)
+    return seen
+
+
+@pytest.mark.parametrize("shape,order", [
+    ((13, 12, 11), 2), ((13, 12, 11), 4), ((1, 9, 7), 2), ((6, 6, 8), 4)])
+@pytest.mark.parametrize("planes", [1, 2, 5])
+def test_slab_split_matches_one_slab(monkeypatch, shape, order, planes):
+    state = make_field("random-smooth", shape, lengths=(2.0, 3.0, 2.5), seed=18)
+    whole = evaluate_corrections(state, SLAB_COEFFS, scheme_order=order, eps=0.3)
+    seen = record_slabs(monkeypatch)
+    monkeypatch.setattr(fields, "SLAB_CELLS", planes * shape[1] * shape[2])
+    split = evaluate_corrections(state, SLAB_COEFFS, scheme_order=order, eps=0.3)
+    n0 = shape[0]
+    starts = range(0, n0, planes) if n0 > planes else [0]
+    assert seen == [(i0, min(i0 + planes, n0) if n0 > planes else n0) for i0 in starts]
+    assert split.r1.tobytes() == whole.r1.tobytes()
+    assert split.r2.tobytes() == whole.r2.tobytes()
+
+    ref = ref_decompose(state, order)
+    assert_matches_reference(split.r1, 0.3 * ref_r1(state, ref, 0.37, -0.91, order), "r1")
+    ref_r2 = np.zeros(shape + (3,))
+    for slot, term in ref_r2_terms(state, ref, order).items():
+        ref_r2 += SLAB_COEFFS.zeta[slot - 1] * term
+    assert_matches_reference(split.r2, 0.3 * ref_r2, "r2")
+
+
+def test_slab_split_keeps_state_errors(monkeypatch):
+    monkeypatch.setattr(fields, "SLAB_CELLS", 8 * 8)
+    with pytest.raises(DomainError, match="order-4"):
+        evaluate_corrections(make_field("uniform", (3, 8, 8)), SLAB_COEFFS, scheme_order=4)
+
+    monkeypatch.setattr(fields, "SLAB_CELLS", 2 * 12 * 11)
+    state = make_field("random-smooth", (13, 12, 11), seed=20)
+    state.omega[9, 4, 7] *= 1.001
+    with pytest.raises(FieldStateError, match=r"not unit at cell \(9, 4, 7\)"):
+        evaluate_corrections(state, SLAB_COEFFS)
+
+    state = make_field("random-smooth", (13, 12, 11), seed=20)
+    state.rho[11, 3, 2] = 0.0
+    with pytest.raises(FieldStateError, match="strictly positive density"):
+        evaluate_corrections(state, SLAB_COEFFS)
+    state.rho[11, 3, 2] = -0.5
+    with pytest.raises(FieldStateError, match=r"negative density at cell \(11, 3, 2\)"):
+        evaluate_corrections(state, SLAB_COEFFS)
+
+
+# --- separable analytic fields ---------------------------------------------------
+
+def meshgrid_field(name, shape, lengths, params, seed):
+    """make_field's fields evaluated on full meshgrid coordinate arrays."""
+    grid = Grid(shape=shape, spacing=tuple(L / n for L, n in zip(lengths, shape)))
+    x, y, z = grid.coordinates()
+    if name == "uniform":
+        rho = np.full(shape, float(params.get("rho", 1.0)))
+        omega = np.zeros(shape + (3,))
+        omega[..., 2] = 1.0
+    elif name == "axial-sine":
+        rho = 2.0 + float(params.get("amplitude", 1.0)) * np.sin(2 * np.pi * z / lengths[2])
+        omega = np.zeros(shape + (3,))
+        omega[..., 2] = 1.0
+    elif name == "tilt-sine":
+        alpha = float(params.get("alpha0", 0.7)) * np.sin(2 * np.pi * z / lengths[2])
+        rho = np.ones(shape)
+        omega = np.stack([np.sin(alpha), np.zeros_like(alpha), np.cos(alpha)], axis=-1)
+    else:
+        rng = np.random.default_rng(seed)
+        kx, ky, kz = (2 * np.pi / L for L in lengths)
+        base = np.zeros(shape + (3,))
+        base[..., 2] = 2.0
+        for _ in range(4):
+            amp = 0.25 * rng.standard_normal(3)
+            kv = rng.integers(1, 3, size=3)
+            ph = rng.uniform(0, 2 * np.pi, size=3)
+            mode = np.cos(kv[0] * kx * x + ph[0]) * np.cos(kv[1] * ky * y + ph[1]) \
+                * np.sin(kv[2] * kz * z + ph[2])
+            base += amp * mode[..., None]
+        omega = base / np.linalg.norm(base, axis=-1, keepdims=True)
+        rho = 1.5 + 0.4 * np.cos(kx * x) * np.sin(kz * z) + 0.2 * np.cos(ky * y)
+    return rho, omega
+
+
+@pytest.mark.parametrize("name,params", [
+    ("uniform", {"rho": 0.8}), ("axial-sine", {"amplitude": 0.6}),
+    ("tilt-sine", {"alpha0": 0.4}), ("random-smooth", {})])
+def test_make_field_matches_meshgrid_evaluation(name, params):
+    shape, lengths = (7, 5, 6), (2.0, 3.0, 2.5)
+    state = make_field(name, shape, lengths=lengths, params=params, seed=21)
+    rho, omega = meshgrid_field(name, shape, lengths, params, seed=21)
+    assert state.rho.shape == shape and state.omega.shape == shape + (3,)
+    assert state.rho.tobytes() == rho.tobytes()
+    assert state.omega.tobytes() == omega.tobytes()

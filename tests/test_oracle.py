@@ -80,6 +80,12 @@ def test_fd_preconditions(legendre_kernel):
         fd_solve(legendre_kernel, 3, None, lambda mu: 0 * mu, 200)
 
 
+def test_fd_type2_rejects_non_finite_data(legendre_kernel):
+    bad = lambda mu: np.where(np.asarray(mu) > 0.5, np.nan, 0.0)
+    with pytest.raises(PreconditionError, match="zero mean"):
+        fd_solve(legendre_kernel, 2, None, bad, 200)
+
+
 def test_mode_null_space(pipeline_even):
     # constants span the kernel of the axisymmetric mode
     eq = pipeline_even["eq"]
