@@ -10,12 +10,14 @@ fields on periodic grids and an independent verification oracle.
 
 from .coeffs import (
     HydroCoefficients,
+    Pipeline,
     ProfileSet,
     beta_quadratic_form,
     compute_c123,
     compute_coefficients,
     compute_r1_coeffs,
     compute_r2_coeffs,
+    run_pipeline,
     solve_profiles,
 )
 from .elliptic import FactoredProfile, GciSolution, MuProfile, solve_gci, solve_type1, solve_type2

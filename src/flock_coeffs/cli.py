@@ -18,8 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .coeffs import compute_coefficients, solve_profiles, compute_c123
-from .elliptic import solve_gci
+from .coeffs import compute_coefficients, run_pipeline
 from .errors import (
     ConfigError,
     DegenerateWeightError,
@@ -33,7 +32,6 @@ from .errors import (
 )
 from .fields import evaluate_corrections, load_field_csv, make_field, save_field_csv
 from .kernel import kernel_from_config, parse_config
-from .quad import build_equilibrium, quadrature_size
 from .verify import run_verification
 
 EXIT_OK = 0
@@ -192,11 +190,8 @@ def cmd_profiles(args) -> int:
     outdir = Path(args.output or "profiles-out")
     outdir.mkdir(parents=True, exist_ok=True)
 
-    eq = build_equilibrium(kernel, quadrature_size(kernel, n + 10))
-    gci = solve_gci(kernel, n, rule=eq.rule)
-    c = compute_c123(kernel, gci, eq)
-    profiles = solve_profiles(kernel, c, n, rule=eq.rule, eq=eq)
-
+    pipe = run_pipeline(kernel, n, kappa)
+    gci, profiles = pipe.gci, pipe.profiles
     dumps = {
         "g": gci.g,
         "h": gci.h,

@@ -10,8 +10,10 @@ velocity correction.  Each zeta combines three routes:
   * a "transport" table (same profiles under the free-streaming moments),
   * a "nonlocal" table proportional to the interaction-range constant kappa.
 
-All intermediate tables are retained on the result object so every line of
-the assembly is independently checkable.
+`run_pipeline` alone sizes the quadrature rule and chains these stages, and
+returns them all as a `Pipeline`; `compute_coefficients` keeps only its
+coefficient set, on which every intermediate table is retained so every line
+of the assembly is independently checkable.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from .elliptic import GciSolution, MuProfile, solve_gci, solve_type1, solve_type
 from .errors import InvariantError
 from .kernel import CollisionKernel
 from .quad import (
-    QuadratureRule,
     VonMisesEquilibrium,
     average_weighted,
     build_equilibrium,
@@ -34,6 +35,7 @@ from .quad import (
 __all__ = [
     "ProfileSet",
     "HydroCoefficients",
+    "Pipeline",
     "compute_c123",
     "c_relation_residuals",
     "solve_profiles",
@@ -41,6 +43,8 @@ __all__ = [
     "compute_r1_coeffs",
     "beta_quadratic_form",
     "compute_r2_coeffs",
+    "run_pipeline",
+    "check_ordering",
     "compute_coefficients",
     "elliptic_problem_data",
 ]
@@ -106,15 +110,12 @@ def elliptic_problem_data(kernel: CollisionKernel, c=None, b1=None):
     return problems
 
 
-def compute_c123(kernel: CollisionKernel, gci: GciSolution,
-                 eq: VonMisesEquilibrium | None = None):
+def compute_c123(kernel: CollisionKernel, gci: GciSolution, eq: VonMisesEquilibrium):
     """Leading-order constants: drift c1, convection c2, pressure c3.
 
     c1 is the plain equilibrium average of cos(theta); c2 and c3 average over
     the signed weight sin^2(theta) nu h M, which is one-signed because h <= 0.
     """
-    if eq is None:
-        eq = build_equilibrium(kernel)
     x = eq.rule.nodes
     s2 = 1.0 - x * x
     h = gci.h.values_on(eq.rule)
@@ -152,35 +153,28 @@ def c_relation_residuals(kernel: CollisionKernel, gci: GciSolution, c,
     }
 
 
-def solve_profiles(kernel: CollisionKernel, c, n: int, *,
-                   rule: QuadratureRule | None = None,
-                   eq: VonMisesEquilibrium | None = None) -> ProfileSet:
-    """Solve the five response problems and apply the gauge conditions.
+def solve_profiles(kernel: CollisionKernel, c, n: int,
+                   eq: VonMisesEquilibrium) -> ProfileSet:
+    """Solve the five response problems on eq's rule and apply the gauges.
 
     The two conservative problems are solvable only when the c constants are
     self-consistent (zero-mean data); an inconsistent c surfaces as a
     PreconditionError carrying the offending integral.
     """
-    if eq is None:
-        eq = build_equilibrium(kernel) if rule is None else build_equilibrium(kernel, rule.n)
-    if rule is None:
-        rule = eq.rule
+    rule = eq.rule
     x = rule.nodes
-    s2 = 1.0 - x * x
-
     probs = elliptic_problem_data(kernel, c)
     a_perp = solve_type1(kernel, probs["a_perp"]["alpha"], probs["a_perp"]["f"],
                          n, sing_order=1, rule=rule, name="a_perp")
     a_par = solve_type2(kernel, probs["a_par"]["f"], n, rule=rule, name="a_par")
-    a_par = a_par.shifted(-eq.average(a_par.values_on(eq.rule)))
+    a_par = a_par.shifted(-eq.average(a_par.values_on(rule)))
 
     b1 = solve_type1(kernel, probs["b1"]["alpha"], probs["b1"]["f"],
                      n, sing_order=2, rule=rule, name="b1")
     probs = elliptic_problem_data(kernel, c, b1=b1)
     b2 = solve_type2(kernel, probs["b2"]["f"], n, rule=rule, name="b2")
-    xs = eq.rule.nodes
-    b2 = b2.shifted(-eq.average(0.5 * b1.values_on(eq.rule) * (1.0 - xs * xs)
-                                + b2.values_on(eq.rule)))
+    b2 = b2.shifted(-eq.average(0.5 * b1.values_on(rule) * (1.0 - x * x)
+                                + b2.values_on(rule)))
 
     b_par = solve_type1(kernel, probs["b_par"]["alpha"], probs["b_par"]["f"],
                         n, sing_order=1, rule=rule, name="b_par")
@@ -207,15 +201,13 @@ def profile_moment_residuals(profiles: ProfileSet, eq: VonMisesEquilibrium) -> d
 
 
 def compute_r1_coeffs(kernel: CollisionKernel, profiles: ProfileSet,
-                      eq: VonMisesEquilibrium | None = None):
+                      eq: VonMisesEquilibrium):
     """Mass-equation correction coefficients (beta, gamma).
 
     Same brackets as the gauge relations but with an extra cos(theta) factor.
     beta must be strictly positive; a nonpositive value after convergence
     indicates a solver bug, not a parameter regime.
     """
-    if eq is None:
-        eq = build_equilibrium(kernel)
     x = eq.rule.nodes
     s2 = 1.0 - x * x
     beta = eq.average(profiles.a_par.values_on(eq.rule) * x)
@@ -227,14 +219,12 @@ def compute_r1_coeffs(kernel: CollisionKernel, profiles: ProfileSet,
 
 
 def beta_quadratic_form(kernel: CollisionKernel, profiles: ProfileSet,
-                        eq: VonMisesEquilibrium | None = None) -> float:
+                        eq: VonMisesEquilibrium) -> float:
     """Independent route to beta through the dissipation quadratic form.
 
     beta equals d times the equilibrium average of sin^2(theta) (a_par')^2;
     positivity is manifest here.
     """
-    if eq is None:
-        eq = build_equilibrium(kernel)
     x = eq.rule.nodes
     ap = profiles.a_par.derivative().values_on(eq.rule)
     return kernel.d * eq.average((1.0 - x * x) * ap * ap)
@@ -398,65 +388,84 @@ def _route_tables(kernel, gci, profiles, c, kappa, eq):
 
 def compute_r2_coeffs(kernel: CollisionKernel, gci: GciSolution,
                       profiles: ProfileSet, c, kappa: float,
-                      eq: VonMisesEquilibrium | None = None,
-                      n: int | None = None,
-                      residuals: dict | None = None) -> HydroCoefficients:
+                      eq: VonMisesEquilibrium, n: int,
+                      residuals: dict) -> HydroCoefficients:
     """Assemble the thirteen velocity-correction coefficients.
 
     zeta_j = prefactor * (time_j + transport_j + nonlocal_j) with the missing
-    route entries identically zero.  All tables are kept on the result.
+    route entries identically zero.  All tables are kept on the result, and
+    `residuals` is kept as given.
     """
-    if eq is None:
-        eq = build_equilibrium(kernel)
     lam, eta, xi, lpp, ep, xslots, prefactor = _route_tables(
         kernel, gci, profiles, c, kappa, eq)
 
     zeta = prefactor * (lpp[1:] + ep[1:] + xslots[1:])
 
     beta, gamma = compute_r1_coeffs(kernel, profiles, eq)
-    res = dict(residuals or {})
-    res.setdefault("nu_min", kernel.nu_min)
     return HydroCoefficients(
         c1=c[0], c2=c[1], c3=c[2], beta=beta, gamma=gamma, zeta=zeta,
-        kappa=float(kappa), d=kernel.d, n=int(n or profiles.a_par.degree),
-        prefactor=prefactor, lam=lam, eta=eta, xi=xi, residuals=res,
+        kappa=float(kappa), d=kernel.d, n=int(n),
+        prefactor=prefactor, lam=lam, eta=eta, xi=xi, residuals=residuals,
         kernel_model=kernel.model, kernel_params=kernel.params,
     )
 
 
-def compute_coefficients(kernel: CollisionKernel, n: int = 64, kappa: float = 0.0,
-                         strict: bool = True) -> HydroCoefficients:
-    """Full pipeline: invariant profile, constants, profiles, coefficient set.
+@dataclass(frozen=True)
+class Pipeline:
+    """Every stage of one run, from the equilibrium to the coefficient set."""
+
+    eq: VonMisesEquilibrium
+    gci: GciSolution
+    c: tuple
+    profiles: ProfileSet
+    hydro: HydroCoefficients
+
+
+def run_pipeline(kernel: CollisionKernel, n: int, kappa: float) -> Pipeline:
+    """Invariant profile, constants, profiles and coefficient set at degree n.
 
     One shared quadrature rule (sized for the kernel's weight) is used for
-    the solves and every bracket, so the consistency residuals sit at
-    rounding level.  `strict` validates the ordering 0 < c2 < c1 < 1, c3 > 0
-    and beta > 0.
+    the solves and every bracket, so the consistency residuals recorded on
+    the coefficient set sit at rounding level.  The ordering of the constants
+    is not checked here (see check_ordering).
     """
     eq = build_equilibrium(kernel, quadrature_size(kernel, n + 10))
     gci = solve_gci(kernel, n, rule=eq.rule)
     c = compute_c123(kernel, gci, eq)
-    profiles = solve_profiles(kernel, c, n, rule=eq.rule, eq=eq)
+    profiles = solve_profiles(kernel, c, n, eq)
 
-    residuals = {}
-    residuals.update(c_relation_residuals(kernel, gci, c, eq))
-    residuals.update(profile_moment_residuals(profiles, eq))
-    residuals["gci_solve"] = gci.h.meta["residual"]
-    for name, prof in (("a_perp", profiles.a_perp), ("a_par", profiles.a_par),
-                       ("b1", profiles.b1), ("b2", profiles.b2),
-                       ("b_par", profiles.b_par)):
-        residuals[f"{name}_solve"] = prof.meta["residual"]
+    residuals = {**c_relation_residuals(kernel, gci, c, eq),
+                 **profile_moment_residuals(profiles, eq),
+                 "gci_solve": gci.h.meta["residual"]}
+    for name in ("a_perp", "a_par", "b1", "b2", "b_par"):
+        residuals[f"{name}_solve"] = getattr(profiles, name).meta["residual"]
     residuals["h_max"] = float(gci.h.values.max())
-    beta_bracket = eq.average(profiles.a_par.values_on(eq.rule) * eq.rule.nodes)
+    hydro = compute_r2_coeffs(kernel, gci, profiles, c, kappa, eq, n, residuals)
+    # the Dirichlet route is compared with the assembled beta, so this entry
+    # goes into hydro's residuals dict after assembly
     residuals["beta_dirichlet_diff"] = abs(
-        beta_quadratic_form(kernel, profiles, eq) - beta_bracket)
+        beta_quadratic_form(kernel, profiles, eq) - hydro.beta)
+    residuals["nu_min"] = kernel.nu_min
+    return Pipeline(eq=eq, gci=gci, c=c, profiles=profiles, hydro=hydro)
 
-    hydro = compute_r2_coeffs(kernel, gci, profiles, c, kappa, eq, n=n,
-                              residuals=residuals)
+
+def check_ordering(hydro: HydroCoefficients) -> None:
+    """Raise InvariantError unless 0 < c2 < c1 < 1 and c3 > 0."""
+    c1, c2, c3 = hydro.c1, hydro.c2, hydro.c3
+    if not (0.0 < c2 < c1 < 1.0):
+        raise InvariantError(f"expected 0 < c2 < c1 < 1, got c1={c1:.6f}, c2={c2:.6f}")
+    if not c3 > 0:
+        raise InvariantError(f"expected c3 > 0, got {c3:.6e}")
+
+
+def compute_coefficients(kernel: CollisionKernel, n: int = 64, kappa: float = 0.0,
+                         strict: bool = True) -> HydroCoefficients:
+    """The coefficient set of run_pipeline, without the solved stages.
+
+    `strict` checks the ordering 0 < c2 < c1 < 1 and c3 > 0.  beta > 0 is
+    checked whether or not `strict` is set (compute_r1_coeffs).
+    """
+    hydro = run_pipeline(kernel, n, kappa).hydro
     if strict:
-        c1, c2, c3 = hydro.c1, hydro.c2, hydro.c3
-        if not (0.0 < c2 < c1 < 1.0):
-            raise InvariantError(f"expected 0 < c2 < c1 < 1, got c1={c1:.6f}, c2={c2:.6f}")
-        if not c3 > 0:
-            raise InvariantError(f"expected c3 > 0, got {c3:.6e}")
+        check_ordering(hydro)
     return hydro

@@ -375,8 +375,11 @@ def _r1_field(rho, om, bundle, beta, gamma, st):
     rho_div = rho * bundle.divo
 
     def divergence(scalar):
-        """div(scalar * omega)."""
-        return sum(st.d(scalar * om[ax], ax) for ax in range(3))
+        """div(scalar * omega), summed onto the axis-0 term."""
+        div = st.d(scalar * om[0], 0)
+        for ax in (1, 2):
+            div += st.d(scalar * om[ax], ax)
+        return div
 
     return beta * divergence(bundle.dpar) + gamma * divergence(rho_div)
 

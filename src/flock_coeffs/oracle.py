@@ -31,7 +31,7 @@ from .coeffs import ProfileSet, elliptic_problem_data
 from .elliptic import GciSolution, MuProfile
 from .errors import PreconditionError, SolverError
 from .kernel import CollisionKernel
-from .quad import VonMisesEquilibrium, build_equilibrium, build_rule, quadrature_size
+from .quad import VonMisesEquilibrium, build_rule, quadrature_size
 
 __all__ = [
     "DenseGrid1D",
@@ -354,8 +354,7 @@ def _sphere_grid(eq: VonMisesEquilibrium, n_phi: int):
 
 
 def gci_orthogonality(kernel: CollisionKernel, gci: GciSolution, trial: MuProfile,
-                      k: int, parity: str = "cos",
-                      eq: VonMisesEquilibrium | None = None,
+                      k: int, parity: str, eq: VonMisesEquilibrium,
                       n_phi: int | None = None) -> float:
     """| int L(phi_trial) . psi domega | for a mode-k trial perturbation.
 
@@ -364,8 +363,6 @@ def gci_orthogonality(kernel: CollisionKernel, gci: GciSolution, trial: MuProfil
     trials first (`project_trial_k1`).  The integral is evaluated by full 2D
     tensor quadrature, not by the azimuthal shortcut.
     """
-    if eq is None:
-        eq = build_equilibrium(kernel, trial.rule.n)
     if n_phi is None:
         n_phi = max(16, 4 * (k + 2))
     mu, wmu, phi, wphi = _sphere_grid(eq, n_phi)
@@ -389,14 +386,12 @@ def gci_orthogonality(kernel: CollisionKernel, gci: GciSolution, trial: MuProfil
 
 
 def trial_norm(kernel: CollisionKernel, trial: MuProfile, k: int,
-               eq: VonMisesEquilibrium | None = None) -> float:
+               eq: VonMisesEquilibrium) -> float:
     """Natural norm of the trial perturbation M (1-mu^2)^(k/2) u trig(k phi).
 
     Weighted L2 norm with weight 1/M, the space the linearized operator acts
     on; used to normalize orthogonality defects.
     """
-    if eq is None:
-        eq = build_equilibrium(kernel, trial.rule.n)
     mu = eq.rule.nodes
     s2 = 1.0 - mu * mu
     m_norm = eq.weight / (2.0 * np.pi * eq.mass)
@@ -406,7 +401,7 @@ def trial_norm(kernel: CollisionKernel, trial: MuProfile, k: int,
 
 
 def project_trial_k1(kernel: CollisionKernel, gci: GciSolution, trial: MuProfile,
-                     eq: VonMisesEquilibrium | None = None) -> MuProfile:
+                     eq: VonMisesEquilibrium) -> MuProfile:
     """Remove the flux component from a mode-1 trial (reduced factor).
 
     Mode-1 perturbations carry a transverse flux; admissible ones must have
@@ -414,8 +409,6 @@ def project_trial_k1(kernel: CollisionKernel, gci: GciSolution, trial: MuProfile
     itself carries nonzero flux, so subtracting the right multiple projects
     any trial into the admissible set.
     """
-    if eq is None:
-        eq = build_equilibrium(kernel, trial.rule.n)
     mu = eq.rule.nodes
     s2 = 1.0 - mu * mu
     num = eq.average(s2 * trial(mu))
@@ -430,16 +423,13 @@ def project_trial_k1(kernel: CollisionKernel, gci: GciSolution, trial: MuProfile
 
 
 def source_orthogonality(kernel: CollisionKernel, gci: GciSolution, c,
-                         eq: VonMisesEquilibrium | None = None,
-                         n_phi: int = 24) -> dict:
+                         eq: VonMisesEquilibrium, n_phi: int = 24) -> dict:
     """Direct quadrature of the admissibility of the four gradient sources.
 
     Every component of each source family must integrate to zero against the
     vector invariant; this re-verifies by brute force on the sphere what the
     pipeline uses analytically.  Returns name -> worst normalized defect.
     """
-    if eq is None:
-        eq = build_equilibrium(kernel)
     c1, c2, c3 = c
     mu, wmu, phi, wphi = _sphere_grid(eq, n_phi)
     MU, PHI = np.meshgrid(mu, phi, indexing="ij")

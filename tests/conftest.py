@@ -2,10 +2,8 @@ import numpy as np
 import pytest
 
 import flock_coeffs.coeffs as coeffs_mod
-from flock_coeffs.coeffs import compute_c123, compute_coefficients, solve_profiles
-from flock_coeffs.elliptic import solve_gci
+from flock_coeffs.coeffs import run_pipeline
 from flock_coeffs.kernel import CollisionKernel, constant_kernel, even_poly_kernel
-from flock_coeffs.quad import build_equilibrium, build_rule, quadrature_size
 
 
 def _zeros(mu):
@@ -30,14 +28,9 @@ def legendre_kernel():
 
 
 def _pipeline(kernel, n=64, kappa=0.1):
-    rule = build_rule(quadrature_size(kernel, n + 10))
-    eq = build_equilibrium(kernel, rule.n)
-    gci = solve_gci(kernel, n, rule=eq.rule)
-    c = compute_c123(kernel, gci, eq)
-    profiles = solve_profiles(kernel, c, n, rule=eq.rule, eq=eq)
-    hydro = compute_coefficients(kernel, n=n, kappa=kappa)
-    return dict(kernel=kernel, n=n, eq=eq, gci=gci, c=c, profiles=profiles,
-                hydro=hydro)
+    p = run_pipeline(kernel, n, kappa)
+    return dict(kernel=kernel, n=n, eq=p.eq, gci=p.gci, c=p.c, profiles=p.profiles,
+                hydro=p.hydro)
 
 
 @pytest.fixture(scope="session")

@@ -11,10 +11,9 @@ import numpy as np
 from flock_coeffs.coeffs import (
     beta_quadratic_form,
     c_relation_residuals,
-    compute_c123,
     compute_coefficients,
     profile_moment_residuals,
-    solve_profiles,
+    run_pipeline,
 )
 from flock_coeffs.elliptic import solve_gci
 from flock_coeffs.fields import (
@@ -28,7 +27,6 @@ from flock_coeffs.fields import (
 )
 from flock_coeffs.kernel import constant_kernel, even_poly_kernel, registry_kernels
 from flock_coeffs.oracle import compare_spectral_fd, mode_residuals
-from flock_coeffs.quad import build_equilibrium, build_rule, quadrature_size
 
 D_GRID = (0.05, 0.1, 0.2, 0.5, 1.0, 2.0, 5.0)
 
@@ -42,12 +40,8 @@ def criterion(num, description, ok, detail=""):
 
 
 def pipeline(kernel, n=64, kappa=0.1):
-    rule = build_rule(quadrature_size(kernel, n + 10))
-    eq = build_equilibrium(kernel, rule.n)
-    gci = solve_gci(kernel, n, rule=eq.rule)
-    c = compute_c123(kernel, gci, eq)
-    profiles = solve_profiles(kernel, c, n, rule=eq.rule, eq=eq)
-    return eq, gci, c, profiles
+    p = run_pipeline(kernel, n, kappa)
+    return p.eq, p.gci, p.c, p.profiles
 
 
 def test_criterion_1_mass_diffusion_positive():

@@ -150,10 +150,18 @@ def test_fields_rejects_bad_input_state(tmp_path, capsys):
     assert "cell" in capsys.readouterr().err
 
 
-def test_coeffs_invariant_violation_exits_2():
-    # strongly mu-dependent rate at large noise breaks the c ordering
-    assert run(["coeffs", "--nu", "affine:1,0.3", "--d", "5", "--n", "32",
-                "--format", "json", "-o", "-"]) == 2
+@pytest.mark.parametrize("command, expected", [("coeffs", 2), ("verify", 2), ("profiles", 0)],
+                         ids=["coeffs", "verify", "profiles"])
+def test_coeffs_invariant_violation_exits_2(tmp_path, capsys, command, expected):
+    # strongly mu-dependent rate at large noise breaks the c ordering; the
+    # commands that report coefficients check it, the profile dump does not
+    out = tmp_path / "out"
+    assert run([command, "--nu", "affine:1,0.3", "--d", "5", "--n", "32",
+                "-o", str(out)]) == expected
+    if expected == 2:
+        assert "invariant violation: expected 0 < c2 < c1 < 1" in capsys.readouterr().err
+    else:
+        assert len(list(out.glob("*.csv"))) == 8
 
 
 def test_coeffs_numeric_failure_exits_3():
