@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elliptic import GciSolution, MuProfile, solve_gci, solve_type1, solve_type2
+from .elliptic import GciSolution, MuProfile, elliptic_problem_data, solve_gci, solve_problem
 from .errors import InvariantError
 from .kernel import CollisionKernel
 from .quad import (
@@ -46,7 +46,6 @@ __all__ = [
     "run_pipeline",
     "check_ordering",
     "compute_coefficients",
-    "elliptic_problem_data",
 ]
 
 @dataclass
@@ -63,51 +62,6 @@ class ProfileSet:
     b1: MuProfile
     b2: MuProfile
     b_par: MuProfile
-
-
-def elliptic_problem_data(kernel: CollisionKernel, c=None, b1=None):
-    """Math definitions of the six elliptic problems, shared by all solvers.
-
-    Returns name -> dict(ptype, sing_order, alpha, f).  Problems that need the
-    leading-order constants appear once `c` is given; the b2 problem needs the
-    solved b1 profile as data.
-    """
-    w = kernel.weight
-    nu = kernel.nu
-    d = kernel.d
-    problems = {
-        "gci": dict(
-            ptype=1, sing_order=1, alpha=w,
-            f=lambda mu: -((1.0 - mu * mu) ** 1.5) * w(mu),
-        )
-    }
-    if c is not None:
-        c1, c2, c3 = c
-        problems["a_perp"] = dict(
-            ptype=1, sing_order=1, alpha=w,
-            f=lambda mu: (1.0 / d) * w(mu) * (1.0 - c3 * np.asarray(nu(mu)) / d)
-            * (1.0 - mu * mu) ** 1.5,
-        )
-        problems["a_par"] = dict(
-            ptype=2, sing_order=0, alpha=None,
-            f=lambda mu: (1.0 / d) * w(mu) * (mu - c1),
-        )
-        problems["b1"] = dict(
-            ptype=1, sing_order=2,
-            alpha=lambda mu: 4.0 * w(mu),
-            f=lambda mu: (np.asarray(nu(mu)) / d**2) * w(mu) * (1.0 - mu * mu) ** 2,
-        )
-        problems["b_par"] = dict(
-            ptype=1, sing_order=1, alpha=w,
-            f=lambda mu: (np.asarray(nu(mu)) / d**2) * w(mu) * (mu - c2)
-            * (1.0 - mu * mu) ** 1.5,
-        )
-        if b1 is not None:
-            problems["b2"] = dict(
-                ptype=2, sing_order=0, alpha=None,
-                f=lambda mu: w(mu) * (2.0 * b1(mu) - c1 / d),
-            )
-    return problems
 
 
 def compute_c123(kernel: CollisionKernel, gci: GciSolution, eq: VonMisesEquilibrium):
@@ -164,21 +118,18 @@ def solve_profiles(kernel: CollisionKernel, c, n: int,
     rule = eq.rule
     x = rule.nodes
     probs = elliptic_problem_data(kernel, c)
-    a_perp = solve_type1(kernel, probs["a_perp"]["alpha"], probs["a_perp"]["f"],
-                         n, sing_order=1, rule=rule, name="a_perp")
-    a_par = solve_type2(kernel, probs["a_par"]["f"], n, rule=rule, name="a_par")
+    solved = {name: solve_problem(kernel, name, probs[name], n, rule)
+              for name in ("a_perp", "a_par", "b1", "b_par")}
+    b1 = solved["b1"]
+    b2_row = elliptic_problem_data(kernel, c, b1=b1)["b2"]
+    b2 = solve_problem(kernel, "b2", b2_row, n, rule)
+    # gauges: <a_par> = 0 and <b1 (1-mu^2)/2 + b2> = 0
+    a_par = solved["a_par"]
     a_par = a_par.shifted(-eq.average(a_par.values_on(rule)))
-
-    b1 = solve_type1(kernel, probs["b1"]["alpha"], probs["b1"]["f"],
-                     n, sing_order=2, rule=rule, name="b1")
-    probs = elliptic_problem_data(kernel, c, b1=b1)
-    b2 = solve_type2(kernel, probs["b2"]["f"], n, rule=rule, name="b2")
     b2 = b2.shifted(-eq.average(0.5 * b1.values_on(rule) * (1.0 - x * x)
                                 + b2.values_on(rule)))
-
-    b_par = solve_type1(kernel, probs["b_par"]["alpha"], probs["b_par"]["f"],
-                        n, sing_order=1, rule=rule, name="b_par")
-    return ProfileSet(a_perp=a_perp, a_par=a_par, b1=b1, b2=b2, b_par=b_par)
+    return ProfileSet(a_perp=solved["a_perp"], a_par=a_par, b1=b1, b2=b2,
+                      b_par=solved["b_par"])
 
 
 def profile_moment_residuals(profiles: ProfileSet, eq: VonMisesEquilibrium) -> dict:

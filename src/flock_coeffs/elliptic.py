@@ -17,9 +17,12 @@ bordered Lagrange row.
 Both problems are solved in one formulation: the strong equation divided
 through by the weight w (for type 1 also by (1-mu^2)^(k/2+1)), tested against
 unweighted Legendre polynomials.  The divided equation has smooth
-coefficients and bounded data (alpha/w, f/w), so the system stays well
-conditioned however sharply the equilibrium weight peaks; the symmetric
-weighted Galerkin form lives in `oracle` as an independent discretization.
+coefficients and bounded data alpha/w and f/w, which the solvers take as
+given (the six problems of the pipeline are stated once, in that form, by
+`elliptic_problem_data`), so no unshifted exp(sigma/d) is formed and the
+system stays well conditioned however sharply the equilibrium weight peaks.
+The symmetric weighted Galerkin form lives in `oracle` as an independent
+discretization.
 """
 
 from __future__ import annotations
@@ -40,6 +43,8 @@ __all__ = [
     "solve_type1",
     "solve_type2",
     "solve_gci",
+    "solve_problem",
+    "elliptic_problem_data",
 ]
 
 
@@ -193,19 +198,20 @@ def solve_type1(kernel: CollisionKernel, alpha, f, n: int, *, sing_order: int = 
     """Solve the coercive degenerate problem; returns the reduced factor u.
 
     The full solution is g(mu) = (1-mu^2)^(sing_order/2) * u(mu); u is the
-    profile actually used in every downstream average.  `alpha` must be
-    bounded below by a positive constant (checked by sampling); `f` must
-    vanish at the endpoints at least like the (1-mu^2)^(k/2) carried by the
-    solution space.  By the maximum principle, one-signed f gives a
-    one-signed solution.  `name` labels the problem in error messages.
+    profile actually used in every downstream average.  `alpha` and `f` are
+    the weight-free ratios alpha/w and f/w (see elliptic_problem_data):
+    alpha/w must be bounded below by a positive constant (checked by
+    sampling), and f/w must vanish at the endpoints at least like the
+    (1-mu^2)^(k/2) carried by the solution space.  By the maximum principle,
+    one-signed f gives a one-signed solution.  `name` labels the problem in
+    error messages.
 
     The equation is divided through by w (1-mu^2)^(k/2+1), which leaves an
-    ODE with smooth coefficients whose data are the bounded ratios alpha/w
-    and f/w, and is tested against unweighted Legendre polynomials
-    (Petrov-Galerkin).  This stays well conditioned when the equilibrium
-    weight is sharply peaked.  The pointwise residual of the same divided
-    equation at the nodes is recorded in `meta["residual"]`.  The symmetric
-    weighted Galerkin form is kept in `oracle` as an independent check.
+    ODE with smooth coefficients and exactly those ratios as data; no weight
+    is formed.  It is tested against unweighted Legendre polynomials
+    (Petrov-Galerkin), and the pointwise residual of the divided equation
+    at the nodes is recorded in `meta["residual"]`.  The symmetric weighted
+    Galerkin form is kept in `oracle` as an independent check.
     """
     k = int(sing_order)
     if k < 1:
@@ -223,17 +229,14 @@ def solve_type1(kernel: CollisionKernel, alpha, f, n: int, *, sing_order: int = 
         )
     x, qw = rule.nodes, rule.weights
     s2 = 1.0 - x * x
-    lw = kernel.log_weight(x)
     nu_over_d = np.asarray(kernel.nu(x), dtype=float) / kernel.d
 
-    alpha_vals = _sampled(alpha, x)
-    a0 = float(alpha_vals.min())
+    alpha_ratio = _sampled(alpha, x)
+    a0 = float(alpha_ratio.min())
     if not a0 > 0:
         raise PreconditionError(
             f"{name} solve: alpha must be positive on [-1, 1]; min sampled {a0:.3e}")
-    inv_w = np.exp(-lw)
-    alpha_ratio = alpha_vals * inv_w
-    rhs = _sampled(f, x) * inv_w / s2 ** (k / 2.0)
+    rhs = _sampled(f, x) / s2 ** (k / 2.0)
 
     # nodal image of each basis function under the divided operator
     V, Vd, Vdd = _basis(rule, n)
@@ -255,7 +258,7 @@ def solve_type1(kernel: CollisionKernel, alpha, f, n: int, *, sing_order: int = 
         "degree": n,
         "residual": residual,
         "linear_residual": linres,
-        "weight_shift": float(lw.max()),
+        "weight_shift": float(kernel.log_weight(x).max()),
         "formulation": "divided",
     }
     return MuProfile.from_coef(rule, u, meta)
@@ -283,15 +286,18 @@ def solve_type2(kernel: CollisionKernel, f, n: int, *,
                 rule: QuadratureRule | None = None, name: str = "type-2") -> MuProfile:
     """Solve the conservative degenerate problem in the zero-mean gauge.
 
-    Solvability requires int f dmu = 0 (checked to 1e-10 on the data with the
-    weight rescaled to O(1)); the returned representative has int g dmu = 0,
-    imposed through a bordered constraint row rather than post-shifting.
-    Callers re-gauge as needed.  `name` labels the problem in error messages.
+    `f` is the weight-free ratio f/w (see elliptic_problem_data).
+    Solvability requires int f dmu = 0, checked to 1e-10 as int (f/w) w dmu
+    with the weight rescaled to O(1); the returned representative has
+    int g dmu = 0, imposed through a bordered constraint row rather than
+    post-shifting.  Callers re-gauge as needed.  `name` labels the problem
+    in error messages.
 
-    As for solve_type1, the equation is divided through by w, so the data
-    enter as the ratio f/w and the operator has smooth coefficients; it is
-    tested against unweighted Legendre polynomials, and the pointwise
-    residual of the divided equation is recorded in `meta["residual"]`.
+    As for solve_type1, the equation divided through by w has f/w as its
+    data and smooth coefficients, is tested against unweighted Legendre
+    polynomials, and records its pointwise residual in `meta["residual"]`.
+    The rescaled weight enters only the solvability integral and the
+    bordered column.
     """
     if n < 1:
         raise PreconditionError(f"degree must be >= 1, got {n}")
@@ -308,14 +314,13 @@ def solve_type2(kernel: CollisionKernel, f, n: int, *,
     w = np.exp(lw - shift)
     nu_over_d = np.asarray(kernel.nu(x), dtype=float) / kernel.d
 
-    f_vals = _sampled(f, x)
-    fmean = float(qw @ (f_vals * np.exp(-shift)))
+    rhs = _sampled(f, x)
+    fmean = float(qw @ (rhs * w))
     if not abs(fmean) < 1e-10:  # also rejects non-finite data
         raise PreconditionError(
             f"{name} solve: type-2 data must have zero mean; "
             f"int f dmu = {fmean:.6e} at d = {kernel.d:g}"
         )
-    rhs = f_vals * np.exp(-lw)
 
     V, Vd, Vdd = _basis(rule, n)
     ops = Vdd * (-s2)[:, None] + Vd * (2.0 * x - nu_over_d * s2)[:, None]
@@ -339,24 +344,76 @@ def solve_type2(kernel: CollisionKernel, f, n: int, *,
     return MuProfile.from_coef(rule, u, meta)
 
 
+def elliptic_problem_data(kernel: CollisionKernel, c=None, b1=None) -> dict:
+    """The six elliptic problems of the pipeline, in weight-free form.
+
+    Returns name -> dict(ptype, sing_order, alpha, f), where `alpha` and `f`
+    are the bounded ratios alpha/w and f/w that solve_type1 and solve_type2
+    take (w = exp(sigma/d); `alpha` is None for type 2):
+
+      gci     type 1, k=1:  1,          -(1-mu^2)^(3/2)
+      a_perp  type 1, k=1:  1,          (1/d)(1 - c3 nu/d)(1-mu^2)^(3/2)
+      a_par   type 2:                   (1/d)(mu - c1)
+      b1      type 1, k=2:  4,          (nu/d^2)(1-mu^2)^2
+      b2      type 2:                   2 b1 - c1/d
+      b_par   type 1, k=1:  1,          (nu/d^2)(mu - c2)(1-mu^2)^(3/2)
+
+    Problems that need the leading-order constants appear once `c` is given;
+    the b2 problem needs the solved b1 profile as data.
+    """
+    nu = kernel.nu
+    d = kernel.d
+    problems = {
+        "gci": dict(ptype=1, sing_order=1, alpha=lambda mu: 1.0,
+                    f=lambda mu: -((1.0 - mu * mu) ** 1.5)),
+    }
+    if c is not None:
+        c1, c2, c3 = c
+        problems["a_perp"] = dict(
+            ptype=1, sing_order=1, alpha=lambda mu: 1.0,
+            f=lambda mu: (1.0 / d) * (1.0 - c3 * np.asarray(nu(mu)) / d)
+            * (1.0 - mu * mu) ** 1.5,
+        )
+        problems["a_par"] = dict(
+            ptype=2, sing_order=0, alpha=None,
+            f=lambda mu: (1.0 / d) * (mu - c1),
+        )
+        problems["b1"] = dict(
+            ptype=1, sing_order=2, alpha=lambda mu: 4.0,
+            f=lambda mu: (np.asarray(nu(mu)) / d**2) * (1.0 - mu * mu) ** 2,
+        )
+        problems["b_par"] = dict(
+            ptype=1, sing_order=1, alpha=lambda mu: 1.0,
+            f=lambda mu: (np.asarray(nu(mu)) / d**2) * (mu - c2)
+            * (1.0 - mu * mu) ** 1.5,
+        )
+        if b1 is not None:
+            problems["b2"] = dict(
+                ptype=2, sing_order=0, alpha=None,
+                f=lambda mu: 2.0 * b1(mu) - c1 / d,
+            )
+    return problems
+
+
+def solve_problem(kernel: CollisionKernel, name: str, problem: dict, n: int,
+                  rule: QuadratureRule | None = None) -> MuProfile:
+    """Solve one row of elliptic_problem_data with the solver its type names."""
+    if problem["ptype"] == 1:
+        return solve_type1(kernel, problem["alpha"], problem["f"], n,
+                           sing_order=problem["sing_order"], rule=rule, name=name)
+    return solve_type2(kernel, problem["f"], n, rule=rule, name=name)
+
+
 def solve_gci(kernel: CollisionKernel, n: int,
               rule: QuadratureRule | None = None) -> GciSolution:
     """Orientational collision-invariant profile for the given kernel.
 
-    Solves the mode-1 problem with alpha = exp(sigma/d) and data
-    -(1-mu^2)^(3/2) exp(sigma/d); the reduced factor is h itself, and the
-    maximum principle gives h <= 0 (validated here as a solver sanity check).
+    Solves the gci row of elliptic_problem_data, the mode-1 problem with
+    alpha/w = 1 and f/w = -(1-mu^2)^(3/2); the reduced factor is h itself,
+    and the maximum principle gives h <= 0 (validated here as a solver
+    sanity check).
     """
-    w = kernel.weight
-    h = solve_type1(
-        kernel,
-        alpha=w,
-        f=lambda mu: -((1.0 - mu * mu) ** 1.5) * w(mu),
-        n=n,
-        sing_order=1,
-        rule=rule,
-        name="gci",
-    )
+    h = solve_problem(kernel, "gci", elliptic_problem_data(kernel)["gci"], n, rule)
     hmax = float(h.values.max())
     if hmax > 1e-8:
         raise InvariantError(

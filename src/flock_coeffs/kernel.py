@@ -65,10 +65,6 @@ class CollisionKernel:
         """sigma(mu)/d, the log of the orientational equilibrium weight."""
         return np.asarray(self.sigma(mu)) / self.d
 
-    def weight(self, mu):
-        """exp(sigma(mu)/d).  No overflow guard; see quad for shifted averages."""
-        return np.exp(self.log_weight(mu))
-
 
 def _check_mu(mu):
     arr = np.asarray(mu, dtype=float)

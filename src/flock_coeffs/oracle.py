@@ -27,8 +27,8 @@ from scipy.linalg import solve_banded
 from scipy.sparse import csc_matrix, diags
 from scipy.sparse.linalg import splu
 
-from .coeffs import ProfileSet, elliptic_problem_data
-from .elliptic import GciSolution, MuProfile
+from .coeffs import ProfileSet
+from .elliptic import GciSolution, MuProfile, elliptic_problem_data
 from .errors import PreconditionError, SolverError
 from .kernel import CollisionKernel
 from .quad import VonMisesEquilibrium, build_rule, quadrature_size
@@ -79,11 +79,13 @@ def fd_solve(kernel: CollisionKernel, problem_type: int, alpha, f, m: int,
              reduced_order: int = 0) -> DenseSolution:
     """Conservative second-order solve of either degenerate problem.
 
-    Fluxes live at half-nodes where the coefficient w (1-mu^2) is evaluated
-    directly, so the endpoint degeneracy closes the boundary fluxes naturally
-    and no boundary condition is needed.  Type 2 imposes the zero-mean gauge
-    through a bordered row.  The weight is rescaled by its maximum exactly as
-    in the spectral solvers.
+    `alpha` and `f` are the weight-free ratios alpha/w and f/w that the
+    spectral solvers take (`alpha` is unused for type 2); this weighted
+    scheme multiplies them by the weight itself, rescaled by its maximum
+    exactly as in the spectral solvers.  Fluxes live at half-nodes where the
+    coefficient w (1-mu^2) is evaluated directly, so the endpoint degeneracy
+    closes the boundary fluxes naturally and no boundary condition is
+    needed.  Type 2 imposes the zero-mean gauge through a bordered row.
 
     For type-1 problems whose solution carries a (1-mu^2)^(k/2) factor, pass
     reduced_order=k to run the same conservative flux-form scheme in the
@@ -105,16 +107,13 @@ def fd_solve(kernel: CollisionKernel, problem_type: int, alpha, f, m: int,
     lw_face = kernel.log_weight(faces)
     shift = float(max(lw_cell.max(), lw_face.max()))
     w_face = np.exp(lw_face - shift)
+    w_cell = np.exp(lw_cell - shift)
     cond = w_face * s2_face / dx**2  # conductances; zero at the domain ends
 
-    f_vals = np.asarray(f(x), dtype=float) * np.exp(-shift)
-    if f_vals.ndim == 0:
-        f_vals = np.full(m, float(f_vals))
+    f_vals = np.asarray(f(x), dtype=float) * w_cell
 
     if problem_type == 1:
-        alpha_vals = np.asarray(alpha(x), dtype=float) * np.exp(-shift)
-        if alpha_vals.ndim == 0:
-            alpha_vals = np.full(m, float(alpha_vals))
+        alpha_vals = np.asarray(alpha(x), dtype=float) * w_cell
         if not (alpha_vals.min() > 0):
             raise PreconditionError("alpha must be positive for the coercive problem")
         k = int(reduced_order)
@@ -128,7 +127,6 @@ def fd_solve(kernel: CollisionKernel, problem_type: int, alpha, f, m: int,
             # substituted variable u = g / (1-mu^2)^(k/2): conservative form
             #   -d/dmu( w (1-mu^2)^(k+1) du/dmu ) + V u = f (1-mu^2)^(k/2-1)
             # with V = (1-mu^2)^(k-1) (k w [s2 + (nu/d) mu s2 - k mu^2] + alpha)
-            w_cell = np.exp(lw_cell - shift)
             nu_over_d = np.asarray(kernel.nu(x), dtype=float) / kernel.d
             cvals = w_face * s2_face ** (k + 1) / dx**2
             V = s2 ** (k - 1) * (
@@ -154,7 +152,7 @@ def fd_solve(kernel: CollisionKernel, problem_type: int, alpha, f, m: int,
         # only O(dx^2) and would mask genuinely admissible data)
         rule = build_rule(quadrature_size(kernel, 96))
         fmean = float(rule.weights @ (np.asarray(f(rule.nodes), dtype=float)
-                                      * np.exp(-shift)))
+                                      * np.exp(kernel.log_weight(rule.nodes) - shift)))
         if not abs(fmean) < 1e-10:  # also rejects non-finite data
             raise PreconditionError(
                 f"type-2 data must have zero mean; int f dmu = {fmean:.6e}")
@@ -185,7 +183,8 @@ def assemble_type1_form(kernel: CollisionKernel, alpha, n: int, sing_order: int 
     The weak form a(g, v) = int w (1-mu^2) g' v' + int alpha g v / (1-mu^2)
     with g = (1-mu^2)^(k/2) u and v = (1-mu^2)^(k/2) p, assembled in the
     reduced variable with the equilibrium weight rescaled by its maximum.
-    Returns (A, shift) with shift the log of that maximum.
+    `alpha` is the weight-free ratio alpha/w, multiplied here by that
+    rescaled weight.  Returns (A, shift) with shift the log of that maximum.
     """
     k = int(sing_order)
     if rule is None:
@@ -195,9 +194,7 @@ def assemble_type1_form(kernel: CollisionKernel, alpha, n: int, sing_order: int 
     lw = kernel.log_weight(x)
     shift = float(lw.max())
     w = np.exp(lw - shift)
-    alpha_vals = np.asarray(alpha(x), dtype=float) * np.exp(-shift)
-    if alpha_vals.ndim == 0:
-        alpha_vals = np.full(rule.n, float(alpha_vals))
+    alpha_vals = np.asarray(alpha(x), dtype=float) * w
 
     # derivative columns by Clenshaw from legder, not the solvers' recurrence
     V = npleg.legvander(x, n)
@@ -219,17 +216,17 @@ def solve_type1_weighted(kernel: CollisionKernel, alpha, f, n: int, sing_order: 
                          rule=None) -> MuProfile:
     """Reduced factor u of the coercive problem from the weighted form.
 
-    Same problem and return convention as `elliptic.solve_type1`, solved
-    through `assemble_type1_form` instead of the weight-divided system.  The
-    weighted data underflow where the weight is sharply peaked, so this is a
-    reference for moderate d only.
+    Same problem, data ratios and return convention as
+    `elliptic.solve_type1`, solved through `assemble_type1_form` instead of
+    the weight-divided system.  The weighted data underflow where the weight
+    is sharply peaked, so this is a reference for moderate d only.
     """
     k = int(sing_order)
     if rule is None:
         rule = build_rule(quadrature_size(kernel, n + k + 2))
     x, qw = rule.nodes, rule.weights
     A, shift = assemble_type1_form(kernel, alpha, n, k, rule)
-    f_vals = np.asarray(f(x), dtype=float) * np.exp(-shift)
+    f_vals = np.asarray(f(x), dtype=float) * np.exp(kernel.log_weight(x) - shift)
     F = npleg.legvander(x, n).T @ (qw * f_vals * (1.0 - x * x) ** (k / 2.0 - 1.0))
     u = np.linalg.solve(A, F)
     if not np.all(np.isfinite(u)):
@@ -475,19 +472,13 @@ def compare_spectral_fd(kernel: CollisionKernel, c, gci: GciSolution,
     from both solutions before comparing.
     """
     probs = elliptic_problem_data(kernel, c, b1=profiles.b1)
-    spectral = {
-        "gci": (1, gci.h),
-        "a_perp": (1, profiles.a_perp),
-        "a_par": (0, profiles.a_par),
-        "b1": (2, profiles.b1),
-        "b2": (0, profiles.b2),
-        "b_par": (1, profiles.b_par),
-    }
+    spectral = {"gci": gci.h, "a_perp": profiles.a_perp, "a_par": profiles.a_par,
+                "b1": profiles.b1, "b2": profiles.b2, "b_par": profiles.b_par}
     out = {}
     for name, spec in probs.items():
-        k, reduced = spectral[name]
-        dense = fd_solve(kernel, spec["ptype"], spec.get("alpha"), spec["f"], m,
-                         reduced_order=k if spec["ptype"] == 1 else 0)
+        k, reduced = spec["sing_order"], spectral[name]
+        dense = fd_solve(kernel, spec["ptype"], spec["alpha"], spec["f"], m,
+                         reduced_order=k)
         x = dense.grid.nodes
         g_spec = (1.0 - x * x) ** (k / 2.0) * reduced(x)
         g_dense = dense.values

@@ -165,15 +165,19 @@ def test_coeffs_invariant_violation_exits_2(tmp_path, capsys, command, expected)
 
 
 def test_coeffs_numeric_failure_exits_3():
-    # noise small enough to overflow the equilibrium weight
+    # the weight spread 2/d is beyond what any quadrature rule resolves
     assert run(["coeffs", "--nu", "const:1", "--d", "1e-07", "--n", "32",
                 "--format", "json", "-o", "-"]) == 3
 
 
-def test_noise_below_range_exits_3_naming_d(capsys):
-    # below what n=64 resolves: an input-range failure (3), not an invariant bug (2)
-    assert run(["coeffs", "--nu", "const:1", "--d", "0.0015", "--n", "64"]) == 3
-    assert "d = 0.0015" in capsys.readouterr().err
+@pytest.mark.parametrize("d, n", [("0.0015", "64"), ("0.0005", "512")])
+def test_noise_below_range_exits_3_naming_d(capsys, d, n):
+    # below what n resolves: an input-range failure (3), not an invariant bug
+    # (2), reported by the b2 solvability check with the stage and d
+    assert run(["coeffs", "--nu", "const:1", "--d", d, "--n", n]) == 3
+    err = capsys.readouterr().err
+    assert "b2 solve" in err
+    assert f"d = {d}" in err
 
 
 def test_verify_quick_tier_and_speed(tmp_path):

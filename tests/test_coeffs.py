@@ -16,6 +16,7 @@ from flock_coeffs.coeffs import (
     run_pipeline,
     solve_profiles,
 )
+from flock_coeffs.elliptic import elliptic_problem_data
 from flock_coeffs.errors import PreconditionError
 from flock_coeffs.kernel import (
     constant_kernel,
@@ -51,10 +52,11 @@ def test_pressure_constant_for_constant_rate(d):
     assert abs(hydro2.c3 - d / 2.0) < 1e-12
 
 
-@pytest.mark.parametrize("d, n", [(0.01, 64), (0.007, 64), (0.005, 128), (0.002, 128)])
+@pytest.mark.parametrize("d, n", [(0.01, 64), (0.007, 64), (0.005, 128), (0.002, 128),
+                                  (0.0015, 192), (0.001, 256)])
 def test_small_noise_closed_forms(d, n):
-    # the weight exp(mu/d) spans up to 1000 e-folds; it underflows at the
-    # nodes for d = 0.002, yet every solve must record a finite residual
+    # the weight exp(mu/d) spans up to 2000 e-folds; it underflows at the
+    # nodes for d <= 0.002, yet every solve must record a finite residual
     hydro = compute_coefficients(constant_kernel(1.0, d=d), n=n)
     assert abs(hydro.c1 - langevin(1.0 / d)) < 1e-10
     assert abs(hydro.c3 - d) < 1e-10 * d
@@ -72,12 +74,14 @@ def test_c_relation_certificates(pipeline_const, pipeline_even):
 def test_a_par_data_has_zero_mean(pipeline_even):
     # the conservative problem for a_par is solvable because c1 is defined by
     # exactly the vanishing first moment
+    # checked on the table's a_par ratio f/w times the shifted weight, the
+    # data the solver receives
     p = pipeline_even
-    kernel, (c1, _, _) = p["kernel"], p["c"]
+    kernel = p["kernel"]
     rule = p["eq"].rule
-    shift = kernel.log_weight(rule.nodes).max()
-    f = np.exp(kernel.log_weight(rule.nodes) - shift) * (rule.nodes - c1) / kernel.d
-    assert abs(float(rule.weights @ f)) < 1e-14
+    lw = kernel.log_weight(rule.nodes)
+    f = elliptic_problem_data(kernel, p["c"])["a_par"]["f"](rule.nodes)
+    assert abs(float(rule.weights @ (f * np.exp(lw - lw.max())))) < 1e-14
 
 
 def test_profile_moment_relations(pipeline_const, pipeline_even):

@@ -10,6 +10,7 @@ from flock_coeffs import elliptic
 from flock_coeffs.elliptic import (
     MuProfile,
     _basis,
+    elliptic_problem_data,
     solve_gci,
     solve_type1,
     solve_type2,
@@ -24,7 +25,8 @@ def apply_type1_operator(kernel, alpha, u_coefs, k):
     """Analytic image of g = (1-mu^2)^(k/2) * u under the coercive operator.
 
     Manufactured-solutions oracle: polynomial differentiation of the reduced
-    factor, independent of the solver's assembly.
+    factor, independent of the solver's assembly.  Like the solvers, it takes
+    and returns the weight-free ratios alpha/w and f/w.
     """
     up = nppoly.polyder(u_coefs)
     upp = nppoly.polyder(u_coefs, 2)
@@ -33,7 +35,6 @@ def apply_type1_operator(kernel, alpha, u_coefs, k):
         mu = np.asarray(mu, dtype=float)
         s2 = 1.0 - mu * mu
         sp = s2 ** (k / 2.0)
-        w = kernel.weight(mu)
         nod = np.asarray(kernel.nu(mu), dtype=float) / kernel.d
         u = nppoly.polyval(mu, u_coefs)
         bracket = (
@@ -41,7 +42,7 @@ def apply_type1_operator(kernel, alpha, u_coefs, k):
             + s2 * (nod * s2 - 2.0 * (k + 1) * mu) * nppoly.polyval(mu, up)
             - k * (nod * mu * s2 + 1.0 - (k + 1) * mu * mu) * u
         )
-        return -w * sp * bracket + np.asarray(alpha(mu), dtype=float) * sp * u
+        return -sp * bracket + np.asarray(alpha(mu), dtype=float) * sp * u
 
     return f
 
@@ -74,10 +75,10 @@ def test_type1_manufactured_mode1(legendre_kernel):
 
 
 def test_type1_manufactured_with_weight(even_kernel):
+    # alpha = w, i.e. alpha/w = 1
     ustar = [1.0, 0.25, 0.0, -0.125]
-    alpha = even_kernel.weight
-    f = apply_type1_operator(even_kernel, alpha, ustar, 1)
-    u = solve_type1(even_kernel, alpha, f, 24, sing_order=1)
+    f = apply_type1_operator(even_kernel, ones, ustar, 1)
+    u = solve_type1(even_kernel, ones, f, 24, sing_order=1)
     x = u.rule.nodes
     assert np.max(np.abs(u.values - nppoly.polyval(x, ustar))) < 1e-10
 
@@ -109,7 +110,7 @@ def test_type1_requires_endpoint_factor(legendre_kernel):
 
 @pytest.mark.parametrize("k", [1, 2])
 def test_type1_discrete_form_is_spd(even_kernel, k):
-    A, _ = assemble_type1_form(even_kernel, even_kernel.weight, 24, sing_order=k)
+    A, _ = assemble_type1_form(even_kernel, ones, 24, sing_order=k)
     assert np.max(np.abs(A - A.T)) < 1e-12 * np.max(np.abs(A))
     assert np.linalg.eigvalsh(A).min() > 0
 
@@ -138,16 +139,21 @@ def test_type2_rejects_nonzero_mean(legendre_kernel):
 
 
 def test_type2_zero_mean_gauge(even_kernel):
+    # f = w mu - <w mu>, passed as the ratio f/w
     g = solve_type2(even_kernel,
-                    lambda mu: even_kernel.weight(mu) * (mu - 0.0) - _wmean(even_kernel, mu),
+                    lambda mu: mu - _wmean(even_kernel, mu) / _weight(even_kernel, mu),
                     24)
     # canonical gauge: the Legendre constant coefficient vanishes
     assert abs(g.coef[0]) < 1e-12
 
 
+def _weight(kernel, mu):
+    return np.exp(kernel.log_weight(mu))
+
+
 def _wmean(kernel, mu):
     rule = build_rule(200)
-    avg = float(rule.weights @ (kernel.weight(rule.nodes) * rule.nodes)) / 2.0
+    avg = float(rule.weights @ (_weight(kernel, rule.nodes) * rule.nodes)) / 2.0
     return avg * np.ones_like(np.asarray(mu, dtype=float))
 
 
@@ -156,7 +162,7 @@ def test_type2_annihilates_constants(even_kernel):
     rule = build_rule(120)
     V = npleg.legvander(rule.nodes, 16)
     Vd = npleg.legval(rule.nodes, npleg.legder(np.eye(17), axis=0)).T
-    w = even_kernel.weight(rule.nodes) * (1 - rule.nodes**2)
+    w = _weight(even_kernel, rule.nodes) * (1 - rule.nodes**2)
     A = Vd.T @ (Vd * (rule.weights * w)[:, None])
     assert np.max(np.abs(A[0])) < 1e-13 * np.max(np.abs(A))
     # restricted to nonconstant modes the operator is definite
@@ -191,10 +197,9 @@ def test_gci_self_convergence(const_kernel):
 def test_gci_formulations_agree(const_kernel):
     # production (weight-divided) against the oracle's weighted form
     for kernel in (const_kernel, *registry_kernels(d=0.5)):
-        w = kernel.weight
-        f = lambda mu: -((1 - mu * mu) ** 1.5) * w(mu)
-        ud = solve_type1(kernel, w, f, 64)
-        uw = solve_type1_weighted(kernel, w, f, 64, rule=ud.rule)
+        row = elliptic_problem_data(kernel)["gci"]
+        ud = solve_type1(kernel, row["alpha"], row["f"], 64)
+        uw = solve_type1_weighted(kernel, row["alpha"], row["f"], 64, rule=ud.rule)
         assert ud.meta["formulation"] == "divided"
         assert np.max(np.abs(uw.values - ud.values)) < 1e-9
 
@@ -298,8 +303,12 @@ def test_divided_solver_error_propagates(monkeypatch, even_kernel):
         raise SolverError(f"{what}: forced failure", 1e18)
 
     monkeypatch.setattr(elliptic, "_solve_checked", fail)
-    w = even_kernel.weight
+    row = elliptic_problem_data(even_kernel)["gci"]
     with pytest.raises(SolverError, match="forced failure"):
-        solve_type1(even_kernel, w, lambda mu: -((1 - mu * mu) ** 1.5) * w(mu), 24)
+        solve_type1(even_kernel, row["alpha"], row["f"], 24)
+    # f/w = mu - <mu>_w has zero weighted mean, so the solvability check passes
+    rule = build_rule(200)
+    w = _weight(even_kernel, rule.nodes)
+    c1 = float(rule.weights @ (w * rule.nodes) / (rule.weights @ w))
     with pytest.raises(SolverError, match="forced failure"):
-        solve_type2(even_kernel, lambda mu: 2.0 * mu, 24)
+        solve_type2(even_kernel, lambda mu: mu - c1, 24)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from flock_coeffs.elliptic import MuProfile
+from flock_coeffs.elliptic import MuProfile, elliptic_problem_data
 from flock_coeffs.errors import PreconditionError
 from flock_coeffs.oracle import (
     ModeOperator,
@@ -60,11 +60,10 @@ def test_fd_type1_against_manufactured(legendre_kernel):
 def test_fd_reduced_variable_matches_spectral(pipeline_even):
     p = pipeline_even
     kernel = p["kernel"]
-    w = kernel.weight
+    row = elliptic_problem_data(kernel)["gci"]
     errs = []
     for m in (2500, 5000):
-        sol = fd_solve(kernel, 1, w, lambda mu: -((1 - mu * mu) ** 1.5) * w(mu),
-                       m, reduced_order=1)
+        sol = fd_solve(kernel, 1, row["alpha"], row["f"], m, reduced_order=1)
         x = sol.grid.nodes
         ref = np.sqrt(1 - x * x) * p["gci"].h(x)
         errs.append(np.linalg.norm(sol.values - ref) / np.linalg.norm(ref))
