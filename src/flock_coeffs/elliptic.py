@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial import legendre as npleg
+from scipy.linalg.lapack import dgecon, dgetrf, dgetrs
 
 from .errors import InvariantError, PreconditionError, SolverError
 from .kernel import CollisionKernel
@@ -165,19 +166,90 @@ def _sampled(fn, x):
     return np.full(len(x), float(vals)) if vals.ndim == 0 else vals
 
 
-def _solve_checked(A, F, what):
-    try:
-        u = np.linalg.solve(A, F)
-    except np.linalg.LinAlgError:
-        raise SolverError(f"{what}: singular discrete system", np.linalg.cond(A)) from None
-    if not np.all(np.isfinite(u)):
-        raise SolverError(f"{what}: non-finite solution", np.linalg.cond(A))
-    denom = np.linalg.norm(F) + 1e-300
-    linres = float(np.linalg.norm(A @ u - F) / denom)
+@dataclass(frozen=True)
+class _Factors:
+    """LU factors of one discrete operator, kept on the rule (rule.factors).
+
+    `column` is the bordered column of a type-2 system (None for type 1);
+    `condition` is LAPACK's 1-norm estimate of its condition number.
+    """
+
+    lu: np.ndarray
+    piv: np.ndarray
+    condition: float
+    column: np.ndarray | None
+
+
+def _factor(rule, key, basis, coefs, what, border=None) -> _Factors:
+    """Factors of the operator c2 u'' + c1 u' + c0 u tested against the
+    Legendre basis, for the nodal coefficients `coefs` = (c2, c1, c0); c0 is
+    None when the operator has no zero-order term.
+
+    Assembled and factored once per rule and `key`; the key is built from
+    the sampled coefficients, so only identical discrete systems share
+    factors.  With nodal weights `border`, the system is bordered by the
+    column of moments int border P_j dmu and the zero-mean gauge row
+    int g dmu = 0 (the column must have a component outside the range of
+    the operator; the multiplier absorbs any truncation-level inconsistency
+    of the data).
+    """
+    factors = rule.factors.get(key)
+    if factors is not None:
+        return factors
+    V, Vd, Vdd = basis
+    c2, c1, c0 = coefs
+    ops = Vdd * c2[:, None] + Vd * c1[:, None]
+    if c0 is not None:
+        ops += V * c0[:, None]
+    # weighted in place and dropped before factoring: the factors of the
+    # rule's other operators are alive here, so this is the solves' peak
+    ops *= rule.weights[:, None]
+    A = V.T @ ops
+    del ops
+    column = None
+    if border is not None:
+        column = V.T @ (rule.weights * border)
+        K = np.zeros((len(A) + 1, len(A) + 1))
+        K[:-1, :-1] = A
+        K[:-1, -1] = column
+        K[-1, 0] = 2.0  # int P_j dmu
+        A = K
+    anorm = float(np.linalg.norm(A, 1))
+    lu, piv, info = dgetrf(A, overwrite_a=True)
+    if info > 0:  # exactly zero pivot
+        raise SolverError(f"{what}: singular discrete system", np.inf)
+    rcond = float(dgecon(lu, anorm)[0])
+    factors = _Factors(lu, piv, 1.0 / rcond if rcond > 0 else np.inf, column)
+    # a concurrent factorization of the same operator loses to the one stored first
+    return rule.factors.setdefault(key, factors)
+
+
+def _solve(factors, basis, coefs, qw, F, what):
+    """Solve with the factors of _factor; checked like a direct solve.
+
+    Returns the solution (for a bordered system it ends with the
+    multiplier), the nodal image c2 u'' + c1 u' + c0 u of its first len(F)
+    entries u, and the linear residual, formed from that image rather than
+    from the assembled matrix, which is not kept.
+    """
+    rhs = F if factors.column is None else np.append(F, 0.0)
+    sol = dgetrs(factors.lu, factors.piv, rhs)[0]
+    if not np.all(np.isfinite(sol)):
+        raise SolverError(f"{what}: non-finite solution", factors.condition)
+    u = sol[:len(F)]
+    V, Vd, Vdd = basis
+    c2, c1, c0 = coefs
+    image = c2 * (Vdd @ u) + c1 * (Vd @ u)
+    if c0 is not None:
+        image += c0 * (V @ u)
+    defect = V.T @ (qw * image) - F
+    if factors.column is not None:
+        defect = np.append(defect + factors.column * sol[-1], 2.0 * u[0])
+    linres = float(np.linalg.norm(defect) / (np.linalg.norm(F) + 1e-300))
     if linres > 1e-8:
         raise SolverError(f"{what}: ill-conditioned system, linear residual {linres:.3e}",
-                          np.linalg.cond(A))
-    return u, linres
+                          factors.condition)
+    return sol, image, linres
 
 
 def _strong_residual(defect, data, what, d):
@@ -212,6 +284,14 @@ def solve_type1(kernel: CollisionKernel, alpha, f, n: int, *, sing_order: int = 
     (Petrov-Galerkin), and the pointwise residual of the divided equation
     at the nodes is recorded in `meta["residual"]`.  The symmetric weighted
     Galerkin form is kept in `oracle` as an independent check.
+
+    The operator depends only on (n, k, alpha/w, nu/d), so it is assembled
+    and LU-factored once per rule and kept in `rule.factors`, keyed by those
+    sampled values: every later solve with the same operator on the same
+    rule (gci, a_perp and b_par share one) only back-substitutes.  The
+    LAPACK 1-norm condition estimate of the factored system is recorded in
+    `meta["condition"]`, and the linear residual in
+    `meta["linear_residual"]`.
     """
     k = int(sing_order)
     if k < 1:
@@ -238,19 +318,17 @@ def solve_type1(kernel: CollisionKernel, alpha, f, n: int, *, sing_order: int = 
             f"{name} solve: alpha must be positive on [-1, 1]; min sampled {a0:.3e}")
     rhs = _sampled(f, x) / s2 ** (k / 2.0)
 
-    # nodal image of each basis function under the divided operator
-    V, Vd, Vdd = _basis(rule, n)
-    c2_ = -s2 * s2
-    c1_ = -s2 * (nu_over_d * s2 - 2.0 * (k + 1) * x)
-    c0_ = k * (nu_over_d * x * s2 + 1.0 - (k + 1) * x * x) + alpha_ratio
-    ops = Vdd * c2_[:, None] + Vd * c1_[:, None] + V * c0_[:, None]
-    A = V.T @ (ops * qw[:, None])
-    F = V.T @ (qw * rhs)
+    basis = _basis(rule, n)
+    coefs = (-s2 * s2,
+             -s2 * (nu_over_d * s2 - 2.0 * (k + 1) * x),
+             k * (nu_over_d * x * s2 + 1.0 - (k + 1) * x * x) + alpha_ratio)
     what = f"{name} solve"
-    u, linres = _solve_checked(A, F, what)
+    factors = _factor(rule, ("type1", n, k, alpha_ratio.tobytes(), nu_over_d.tobytes()),
+                      basis, coefs, what)
+    u, image, linres = _solve(factors, basis, coefs, qw, basis[0].T @ (qw * rhs), what)
     # one more factor 1/(1-mu^2) so the metric is not flattered by the
     # endpoint degeneracy
-    residual = _strong_residual((ops @ u - rhs) / s2, rhs / s2, what, kernel.d)
+    residual = _strong_residual((image - rhs) / s2, rhs / s2, what, kernel.d)
 
     meta = {
         "problem": "type1",
@@ -258,28 +336,11 @@ def solve_type1(kernel: CollisionKernel, alpha, f, n: int, *, sing_order: int = 
         "degree": n,
         "residual": residual,
         "linear_residual": linres,
+        "condition": factors.condition,
         "weight_shift": float(kernel.log_weight(x).max()),
         "formulation": "divided",
     }
     return MuProfile.from_coef(rule, u, meta)
-
-
-def _bordered_solve(A, F, column, what):
-    """Square bordered system imposing the zero-mean gauge int g dmu = 0.
-
-    `column` must have a component outside range(A) (the constraint
-    multiplier absorbs any truncation-level inconsistency of the data).
-    """
-    n1 = len(F)
-    m = np.zeros(n1)
-    m[0] = 2.0  # int P_j dmu
-    K = np.zeros((n1 + 1, n1 + 1))
-    K[:-1, :-1] = A
-    K[:-1, -1] = column
-    K[-1, :-1] = m
-    rhs = np.concatenate([F, [0.0]])
-    sol, linres = _solve_checked(K, rhs, what)
-    return sol[:-1], float(sol[-1]), linres
 
 
 def solve_type2(kernel: CollisionKernel, f, n: int, *,
@@ -297,7 +358,10 @@ def solve_type2(kernel: CollisionKernel, f, n: int, *,
     data and smooth coefficients, is tested against unweighted Legendre
     polynomials, and records its pointwise residual in `meta["residual"]`.
     The rescaled weight enters only the solvability integral and the
-    bordered column.
+    bordered column.  The bordered system depends only on (n, nu/d, w), so
+    as in solve_type1 it is factored once per rule and kept in
+    `rule.factors` (a_par and b2 share it), with its condition estimate in
+    `meta["condition"]`.
     """
     if n < 1:
         raise PreconditionError(f"degree must be >= 1, got {n}")
@@ -322,14 +386,15 @@ def solve_type2(kernel: CollisionKernel, f, n: int, *,
             f"int f dmu = {fmean:.6e} at d = {kernel.d:g}"
         )
 
-    V, Vd, Vdd = _basis(rule, n)
-    ops = Vdd * (-s2)[:, None] + Vd * (2.0 * x - nu_over_d * s2)[:, None]
-    A = V.T @ (ops * qw[:, None])
-    F = V.T @ (qw * rhs)
-    col = V.T @ (qw * w)  # spans the left-null complement of the operator
+    basis = _basis(rule, n)
+    coefs = (-s2, 2.0 * x - nu_over_d * s2, None)
     what = f"{name} solve"
-    u, mult, linres = _bordered_solve(A, F, col, what)
-    residual = _strong_residual(ops @ u - rhs, rhs, what, kernel.d)
+    # the moments of w span the left-null complement of the operator
+    factors = _factor(rule, ("type2", n, nu_over_d.tobytes(), w.tobytes()),
+                      basis, coefs, what, border=w)
+    sol, image, linres = _solve(factors, basis, coefs, qw, basis[0].T @ (qw * rhs), what)
+    u, mult = sol[:-1], float(sol[-1])
+    residual = _strong_residual(image - rhs, rhs, what, kernel.d)
 
     meta = {
         "problem": "type2",
@@ -337,6 +402,7 @@ def solve_type2(kernel: CollisionKernel, f, n: int, *,
         "degree": n,
         "residual": residual,
         "linear_residual": linres,
+        "condition": factors.condition,
         "multiplier": mult,
         "weight_shift": shift,
         "formulation": "divided",

@@ -86,23 +86,39 @@ class FieldState:
     omega: np.ndarray
 
     def validate(self):
+        self._validated_min_density()
+        return self
+
+    def _validated_min_density(self) -> float:
+        """Run the checks of validate; returns min rho, so callers that need
+        a stricter density bound reduce the grid only once."""
         if self.rho.shape != self.grid.shape:
             raise GridShapeError(
                 f"rho shape {self.rho.shape} != grid shape {self.grid.shape}")
         if self.omega.shape != self.grid.shape + (3,):
             raise GridShapeError(
                 f"omega shape {self.omega.shape} != grid shape {self.grid.shape} + (3,)")
-        norms = np.linalg.norm(self.omega, axis=-1)
-        dev = np.abs(norms - 1.0)
-        if dev.max() > UNIT_NORM_TOL:
-            idx = tuple(int(i) for i in np.unravel_index(int(dev.argmax()), dev.shape))
-            raise FieldStateError(
-                f"orientation not unit at cell {idx}: |omega| = {norms[idx]:.12f}")
-        if self.rho.min() < 0:
+        # | |omega| - 1 | in one pass over slabs of whole planes, so that no
+        # grid-sized temporary is allocated
+        step = _slab_planes(self.grid)
+        for i0 in range(0, self.grid.shape[0], step):
+            slab = self.omega[i0:i0 + step]
+            dev = np.einsum("...i,...i->...", slab, slab, dtype=float)
+            np.sqrt(dev, out=dev)
+            np.subtract(dev, 1.0, out=dev)
+            np.abs(dev, out=dev)
+            if dev.max() > UNIT_NORM_TOL:
+                i, j, k = (int(c) for c in np.unravel_index(int(dev.argmax()), dev.shape))
+                idx = (i0 + i, j, k)
+                raise FieldStateError(
+                    f"orientation not unit at cell {idx}: "
+                    f"|omega| = {np.linalg.norm(self.omega[idx]):.12f}")
+        rho_min = float(self.rho.min())
+        if rho_min < 0:
             idx = tuple(int(i) for i in np.unravel_index(int(self.rho.argmin()),
                                                          self.rho.shape))
             raise FieldStateError(f"negative density at cell {idx}: {self.rho[idx]:.6e}")
-        return self
+        return rho_min
 
 
 @dataclass
@@ -152,6 +168,11 @@ class CorrectionFields:
 # stay in a core's L2 cache instead of the whole grid streaming through
 # memory once per numpy operation.
 SLAB_CELLS = 2 ** 15
+
+
+def _slab_planes(grid):
+    """Whole axis-0 planes per slab: SLAB_CELLS cells' worth, at least one."""
+    return max(1, SLAB_CELLS // (grid.shape[1] * grid.shape[2]))
 
 
 def _along(axis, start, stop):
@@ -286,16 +307,18 @@ def _project_perp(omega, vec, out):
     return out
 
 
-def _check_state(state, scheme_order):
-    state.validate()
+def _check_state(state, scheme_order) -> float:
+    """Validate the state and the scheme order; returns min rho."""
+    rho_min = state._validated_min_density()
     if scheme_order not in (2, 4):
         raise DomainError(f"scheme order must be 2 or 4, got {scheme_order}")
     if scheme_order == 4 and any(1 < n < 5 for n in state.grid.shape):
         raise DomainError("order-4 stencil needs periodic extents of >= 5 cells (or 1)")
+    return rho_min
 
 
-def _check_positive_density(rho):
-    if rho.min() <= 0:
+def _check_positive_density(rho_min):
+    if rho_min <= 0:
         raise FieldStateError("velocity correction needs strictly positive density")
 
 
@@ -518,7 +541,7 @@ def _check_bundle(state, bundle):
 def _r2_slots(state, bundle):
     """The 13 structures of R2 on the whole grid, as from _r2_slot_fields."""
     _check_bundle(state, bundle)
-    _check_positive_density(state.rho)
+    _check_positive_density(state.rho.min())
     return _r2_slot_fields(state.rho, _omega_components(state), _stored_bundle(bundle),
                            _whole_grid(state, bundle.scheme_order))
 
@@ -571,8 +594,8 @@ def _slabs(state, order):
     two derivative levels, taken periodically; a grid of at most one slab's
     planes is one slab with no halo that wraps like the whole-grid path.
     """
-    n0, n1, n2 = state.grid.shape
-    planes = max(1, SLAB_CELLS // (n1 * n2))
+    n0 = state.grid.shape[0]
+    planes = _slab_planes(state.grid)
     if n0 <= planes:
         yield 0, n0, state.rho, _omega_components(state), _whole_grid(state, order)
         return
@@ -598,12 +621,15 @@ def evaluate_corrections(state: FieldState, coeffs, scheme_order: int = 2,
     operations in the same order as in decompose_gradients, evaluate_r1 and
     evaluate_r2, so the result does not depend on the slab size.
     """
-    _check_state(state, scheme_order)
+    rho_min = _check_state(state, scheme_order)
     beta, gamma = coeffs.beta, coeffs.gamma
     zeta = _zeta_vector(coeffs)
-    _check_positive_density(state.rho)
-    r1 = np.empty(state.grid.shape)
-    r2 = np.zeros((3,) + state.grid.shape)
+    _check_positive_density(rho_min)
+    # r1 and r2 in one allocation: a separate grid-sized r1 landed on the
+    # heap between r2 and the caller's temporaries, and over repeated calls
+    # the holes it left raised the peak RSS by about one grid array
+    block = np.zeros((4,) + state.grid.shape)
+    r1, r2 = block[0], block[1:]
     carry = None
     for i0, i1, rho, om, st in _slabs(state, scheme_order):
         t = 2 * st.halo

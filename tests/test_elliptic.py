@@ -1,4 +1,5 @@
 import sys
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -7,6 +8,7 @@ from numpy.polynomial import legendre as npleg
 from numpy.polynomial import polynomial as nppoly
 
 from flock_coeffs import elliptic
+from flock_coeffs.coeffs import run_pipeline
 from flock_coeffs.elliptic import (
     MuProfile,
     _basis,
@@ -16,9 +18,9 @@ from flock_coeffs.elliptic import (
     solve_type2,
 )
 from flock_coeffs.errors import PreconditionError, SolverError
-from flock_coeffs.kernel import registry_kernels
+from flock_coeffs.kernel import constant_kernel, registry_kernels
 from flock_coeffs.oracle import assemble_type1_form, solve_type1_weighted
-from flock_coeffs.quad import build_rule
+from flock_coeffs.quad import QuadratureRule, build_rule
 
 
 def apply_type1_operator(kernel, alpha, u_coefs, k):
@@ -299,10 +301,10 @@ def test_basis_memo_under_concurrent_first_use():
 
 
 def test_divided_solver_error_propagates(monkeypatch, even_kernel):
-    def fail(A, F, what):
-        raise SolverError(f"{what}: forced failure", 1e18)
+    def fail(*args):
+        raise SolverError(f"{args[-1]}: forced failure", 1e18)
 
-    monkeypatch.setattr(elliptic, "_solve_checked", fail)
+    monkeypatch.setattr(elliptic, "_solve", fail)
     row = elliptic_problem_data(even_kernel)["gci"]
     with pytest.raises(SolverError, match="forced failure"):
         solve_type1(even_kernel, row["alpha"], row["f"], 24)
@@ -312,3 +314,80 @@ def test_divided_solver_error_propagates(monkeypatch, even_kernel):
     c1 = float(rule.weights @ (w * rule.nodes) / (rule.weights @ w))
     with pytest.raises(SolverError, match="forced failure"):
         solve_type2(even_kernel, lambda mu: mu - c1, 24)
+
+
+def test_pipeline_factors_one_lu_per_operator(monkeypatch, even_kernel):
+    # six solves, three operators: type 1 with k=1 (gci, a_perp, b_par),
+    # type 1 with k=2 (b1) and type 2 (a_par, b2)
+    calls = {"solves": 0, "lu": 0}
+
+    def counted(fn, key):
+        def spy(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return spy
+
+    monkeypatch.setattr(elliptic, "solve_type1", counted(elliptic.solve_type1, "solves"))
+    monkeypatch.setattr(elliptic, "solve_type2", counted(elliptic.solve_type2, "solves"))
+    monkeypatch.setattr(elliptic, "dgetrf", counted(elliptic.dgetrf, "lu"))
+    p = run_pipeline(even_kernel, 64, 0.0)
+    assert calls == {"solves": 6, "lu": 3}
+    assert len(p.eq.rule.factors) == 3
+
+
+def test_cached_factors_match_a_fresh_rule(even_kernel):
+    n, nq = 48, 160
+    rule = build_rule(nq)
+    solve_gci(even_kernel, n, rule=rule)  # factors the k=1 operator
+    row = elliptic_problem_data(even_kernel, c=(0.3, 0.2, 0.4))["a_perp"]
+    hit = solve_type1(even_kernel, row["alpha"], row["f"], n, rule=rule, name="a_perp")
+    fresh = solve_type1(even_kernel, row["alpha"], row["f"], n, rule=build_rule(nq),
+                        name="a_perp")
+    assert len(rule.factors) == 1
+    scale = np.max(np.abs(fresh.coef))
+    assert np.max(np.abs(hit.coef - fresh.coef)) <= 1e-13 * scale
+    assert hit.meta["condition"] == fresh.meta["condition"]
+    assert 1.0 < hit.meta["condition"] < 1e12
+    assert hit.meta["linear_residual"] < 1e-12
+
+
+def test_kernels_on_one_rule_keep_their_own_factors():
+    n, rule = 32, build_rule(120)
+    kernels = [constant_kernel(1.0, d=0.5), constant_kernel(1.0, d=0.25)]
+    shared = [solve_gci(k, n, rule=rule).h for k in kernels]
+    assert len(rule.factors) == 2
+    for k, h in zip(kernels, shared):
+        own = solve_gci(k, n, rule=build_rule(120)).h
+        assert np.max(np.abs(h.coef - own.coef)) <= 1e-13 * np.max(np.abs(own.coef))
+    assert np.max(np.abs(shared[0].coef - shared[1].coef)) > 1e-3
+
+
+def test_singular_operator_raises_without_warning(even_kernel):
+    # zero quadrature weights make every assembled matrix exactly zero
+    base = build_rule(40)
+    rule = QuadratureRule(nodes=base.nodes, weights=np.zeros(base.n))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SolverError, match="gci solve: singular discrete system"):
+            solve_type1(even_kernel, ones, lambda mu: (1.0 - mu * mu) ** 1.5, 16,
+                        rule=rule, name="gci")
+        with pytest.raises(SolverError, match="b2 solve: singular discrete system"):
+            solve_type2(even_kernel, lambda mu: 0.0 * mu, 16, rule=rule, name="b2")
+    assert rule.factors == {}
+
+
+def test_factors_under_concurrent_first_use(even_kernel):
+    # racing first factorizations on one rule store one entry, and every
+    # solve gives the bits of a solve on its own rule
+    rule = build_rule(200)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            got = [f.result(timeout=60) for f in
+                   [pool.submit(solve_gci, even_kernel, 96, rule) for _ in range(16)]]
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(rule.factors) == 1
+    alone = solve_gci(even_kernel, 96, build_rule(200)).h.coef
+    assert all(np.array_equal(g.h.coef, alone) for g in got)
