@@ -98,27 +98,40 @@ class FieldState:
         if self.omega.shape != self.grid.shape + (3,):
             raise GridShapeError(
                 f"omega shape {self.omega.shape} != grid shape {self.grid.shape} + (3,)")
-        # | |omega| - 1 | in one pass over slabs of whole planes, so that no
-        # grid-sized temporary is allocated
+        # | |omega| - 1 | and the range of rho in one pass over slabs of whole
+        # planes, so that no grid-sized temporary is allocated; the checks
+        # are written so that NaN fails them
         step = _slab_planes(self.grid)
+        rho_min = math.inf
         for i0 in range(0, self.grid.shape[0], step):
             slab = self.omega[i0:i0 + step]
             dev = np.einsum("...i,...i->...", slab, slab, dtype=float)
             np.sqrt(dev, out=dev)
             np.subtract(dev, 1.0, out=dev)
             np.abs(dev, out=dev)
-            if dev.max() > UNIT_NORM_TOL:
-                i, j, k = (int(c) for c in np.unravel_index(int(dev.argmax()), dev.shape))
-                idx = (i0 + i, j, k)
+            if not dev.max() <= UNIT_NORM_TOL:
+                idx = _cell(i0, dev, int(dev.argmax()))
                 raise FieldStateError(
                     f"orientation not unit at cell {idx}: "
                     f"|omega| = {np.linalg.norm(self.omega[idx]):.12f}")
-        rho_min = float(self.rho.min())
-        if rho_min < 0:
-            idx = tuple(int(i) for i in np.unravel_index(int(self.rho.argmin()),
-                                                         self.rho.shape))
-            raise FieldStateError(f"negative density at cell {idx}: {self.rho[idx]:.6e}")
+            rho = self.rho[i0:i0 + step]
+            lo, hi = float(rho.min()), float(rho.max())
+            if not (lo >= 0 and hi < math.inf):
+                finite = np.isfinite(rho)
+                if finite.all():
+                    what, flat = "negative", int(rho.argmin())
+                else:
+                    what, flat = "non-finite", int(finite.argmin())
+                idx = _cell(i0, rho, flat)
+                raise FieldStateError(f"{what} density at cell {idx}: {self.rho[idx]:.6e}")
+            rho_min = min(rho_min, lo)
         return rho_min
+
+
+def _cell(i0, slab, flat):
+    """The grid cell of the flat index `flat` into a slab starting at plane i0."""
+    i, j, k = (int(c) for c in np.unravel_index(flat, slab.shape))
+    return (i0 + i, j, k)
 
 
 @dataclass
@@ -262,6 +275,12 @@ class _Stencil:
         t = self.halo
         return values[..., t:values.shape[-3] - t, :, :]
 
+    def reads(self, values, j):
+        """The planes of `values` that d(values, j) reads: all of them for
+        an axis-0 derivative with a halo, the inner ones otherwise.  A
+        product that is only differentiated need only be formed there."""
+        return values if j == 0 and self.halo else self.inner(values)
+
     def d(self, values, j, out=None):
         if j == 0 and self.halo:
             return _difference(values, 0, self.spacing[0], self.order, out=out)
@@ -283,10 +302,11 @@ def _tensor_components(tens):
     return np.moveaxis(tens, (-2, -1), (0, 1))
 
 
-def _dot(u, v):
-    """u[0] * v[0] + u[1] * v[1] + u[2] * v[2]."""
-    out = u[0] * v[0]
-    tmp = u[1] * v[1]
+def _dot(u, v, out=None, tmp=None):
+    """u[0] * v[0] + u[1] * v[1] + u[2] * v[2], written into `out` when one is
+    given; `tmp`, when given, is scratch of the same shape."""
+    out = np.multiply(u[0], v[0], out=out)
+    tmp = np.multiply(u[1], v[1], out=tmp)
     out += tmp
     out += np.multiply(u[2], v[2], out=tmp)
     return out
@@ -333,23 +353,35 @@ class _Bundle(NamedTuple):
     gam: np.ndarray
 
 
-def _bundle_fields(rho, om, st):
-    """The gradient bundle of decompose_gradients on the planes of
-    st.inner(rho), from rho and the component-major orientation om."""
+# the 26 scalar rows of a stored bundle: gperp, dpar, tilt, divo, sig, gam
+_BUNDLE_ROWS = 26
+
+
+def _bundle_rows(rows):
+    """The _Bundle stored in the 26 rows (axis 0) of `rows`."""
+    rest = rows.shape[1:]
+    return _Bundle(rows[0:3], rows[3], rows[4:7], rows[7],
+                   rows[8:17].reshape((3, 3) + rest), rows[17:26].reshape((3, 3) + rest))
+
+
+def _bundle_fields(rho, om, st, out):
+    """Write the gradient bundle of decompose_gradients on the planes of
+    st.inner(rho) into the _Bundle `out`, from rho and the component-major
+    orientation om.  Every scalar of `out` is C-contiguous."""
     d = st.d
     om_halo, om = om, st.inner(om)
-    grad_rho = [d(rho, j) for j in range(3)]
-    shape = grad_rho[0].shape
-    par_grad_rho = _dot(grad_rho, om)
-    grad_perp_rho = np.empty((3,) + shape)
-    tmp = np.empty(shape)
+    tmp = np.empty(out.dpar.shape)
+    # grad rho is formed in out.gperp and made transverse there
+    grad_rho = out.gperp
+    for j in range(3):
+        d(rho, j, out=grad_rho[j])
+    par_grad_rho = _dot(grad_rho, om, out=out.dpar, tmp=tmp)
     for k in range(3):
-        np.multiply(par_grad_rho, om[k], out=tmp)
-        np.subtract(grad_rho[k], tmp, out=grad_perp_rho[k])
-    del grad_rho
+        grad_rho[k] -= np.multiply(par_grad_rho, om[k], out=tmp)
 
-    # g[j, k] = d_j omega_k; a = omega^T g is (omega . grad) omega, b = g omega
-    g = np.empty((3, 3) + shape)
+    # g[j, k] = d_j omega_k, formed in out.gam and turned into the swirl
+    # there; a = omega^T g is (omega . grad) omega, b = g omega
+    g = out.gam
     for j in range(3):
         for k in range(3):
             d(om_halo[k], j, out=g[j, k])
@@ -357,8 +389,7 @@ def _bundle_fields(rho, om, st):
     a = [_dot(om, g[:, k]) for k in range(3)]
     b = [_dot(g[j], om) for j in range(3)]
     c = _dot(om, b)
-    omega_tilt = np.empty((3,) + shape)
-    _project_perp(om, a, out=omega_tilt)
+    _project_perp(om, a, out=out.tilt)
 
     # transverse-transverse block P g P = g - omega a^T - b omega^T
     # + c omega omega^T, written over g entry by entry; u = c omega - a
@@ -370,116 +401,141 @@ def _bundle_fields(rho, om, st):
             g[j, k] += np.multiply(om[j], u[k], out=tmp)
             g[j, k] -= np.multiply(b[j], om[k], out=tmp)
     del a, b, c, u
-    div_omega = g[0, 0] + g[1, 1]
+    div_omega = np.add(g[0, 0], g[1, 1], out=out.divo)
     div_omega += g[2, 2]
 
     # sigma_jj = 2 g_jj - div_omega (1 - om_j om_j),
-    # sigma_jk = g_jk + g_kj + div_omega (om_j om_k), gamma_jk = g_jk - g_kj
-    sigma = np.empty((3, 3) + shape)
-    gamma = np.empty((3, 3) + shape)
+    # sigma_jk = g_jk + g_kj + div_omega (om_j om_k), gamma_jk = g_jk - g_kj;
+    # each entry of g is read before it is overwritten by gamma
+    sigma = out.sig
     for j in range(3):
         np.multiply(g[j, j], 2.0, out=sigma[j, j])
         np.multiply(om[j], om[j], out=tmp)
         np.subtract(1.0, tmp, out=tmp)
         sigma[j, j] -= np.multiply(div_omega, tmp, out=tmp)
-        gamma[j, j] = 0.0
+        g[j, j] = 0.0
         for k in range(j + 1, 3):
             np.add(g[j, k], g[k, j], out=sigma[j, k])
             np.multiply(om[j], om[k], out=tmp)
             sigma[j, k] += np.multiply(div_omega, tmp, out=tmp)
             sigma[k, j] = sigma[j, k]
-            np.subtract(g[j, k], g[k, j], out=gamma[j, k])
-            np.negative(gamma[j, k], out=gamma[k, j])
-    return _Bundle(grad_perp_rho, par_grad_rho, omega_tilt, div_omega, sigma, gamma)
+            g[j, k] -= g[k, j]
+            np.negative(g[j, k], out=g[k, j])
+    return out
+
+
+def _plus(total, x):
+    """total + x, added in place into total; None stands for an absent term."""
+    if total is None or x is None:
+        return x if total is None else total
+    return np.add(total, x, out=total)
 
 
 def _r1_field(rho, om, bundle, beta, gamma, st):
     """R1 on the planes of st.inner(rho); rho, om and bundle share planes."""
     rho_div = rho * bundle.divo
+    flux = np.empty(rho.shape)
 
     def divergence(scalar):
         """div(scalar * omega), summed onto the axis-0 term."""
-        div = st.d(scalar * om[0], 0)
-        for ax in (1, 2):
-            div += st.d(scalar * om[ax], ax)
+        div = None
+        for ax in range(3):
+            np.multiply(st.reads(scalar, ax), st.reads(om[ax], ax), out=st.reads(flux, ax))
+            div = _plus(div, st.d(flux, ax))
         return div
 
     return beta * divergence(bundle.dpar) + gamma * divergence(rho_div)
 
 
-def _r2_slot_fields(rho, om, bundle, st):
-    """Yield (slot, [x, y, z]) for the 13 structures of R2, one slot at a time,
-    on the planes of st.inner(rho); rho, om and bundle share planes.
+def _add_r2(out, rho, om, bundle, st, zeta, slots):
+    """out[k] += sum over `slots` of zeta[s - 1] * T_s[k], for the structures
+    T_s of R2 on the planes of st.inner(rho); rho, om and bundle share planes.
 
-    Each slot is three fresh scalar component arrays, which the caller may
-    overwrite; only one slot is alive at a time.  Second-derivative
-    structures differentiate bundle entries and are projected transverse;
-    quadratic structures are pointwise products of transverse bundle entries.
+    Since zeta is constant, the structures are regrouped without changing
+    their discretisation and the zeta are folded into the factors:
+
+      Q = (z1 divo + z7 dpar / rho) gperp + (z6 dpar + z8 rho divo) tilt
+          + sig (z3 gperp + z9 rho tilt) + gam (z4 gperp + z10 rho tilt)
+      D = P_perp(z5 (omega . grad) gperp
+                 + rho (z11 (omega . grad) tilt + div T)),
+          T = z12 sig + z13 gam + z2 divo Id
+
+    Q is transverse as it stands and D is projected once.  Only the terms of
+    the given slots are formed, so the thirteen slots cost 27 derivatives,
+    while one slot alone costs what its own structure needs (3 for slot 2,
+    9 for slots 5, 11 and 12, 6 for slot 13).
     """
     d = st.d
+    z = {s: zeta[s - 1] for s in slots}
     rho_in, om_in = st.inner(rho), st.inner(om)
     gperp, tilt, sig, gam = (st.inner(x) for x in (bundle.gperp, bundle.tilt,
                                                      bundle.sig, bundle.gam))
     dpar, divo = st.inner(bundle.dpar), st.inner(bundle.divo)
+    tmp = np.empty(dpar.shape)
 
-    def scaled(s, vec):
-        """s * vec[k], as new arrays."""
-        return [s * vec[k] for k in range(3)]
+    def combine(*terms, out=None):
+        """sum of z_s * f() over the (s, f) terms whose slot is given, or None."""
+        total = None
+        for s, f in terms:
+            if s in z:
+                if total is None:
+                    total = np.multiply(f(), z[s], out=out)
+                else:
+                    total += f() * z[s]
+        return total
 
-    def rescaled(s, vec):
-        """s * vec[k], written over the temporaries vec."""
+    def along(s, vec, k):
+        """sum_j (z_s omega_j) d_j vec[k], or None without slot s."""
+        if s not in z:
+            return None
+        col = None
+        for j in range(3):
+            x = d(vec[k], j, out=None if col is None else tmp)
+            x *= zom[s][j]
+            col = _plus(col, x)
+        return col
+
+    def div_column(k):
+        """(div T)_k = d_j T_jk, each T_jk formed only on the planes that
+        d(., j) reads; the swirl's diagonal is exact zeros and is left out."""
+        col = None
+        for j in range(3):
+            other = (2, lambda: st.reads(bundle.divo, j)) if j == k else \
+                (13, lambda: st.reads(bundle.gam[j, k], j))
+            if combine((12, lambda: st.reads(bundle.sig[j, k], j)), other,
+                       out=st.reads(entry, j)) is not None:
+                col = _plus(col, d(entry, j))
+        return col
+
+    zom = {s: [om_in[j] * z[s] for j in range(3)] for s in (5, 11) if s in z}
+    entry = np.empty(bundle.divo.shape)
+    cols = []
+    for k in range(3):
+        col = _plus(div_column(k), along(11, bundle.tilt, k))
+        if col is not None:
+            col *= rho_in
+        cols.append(_plus(along(5, bundle.gperp, k), col))
+    if cols[0] is not None:
+        _project_perp(om_in, cols, out=cols)
         for k in range(3):
-            vec[k] *= s
-        return vec
+            out[k] += cols[k]
+    del cols
 
-    def contract(tens, vec):
-        """(T vec)_j = T_jk vec_k."""
-        return [_dot(tens[j], vec) for j in range(3)]
-
-    def par_deriv_vec(vec):
-        """(omega . grad) vec, projected transverse:
-        om[0] * d(vec[k], 0) + om[1] * d(vec[k], 1) + om[2] * d(vec[k], 2)."""
-        cols = []
-        for k in range(3):
-            col = d(vec[k], 0)
-            col *= om_in[0]
-            tmp = d(vec[k], 1)
-            col += np.multiply(tmp, om_in[1], out=tmp)
-            col += np.multiply(d(vec[k], 2, out=tmp), om_in[2], out=tmp)
-            cols.append(col)
-        return _project_perp(om_in, cols, out=cols)
-
-    def div_tensor(tens, zero_diagonal=False):
-        """(div T)_k = d_j T_jk, projected transverse.
-
-        With `zero_diagonal` the terms d_k T_kk are not formed: the diagonal
-        of the swirl tensor is stored as exact zeros, so they add nothing.
-        """
-        cols = []
-        tmp = None
-        for k in range(3):
-            js = [j for j in range(3) if j != k or not zero_diagonal]
-            col = d(tens[js[0], k], js[0])
-            for j in js[1:]:
-                tmp = d(tens[j, k], j, out=tmp)
-                col += tmp
-            cols.append(col)
-        return _project_perp(om_in, cols, out=cols)
-
-    yield 1, scaled(divo, gperp)
-    grad_divo = [d(bundle.divo, j) for j in range(3)]
-    yield 2, rescaled(rho_in, _project_perp(om_in, grad_divo, out=grad_divo))
-    yield 3, contract(sig, gperp)
-    yield 4, contract(gam, gperp)
-    yield 5, par_deriv_vec(bundle.gperp)
-    yield 6, scaled(dpar, tilt)
-    yield 7, scaled(dpar / rho_in, gperp)
-    yield 8, scaled(rho_in * divo, tilt)
-    yield 9, rescaled(rho_in, contract(sig, tilt))
-    yield 10, rescaled(rho_in, contract(gam, tilt))
-    yield 11, rescaled(rho_in, par_deriv_vec(bundle.tilt))
-    yield 12, rescaled(rho_in, div_tensor(bundle.sig))
-    yield 13, rescaled(rho_in, div_tensor(bundle.gam, zero_diagonal=True))
+    for vec, scale in ((gperp, combine((1, lambda: divo), (7, lambda: dpar / rho_in))),
+                       (tilt, combine((6, lambda: dpar), (8, lambda: rho_in * divo)))):
+        if scale is not None:
+            for k in range(3):
+                out[k] += np.multiply(scale, vec[k], out=tmp)
+    # the swirl's diagonal is exact zeros and is left out
+    for tens, diagonal, slot_gperp, slot_tilt in ((sig, True, 3, 9), (gam, False, 4, 10)):
+        vec = [combine((slot_gperp, lambda: gperp[k]), (slot_tilt, lambda: rho_in * tilt[k]))
+               for k in range(3)]
+        if vec[0] is None:
+            continue
+        for j in range(3):
+            for k in range(3):
+                if diagonal or j != k:
+                    out[j] += np.multiply(tens[j, k], vec[k], out=tmp)
 
 
 def _whole_grid(state, order):
@@ -502,7 +558,8 @@ def decompose_gradients(state: FieldState, scheme_order: int = 2) -> GradientBun
     definition (so the reassembly identities hold exactly).
     """
     _check_state(state, scheme_order)
-    b = _bundle_fields(state.rho, _omega_components(state), _whole_grid(state, scheme_order))
+    b = _bundle_fields(state.rho, _omega_components(state), _whole_grid(state, scheme_order),
+                       _bundle_rows(np.empty((_BUNDLE_ROWS,) + state.grid.shape)))
     return GradientBundle(
         scheme_order=scheme_order,
         grad_perp_rho=np.moveaxis(b.gperp, 0, -1),
@@ -538,24 +595,36 @@ def _check_bundle(state, bundle):
             f"bundle shape {bundle.par_grad_rho.shape} does not match grid {state.grid.shape}")
 
 
-def _r2_slots(state, bundle):
-    """The 13 structures of R2 on the whole grid, as from _r2_slot_fields."""
+def _r2_on_grid(state, bundle):
+    """A function (zeta, slots) -> sum over the slots of zeta_s T_s on the
+    whole grid, as a grid + (3,) view of (3, ...) storage (see _add_r2)."""
     _check_bundle(state, bundle)
     _check_positive_density(state.rho.min())
-    return _r2_slot_fields(state.rho, _omega_components(state), _stored_bundle(bundle),
-                           _whole_grid(state, bundle.scheme_order))
+    args = (state.rho, _omega_components(state), _stored_bundle(bundle),
+            _whole_grid(state, bundle.scheme_order))
+
+    def r2(zeta, slots):
+        out = np.zeros((3,) + state.grid.shape)
+        _add_r2(out, *args, zeta, slots)
+        return np.moveaxis(out, 0, -1)
+
+    return r2
 
 
 def r2_terms(state: FieldState, bundle: GradientBundle) -> dict:
     """The 13 tensor structures of the velocity correction, slot -> field.
 
-    Second-derivative structures differentiate stored bundle entries with the
-    bundle's scheme order and project transverse; quadratic structures are
-    pointwise products of bundle entries.  Every returned field is orthogonal
-    to omega and has the shape grid + (3,), as a view of (3, ...) storage.
+    Each structure is formed alone, at its own cost, by the slot algebra
+    that evaluate_r2 and evaluate_corrections run on all thirteen at once:
+    second-derivative structures differentiate stored bundle entries with
+    the bundle's scheme order and project transverse; quadratic structures
+    are pointwise products of bundle entries.  Every returned field is
+    orthogonal to omega and has the shape grid + (3,), as a view of
+    (3, ...) storage.
     """
-    return {slot: np.moveaxis(np.stack(comps), 0, -1)
-            for slot, comps in _r2_slots(state, bundle)}
+    r2 = _r2_on_grid(state, bundle)
+    ones = np.ones(13)
+    return {slot: r2(ones, (slot,)) for slot in R2_TERM_TAGS}
 
 
 def _zeta_vector(coeffs):
@@ -565,33 +634,38 @@ def _zeta_vector(coeffs):
     return zeta
 
 
-def _accumulate_r2(out, zeta, slots):
-    """out[k] += zeta_s * slot_s[k] over the slots, in slot order."""
-    for slot, comps in slots:
-        for k in range(3):
-            comps[k] *= zeta[slot - 1]
-            out[k] += comps[k]
-
-
 def evaluate_r2(state: FieldState, bundle: GradientBundle, coeffs) -> np.ndarray:
     """Velocity-equation correction field: sum of zeta_j times structure j.
 
     `coeffs` is either a coefficient-set object exposing `.zeta` or a plain
     13-vector.  Linear in the zeta vector by construction.  The structures
-    are accumulated one slot at a time; second derivatives use the bundle's
-    scheme order.
+    are formed in merged groups with the zeta folded into their factors
+    (27 derivatives and one transverse projection, see _add_r2); second
+    derivatives use the bundle's scheme order.
     """
     zeta = _zeta_vector(coeffs)
-    out = np.zeros((3,) + state.grid.shape)
-    _accumulate_r2(out, zeta, _r2_slots(state, bundle))
-    return np.moveaxis(out, 0, -1)
+    return _r2_on_grid(state, bundle)(zeta, R2_TERM_TAGS)
+
+
+def _gather_planes(src, start, out):
+    """out[i] = src[(start + i) % n] for the planes i of out (axis 0), with
+    n = len(src), copied run by run of consecutive planes."""
+    n = len(src)
+    i = 0
+    while i < len(out):
+        j = (start + i) % n
+        run = min(len(out) - i, n - j)
+        out[i:i + run] = src[j:j + run]
+        i += run
 
 
 def _slabs(state, order):
     """Yield (i0, i1, rho, om, stencil) for the slabs [i0, i1) along axis 0.
 
     rho and the component-major om cover the slab's planes plus a halo of
-    two derivative levels, taken periodically; a grid of at most one slab's
+    two derivative levels, taken periodically; they are views of two
+    buffers allocated once and refilled in one copy per slab, so each slab's
+    pair is valid until the next is yielded.  A grid of at most one slab's
     planes is one slab with no halo that wraps like the whole-grid path.
     """
     n0 = state.grid.shape[0]
@@ -601,11 +675,15 @@ def _slabs(state, order):
         return
     w = order // 2
     st = _Stencil(state.grid.spacing, order, w)
+    rho_buf = np.empty((planes + 4 * w,) + state.grid.shape[1:])
+    om_buf = np.empty((3,) + rho_buf.shape)
     for i0 in range(0, n0, planes):
         i1 = min(i0 + planes, n0)
-        idx = np.arange(i0 - 2 * w, i1 + 2 * w) % n0
-        om = np.ascontiguousarray(_vector_components(state.omega[idx]))
-        yield i0, i1, state.rho[idx], om, st
+        m = i1 - i0 + 4 * w
+        rho, om = rho_buf[:m], om_buf[:, :m]
+        _gather_planes(state.rho, i0 - 2 * w, rho)
+        _gather_planes(state.omega, i0 - 2 * w, np.moveaxis(om, 0, -1))
+        yield i0, i1, rho, om, st
 
 
 def evaluate_corrections(state: FieldState, coeffs, scheme_order: int = 2,
@@ -613,39 +691,42 @@ def evaluate_corrections(state: FieldState, coeffs, scheme_order: int = 2,
     """Both corrections, scaled by the scale-ratio eps used for reporting.
 
     The state checks run once on the whole grid.  Then the grid is streamed
-    in slabs of whole planes along axis 0, about SLAB_CELLS cells each: a
-    slab's bundle covers its planes plus one derivative level of halo, of
-    which the planes shared with the previous slab are carried over rather
+    in slabs of whole planes along axis 0, about SLAB_CELLS cells each,
+    through one workspace allocated per call: a slab's bundle covers its
+    planes plus one derivative level of halo, of which the 2w planes shared
+    with the previous slab are moved to the front of the workspace rather
     than formed again, and its R1 and R2 are formed on its own planes and
-    written once, scaled by eps, into the outputs.  Every cell sees the same
-    operations in the same order as in decompose_gradients, evaluate_r1 and
-    evaluate_r2, so the result does not depend on the slab size.
+    written once, scaled by eps, into the outputs (eps is folded into the
+    zeta of R2).  Every cell sees the same operations in the same order as
+    in decompose_gradients, evaluate_r1 and, for eps = 1, evaluate_r2, so
+    the result does not depend on the slab size.
     """
     rho_min = _check_state(state, scheme_order)
     beta, gamma = coeffs.beta, coeffs.gamma
-    zeta = _zeta_vector(coeffs)
+    zeta = _zeta_vector(coeffs) * eps
     _check_positive_density(rho_min)
     # r1 and r2 in one allocation: a separate grid-sized r1 landed on the
     # heap between r2 and the caller's temporaries, and over repeated calls
     # the holes it left raised the peak RSS by about one grid array
     block = np.zeros((4,) + state.grid.shape)
     r1, r2 = block[0], block[1:]
-    carry = None
+    rows = None
     for i0, i1, rho, om, st in _slabs(state, scheme_order):
         t = 2 * st.halo
-        if carry is None:
-            bundle = _bundle_fields(rho, om, st)
+        m = len(rho) - t
+        if rows is None:
+            # the first slab is the largest
+            rows = np.empty((_BUNDLE_ROWS, m) + state.grid.shape[1:])
+            _bundle_fields(rho, om, st, _bundle_rows(rows))
         else:
-            # the previous slab's last 2w bundle planes are this slab's first
-            fresh = _bundle_fields(rho[t:], om[:, t:], st)
-            bundle = _Bundle(*(np.concatenate(pair, axis=-3) for pair in zip(carry, fresh)))
-        if t:
-            carry = _Bundle(*(x[..., x.shape[-3] - t:, :, :] for x in bundle))
+            # the previous slab's last t bundle planes are this slab's first
+            rows[:, :t] = rows[:, last - t:last]
+            _bundle_fields(rho[t:], om[:, t:], st, _bundle_rows(rows[:, t:m]))
+        last = m
+        bundle = _bundle_rows(rows[:, :m])
         rho, om = st.inner(rho), st.inner(om)
         np.multiply(_r1_field(rho, om, bundle, beta, gamma, st), eps, out=r1[i0:i1])
-        out = r2[:, i0:i1]
-        _accumulate_r2(out, zeta, _r2_slot_fields(rho, om, bundle, st))
-        out *= eps
+        _add_r2(r2[:, i0:i1], rho, om, bundle, st, zeta, R2_TERM_TAGS)
     return CorrectionFields(r1=r1, r2=np.moveaxis(r2, 0, -1))
 
 

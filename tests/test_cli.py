@@ -150,6 +150,17 @@ def test_fields_rejects_bad_input_state(tmp_path, capsys):
     assert "cell" in capsys.readouterr().err
 
 
+def test_fields_rejects_non_finite_input(tmp_path, capsys):
+    state = make_field("uniform", (4, 4, 4))
+    state.rho[2, 1, 3] = np.nan
+    bad = tmp_path / "nan.csv"
+    save_field_csv(state, bad)
+    code = run(["fields", "--input", str(bad), "--nu", "const:1", "--d", "1",
+                "-o", str(tmp_path / "out")])
+    assert code == 1
+    assert "non-finite density at cell (2, 1, 3)" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command, expected", [("coeffs", 2), ("verify", 2), ("profiles", 0)],
                          ids=["coeffs", "verify", "profiles"])
 def test_coeffs_invariant_violation_exits_2(tmp_path, capsys, command, expected):

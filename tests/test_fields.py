@@ -1,3 +1,4 @@
+import tracemalloc
 import types
 
 import numpy as np
@@ -578,3 +579,99 @@ def test_make_field_matches_meshgrid_evaluation(name, params):
     assert state.rho.shape == shape and state.omega.shape == shape + (3,)
     assert state.rho.tobytes() == rho.tobytes()
     assert state.omega.tobytes() == omega.tobytes()
+
+
+# --- non-finite states ------------------------------------------------------------
+
+@pytest.mark.parametrize("field,cell,value,match", [
+    ("omega", (9, 4, 7, 0), np.nan, r"orientation not unit at cell \(9, 4, 7\)"),
+    ("rho", (11, 3, 2), np.nan, r"non-finite density at cell \(11, 3, 2\): nan"),
+    ("rho", (10, 0, 5), np.inf, r"non-finite density at cell \(10, 0, 5\): inf"),
+])
+def test_non_finite_state_rejected_with_cell(monkeypatch, field, cell, value, match):
+    # the checks run slab by slab; the bad cell lies past the first slab
+    monkeypatch.setattr(fields, "SLAB_CELLS", 2 * 12 * 11)
+    state = make_field("random-smooth", (13, 12, 11), seed=20)
+    getattr(state, field)[cell] = value
+    with pytest.raises(FieldStateError, match=match):
+        state.validate()
+    with pytest.raises(FieldStateError, match=match):
+        evaluate_corrections(state, SLAB_COEFFS)
+
+
+# --- the merged R2 path ------------------------------------------------------------
+
+def count_derivatives(monkeypatch):
+    """Record, per call of _Stencil.d, which of the bundle, R1 and R2 it
+    served."""
+    calls, phase = [], []
+    d = fields._Stencil.d
+
+    def spy_d(self, values, j, out=None):
+        calls.append(phase[-1])
+        return d(self, values, j, out=out)
+
+    monkeypatch.setattr(fields._Stencil, "d", spy_d)
+    for name in ("_bundle_fields", "_r1_field", "_add_r2"):
+        def in_phase(*args, name=name, run=getattr(fields, name)):
+            phase.append(name)
+            try:
+                return run(*args)
+            finally:
+                phase.pop()
+
+        monkeypatch.setattr(fields, name, in_phase)
+    return calls
+
+
+@pytest.mark.parametrize("order", [2, 4])
+def test_derivatives_per_slab(monkeypatch, order):
+    state = make_field("random-smooth", (13, 12, 11), seed=22)
+    calls = count_derivatives(monkeypatch)
+    terms = r2_terms(state, decompose_gradients(state, scheme_order=order))
+    assert len(terms) == 13
+    assert {p: calls.count(p) for p in set(calls)} == {"_bundle_fields": 12, "_add_r2": 36}
+
+    calls.clear()
+    seen = record_slabs(monkeypatch)
+    monkeypatch.setattr(fields, "SLAB_CELLS", 2 * 12 * 11)
+    evaluate_corrections(state, SLAB_COEFFS, scheme_order=order)
+    slabs = len(seen)
+    assert slabs == 7
+    assert {p: calls.count(p) for p in set(calls)} == {
+        "_bundle_fields": 12 * slabs, "_r1_field": 6 * slabs, "_add_r2": 27 * slabs}
+
+
+@pytest.mark.parametrize("order", [2, 4])
+def test_merged_r2_equals_sum_of_slots(monkeypatch, order):
+    state = make_field("random-smooth", (13, 12, 11), lengths=(2.0, 3.0, 2.5), seed=23)
+    terms = r2_terms(state, decompose_gradients(state, scheme_order=order))
+    monkeypatch.setattr(fields, "SLAB_CELLS", 2 * 12 * 11)
+    eps = 0.3
+    zetas = [np.random.default_rng(24).standard_normal(13), *np.eye(13)]
+    for i, zeta in enumerate(zetas):
+        coeffs = types.SimpleNamespace(beta=0.37, gamma=-0.91, zeta=zeta)
+        r2 = evaluate_corrections(state, coeffs, scheme_order=order, eps=eps).r2
+        want = sum(zeta[s - 1] * t for s, t in terms.items()) * eps
+        assert_matches_reference(r2, want, f"zeta {i}")
+
+
+def test_workspace_does_not_grow_with_the_grid(monkeypatch):
+    # two grids that differ only in n0 stream the same slabs, so beyond the
+    # outputs (r1 and r2, four scalars a cell) the traced peak must not grow:
+    # a workspace that did would add at least a quarter of the outputs'
+    # growth, while numpy's own small per-call bookkeeping stays far below
+    monkeypatch.setattr(fields, "SLAB_CELLS", 4 * 16 * 16)
+    states = [make_field("random-smooth", (n0, 16, 16), seed=25) for n0 in (24, 48)]
+    evaluate_corrections(states[0], SLAB_COEFFS, scheme_order=4)
+    peaks = []
+    for state in states:
+        tracemalloc.start()
+        try:
+            corr = evaluate_corrections(state, SLAB_COEFFS, scheme_order=4)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        del corr
+    outputs = 4 * (48 - 24) * 16 * 16 * 8
+    assert peaks[1] - peaks[0] - outputs < outputs / 16
