@@ -32,6 +32,7 @@ from .errors import (
     NumericError,
     PreconditionError,
     SolverError,
+    UsageError,
 )
 from .fields import (
     CorrectionFields,

@@ -19,17 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .coeffs import compute_coefficients, run_pipeline
-from .errors import (
-    ConfigError,
-    DegenerateWeightError,
-    FieldStateError,
-    FlockError,
-    GridShapeError,
-    InvariantError,
-    NumericError,
-    PreconditionError,
-    SolverError,
-)
+from .errors import ConfigError, FlockError
 from .fields import evaluate_corrections, load_field_csv, make_field, save_field_csv
 from .kernel import kernel_from_config, parse_config
 from .verify import run_verification
@@ -37,7 +27,6 @@ from .verify import run_verification
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_INVARIANT = 2
-EXIT_NUMERIC = 3
 
 SWEEP_HEADER = "d,c1,c2,c3,beta,gamma," + ",".join(f"zeta{j}" for j in range(1, 14))
 
@@ -294,18 +283,9 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (ConfigError, FieldStateError, GridShapeError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_USAGE
-    except InvariantError as exc:
-        sys.stderr.write(f"invariant violation: {exc}\n")
-        return EXIT_INVARIANT
-    except (SolverError, NumericError, DegenerateWeightError, PreconditionError) as exc:
-        sys.stderr.write(f"numeric failure: {exc}\n")
-        return EXIT_NUMERIC
-    except FlockError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_NUMERIC
+    except FlockError as exc:  # each error type names its exit class (errors.py)
+        sys.stderr.write(f"{exc.label}: {exc}\n")
+        return exc.exit_code
 
 
 if __name__ == "__main__":

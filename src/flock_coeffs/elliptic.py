@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial import legendre as npleg
-from scipy.linalg.lapack import dgecon, dgetrf, dgetrs
+from scipy.linalg.lapack import dgetrf, dgetrs
 
 from .errors import InvariantError, PreconditionError, SolverError
 from .kernel import CollisionKernel
@@ -171,7 +171,7 @@ class _Factors:
     """LU factors of one discrete operator, kept on the rule (rule.factors).
 
     `column` is the bordered column of a type-2 system (None for type 1);
-    `condition` is LAPACK's 1-norm estimate of its condition number.
+    `condition` is the 1-norm estimate of its condition number.
     """
 
     lu: np.ndarray
@@ -180,7 +180,43 @@ class _Factors:
     column: np.ndarray | None
 
 
-def _factor(rule, key, basis, coefs, what, border=None) -> _Factors:
+def _inverse_norm1(lu, piv) -> float:
+    """Estimate of ||A^-1||_1 from the LU factors of A, in O(n^2).
+
+    Hager's estimator as refined by Higham (ACM TOMS 14, 1988), step for
+    step the iteration of LAPACK's dlacn2 that gecon runs: at most five
+    sign-vector iterations, then the alternating-sign test vector.  Every
+    product with A^-1 or A^-T is a getrs back-substitution on the given
+    factors, and the sums are numpy reductions of fixed order, so the
+    estimate repeats bitwise; gecon's last bits move with where its work
+    arrays happen to be allocated.
+    """
+    n = len(lu)
+    y = dgetrs(lu, piv, np.full(n, 1.0 / n))[0]
+    if n == 1:
+        return float(abs(y[0]))
+    est = float(np.abs(y).sum())
+    signs = np.where(y >= 0, 1.0, -1.0)
+    j = int(np.abs(dgetrs(lu, piv, signs, trans=1)[0]).argmax())
+    for _ in range(4):
+        e = np.zeros(n)
+        e[j] = 1.0
+        y = dgetrs(lu, piv, e)[0]
+        est_old, est = est, float(np.abs(y).sum())
+        new = np.where(y >= 0, 1.0, -1.0)
+        if (new == signs).all() or est <= est_old:
+            break  # converged, or cycling
+        signs = new
+        z = dgetrs(lu, piv, signs, trans=1)[0]
+        j_last, j = j, int(np.abs(z).argmax())
+        if z[j_last] == abs(z[j]):
+            break
+    alt = 1.0 + np.arange(n) / (n - 1)
+    alt[1::2] *= -1.0
+    return max(est, 2.0 * float(np.abs(dgetrs(lu, piv, alt)[0]).sum()) / (3 * n))
+
+
+def _factor(rule, key, basis, coefs, what, d, border=None) -> _Factors:
     """Factors of the operator c2 u'' + c1 u' + c0 u tested against the
     Legendre basis, for the nodal coefficients `coefs` = (c2, c1, c0); c0 is
     None when the operator has no zero-order term.
@@ -217,14 +253,13 @@ def _factor(rule, key, basis, coefs, what, border=None) -> _Factors:
     anorm = float(np.linalg.norm(A, 1))
     lu, piv, info = dgetrf(A, overwrite_a=True)
     if info > 0:  # exactly zero pivot
-        raise SolverError(f"{what}: singular discrete system", np.inf)
-    rcond = float(dgecon(lu, anorm)[0])
-    factors = _Factors(lu, piv, 1.0 / rcond if rcond > 0 else np.inf, column)
+        raise SolverError(f"{what}: singular discrete system at d = {d:g}", np.inf)
+    factors = _Factors(lu, piv, anorm * _inverse_norm1(lu, piv), column)
     # a concurrent factorization of the same operator loses to the one stored first
     return rule.factors.setdefault(key, factors)
 
 
-def _solve(factors, basis, coefs, qw, F, what):
+def _solve(factors, basis, coefs, qw, F, d, what):
     """Solve with the factors of _factor; checked like a direct solve.
 
     Returns the solution (for a bordered system it ends with the
@@ -235,7 +270,7 @@ def _solve(factors, basis, coefs, qw, F, what):
     rhs = F if factors.column is None else np.append(F, 0.0)
     sol = dgetrs(factors.lu, factors.piv, rhs)[0]
     if not np.all(np.isfinite(sol)):
-        raise SolverError(f"{what}: non-finite solution", factors.condition)
+        raise SolverError(f"{what}: non-finite solution at d = {d:g}", factors.condition)
     u = sol[:len(F)]
     V, Vd, Vdd = basis
     c2, c1, c0 = coefs
@@ -247,22 +282,56 @@ def _solve(factors, basis, coefs, qw, F, what):
         defect = np.append(defect + factors.column * sol[-1], 2.0 * u[0])
     linres = float(np.linalg.norm(defect) / (np.linalg.norm(F) + 1e-300))
     if linres > 1e-8:
-        raise SolverError(f"{what}: ill-conditioned system, linear residual {linres:.3e}",
-                          factors.condition)
+        raise SolverError(f"{what}: ill-conditioned system, linear residual {linres:.3e} "
+                          f"at d = {d:g}", factors.condition)
     return sol, image, linres
 
 
-def _strong_residual(defect, data, what, d):
-    """Sup norm of the pointwise defect at the nodes, relative to the data.
+def _sampled_rule(kernel, n, k, rule):
+    """The checked rule of a degree-n solve whose solution vanishes like
+    (1-mu^2)^(k/2) (by default one sized for the kernel's weight), with
+    1-mu^2, nu/d and the log weight sampled at its nodes."""
+    if n < 1:
+        raise PreconditionError(f"degree must be >= 1, got {n}")
+    if rule is None:
+        rule = build_rule(quadrature_size(kernel, n + k + 2))
+    if rule.n < n + 2:
+        raise PreconditionError(
+            f"quadrature rule with {rule.n} nodes cannot assemble degree {n}")
+    x = rule.nodes
+    nu_over_d = np.asarray(kernel.nu(x), dtype=float) / kernel.d
+    return rule, 1.0 - x * x, nu_over_d, kernel.log_weight(x)
 
-    A non-finite value means the data overflowed or underflowed at the nodes,
-    which no degree can repair, so it is raised rather than recorded.
+
+def _checked_solve(kernel, rule, n, k, key, coefs, rhs, shift, name, border=None,
+                   divisor=1.0) -> MuProfile:
+    """The solve both problem types share, on the divided equation with
+    nodal coefficients `coefs` and nodal data `rhs`.
+
+    The operator is factored once per rule under `key`, whose first entry
+    ("type1" or "type2") is recorded as `meta["problem"]`, and the data
+    tested against the Legendre basis are back-substituted.  The pointwise defect at the nodes,
+    divided by `divisor` like the data, is recorded relative to the data in
+    `meta["residual"]`; a non-finite value means the data overflowed or
+    underflowed at the nodes, which no degree can repair, so it is raised.
+    `meta` also carries the linear residual, the 1-norm condition estimate
+    of the factored system (_inverse_norm1, reproducible to the bit) and,
+    for a bordered system, its multiplier.
     """
-    scale = float(np.max(np.abs(data))) or 1.0
-    residual = float(np.max(np.abs(defect)) / scale)
+    what, d, qw = f"{name} solve", kernel.d, rule.weights
+    basis = _basis(rule, n)
+    factors = _factor(rule, key, basis, coefs, what, d, border)
+    sol, image, linres = _solve(factors, basis, coefs, qw, basis[0].T @ (qw * rhs), d, what)
+    scale = float(np.max(np.abs(rhs / divisor))) or 1.0
+    residual = float(np.max(np.abs((image - rhs) / divisor)) / scale)
     if not np.isfinite(residual):
         raise SolverError(f"{what}: non-finite strong residual at d = {d:g}")
-    return residual
+    meta = {"problem": key[0], "sing_order": k, "degree": n, "residual": residual,
+            "linear_residual": linres, "condition": factors.condition}
+    if border is not None:
+        meta["multiplier"] = float(sol[-1])
+    meta.update(weight_shift=shift, formulation="divided")
+    return MuProfile.from_coef(rule, sol[:n + 1], meta)
 
 
 def solve_type1(kernel: CollisionKernel, alpha, f, n: int, *, sing_order: int = 1,
@@ -281,17 +350,16 @@ def solve_type1(kernel: CollisionKernel, alpha, f, n: int, *, sing_order: int = 
     The equation is divided through by w (1-mu^2)^(k/2+1), which leaves an
     ODE with smooth coefficients and exactly those ratios as data; no weight
     is formed.  It is tested against unweighted Legendre polynomials
-    (Petrov-Galerkin), and the pointwise residual of the divided equation
-    at the nodes is recorded in `meta["residual"]`.  The symmetric weighted
+    (Petrov-Galerkin), and the pointwise residual of the divided equation,
+    with one more factor 1/(1-mu^2) so that the endpoint degeneracy does not
+    flatter it, is recorded in `meta["residual"]`.  The symmetric weighted
     Galerkin form is kept in `oracle` as an independent check.
 
     The operator depends only on (n, k, alpha/w, nu/d), so it is assembled
     and LU-factored once per rule and kept in `rule.factors`, keyed by those
     sampled values: every later solve with the same operator on the same
-    rule (gci, a_perp and b_par share one) only back-substitutes.  The
-    LAPACK 1-norm condition estimate of the factored system is recorded in
-    `meta["condition"]`, and the linear residual in
-    `meta["linear_residual"]`.
+    rule (gci, a_perp and b_par share one) only back-substitutes.  The other
+    `meta` entries are those of _checked_solve.
     """
     k = int(sing_order)
     if k < 1:
@@ -299,48 +367,20 @@ def solve_type1(kernel: CollisionKernel, alpha, f, n: int, *, sing_order: int = 
             "sing_order must be >= 1: the admissible space forces the solution "
             "to vanish at the endpoints"
         )
-    if n < 1:
-        raise PreconditionError(f"degree must be >= 1, got {n}")
-    if rule is None:
-        rule = build_rule(quadrature_size(kernel, n + k + 2))
-    if rule.n < n + 2:
-        raise PreconditionError(
-            f"quadrature rule with {rule.n} nodes cannot assemble degree {n}"
-        )
-    x, qw = rule.nodes, rule.weights
-    s2 = 1.0 - x * x
-    nu_over_d = np.asarray(kernel.nu(x), dtype=float) / kernel.d
-
+    rule, s2, nu_over_d, lw = _sampled_rule(kernel, n, k, rule)
+    x = rule.nodes
     alpha_ratio = _sampled(alpha, x)
     a0 = float(alpha_ratio.min())
     if not a0 > 0:
-        raise PreconditionError(
-            f"{name} solve: alpha must be positive on [-1, 1]; min sampled {a0:.3e}")
-    rhs = _sampled(f, x) / s2 ** (k / 2.0)
-
-    basis = _basis(rule, n)
+        raise PreconditionError(f"{name} solve: alpha must be positive on [-1, 1]; "
+                                f"min sampled {a0:.3e} at d = {kernel.d:g}")
     coefs = (-s2 * s2,
              -s2 * (nu_over_d * s2 - 2.0 * (k + 1) * x),
              k * (nu_over_d * x * s2 + 1.0 - (k + 1) * x * x) + alpha_ratio)
-    what = f"{name} solve"
-    factors = _factor(rule, ("type1", n, k, alpha_ratio.tobytes(), nu_over_d.tobytes()),
-                      basis, coefs, what)
-    u, image, linres = _solve(factors, basis, coefs, qw, basis[0].T @ (qw * rhs), what)
-    # one more factor 1/(1-mu^2) so the metric is not flattered by the
-    # endpoint degeneracy
-    residual = _strong_residual((image - rhs) / s2, rhs / s2, what, kernel.d)
-
-    meta = {
-        "problem": "type1",
-        "sing_order": k,
-        "degree": n,
-        "residual": residual,
-        "linear_residual": linres,
-        "condition": factors.condition,
-        "weight_shift": float(kernel.log_weight(x).max()),
-        "formulation": "divided",
-    }
-    return MuProfile.from_coef(rule, u, meta)
+    return _checked_solve(kernel, rule, n, k,
+                          ("type1", n, k, alpha_ratio.tobytes(), nu_over_d.tobytes()),
+                          coefs, _sampled(f, x) / s2 ** (k / 2.0), float(lw.max()), name,
+                          divisor=s2)
 
 
 def solve_type2(kernel: CollisionKernel, f, n: int, *,
@@ -355,29 +395,16 @@ def solve_type2(kernel: CollisionKernel, f, n: int, *,
     in error messages.
 
     As for solve_type1, the equation divided through by w has f/w as its
-    data and smooth coefficients, is tested against unweighted Legendre
-    polynomials, and records its pointwise residual in `meta["residual"]`.
-    The rescaled weight enters only the solvability integral and the
-    bordered column.  The bordered system depends only on (n, nu/d, w), so
-    as in solve_type1 it is factored once per rule and kept in
-    `rule.factors` (a_par and b2 share it), with its condition estimate in
-    `meta["condition"]`.
+    data and smooth coefficients, and is tested against unweighted Legendre
+    polynomials.  The rescaled weight enters only the solvability integral
+    and the bordered column.  The bordered system depends only on
+    (n, nu/d, w), so it is factored once per rule (a_par and b2 share it);
+    its multiplier and the other `meta` entries are those of _checked_solve.
     """
-    if n < 1:
-        raise PreconditionError(f"degree must be >= 1, got {n}")
-    if rule is None:
-        rule = build_rule(quadrature_size(kernel, n + 2))
-    if rule.n < n + 2:
-        raise PreconditionError(
-            f"quadrature rule with {rule.n} nodes cannot assemble degree {n}"
-        )
+    rule, s2, nu_over_d, lw = _sampled_rule(kernel, n, 0, rule)
     x, qw = rule.nodes, rule.weights
-    s2 = 1.0 - x * x
-    lw = kernel.log_weight(x)
     shift = float(lw.max())
     w = np.exp(lw - shift)
-    nu_over_d = np.asarray(kernel.nu(x), dtype=float) / kernel.d
-
     rhs = _sampled(f, x)
     fmean = float(qw @ (rhs * w))
     if not abs(fmean) < 1e-10:  # also rejects non-finite data
@@ -385,29 +412,9 @@ def solve_type2(kernel: CollisionKernel, f, n: int, *,
             f"{name} solve: type-2 data must have zero mean; "
             f"int f dmu = {fmean:.6e} at d = {kernel.d:g}"
         )
-
-    basis = _basis(rule, n)
-    coefs = (-s2, 2.0 * x - nu_over_d * s2, None)
-    what = f"{name} solve"
     # the moments of w span the left-null complement of the operator
-    factors = _factor(rule, ("type2", n, nu_over_d.tobytes(), w.tobytes()),
-                      basis, coefs, what, border=w)
-    sol, image, linres = _solve(factors, basis, coefs, qw, basis[0].T @ (qw * rhs), what)
-    u, mult = sol[:-1], float(sol[-1])
-    residual = _strong_residual(image - rhs, rhs, what, kernel.d)
-
-    meta = {
-        "problem": "type2",
-        "sing_order": 0,
-        "degree": n,
-        "residual": residual,
-        "linear_residual": linres,
-        "condition": factors.condition,
-        "multiplier": mult,
-        "weight_shift": shift,
-        "formulation": "divided",
-    }
-    return MuProfile.from_coef(rule, u, meta)
+    return _checked_solve(kernel, rule, n, 0, ("type2", n, nu_over_d.tobytes(), w.tobytes()),
+                          (-s2, 2.0 * x - nu_over_d * s2, None), rhs, shift, name, border=w)
 
 
 def elliptic_problem_data(kernel: CollisionKernel, c=None, b1=None) -> dict:

@@ -1,15 +1,30 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Each type carries the command-line exit code of its class and the label its
+message is reported under: 1 for usage and input errors (UsageError), 2 for
+an invariant that failed, 3 for a numeric or solver failure (the default).
+"""
 
 
 class FlockError(Exception):
     """Base class for all package errors."""
 
+    exit_code = 3
+    label = "numeric failure"
 
-class DomainError(FlockError, ValueError):
+
+class UsageError(FlockError, ValueError):
+    """Input the caller can correct: a usage error on the command line."""
+
+    exit_code = 1
+    label = "error"
+
+
+class DomainError(UsageError):
     """Argument outside its mathematical domain (e.g. mu not in [-1, 1])."""
 
 
-class ConfigError(FlockError, ValueError):
+class ConfigError(UsageError):
     """Invalid or inconsistent configuration (CLI flags, config file, kernels)."""
 
 
@@ -41,10 +56,13 @@ class SolverError(FlockError, RuntimeError):
 class InvariantError(FlockError, RuntimeError):
     """A structural invariant failed after convergence (indicates a bug)."""
 
+    exit_code = 2
+    label = "invariant violation"
 
-class FieldStateError(FlockError, ValueError):
+
+class FieldStateError(UsageError):
     """Discrete field state is invalid (non-unit orientation, negative density)."""
 
 
-class GridShapeError(FlockError, ValueError):
+class GridShapeError(UsageError):
     """Mismatched grid shapes between field arrays."""

@@ -87,12 +87,13 @@ def fd_solve(kernel: CollisionKernel, problem_type: int, alpha, f, m: int,
     closes the boundary fluxes naturally and no boundary condition is
     needed.  Type 2 imposes the zero-mean gauge through a bordered row.
 
-    For type-1 problems whose solution carries a (1-mu^2)^(k/2) factor, pass
-    reduced_order=k to run the same conservative flux-form scheme in the
-    substituted smooth variable (flux coefficient w (1-mu^2)^(k+1), plus the
-    exact zero-order term the substitution induces).  The returned values are
-    the full solution either way.  The substituted path restores clean
-    second-order accuracy that the raw variable loses at the endpoints.
+    Type 1 runs one conservative flux-form scheme in the substituted variable
+    u = g / (1-mu^2)^(k/2), k = reduced_order (flux coefficient
+    w (1-mu^2)^(k+1), plus the exact zero-order term the substitution
+    induces); k = 0 is the raw variable.  For solutions that carry a
+    (1-mu^2)^(k/2) factor, the substituted variable restores the clean
+    second-order accuracy the raw one loses at the endpoints.  The returned
+    values are the full solution either way.
     """
     if m < 100:
         raise PreconditionError(f"oracle resolution m must be >= 100, got {m}")
@@ -108,7 +109,6 @@ def fd_solve(kernel: CollisionKernel, problem_type: int, alpha, f, m: int,
     shift = float(max(lw_cell.max(), lw_face.max()))
     w_face = np.exp(lw_face - shift)
     w_cell = np.exp(lw_cell - shift)
-    cond = w_face * s2_face / dx**2  # conductances; zero at the domain ends
 
     f_vals = np.asarray(f(x), dtype=float) * w_cell
 
@@ -116,31 +116,21 @@ def fd_solve(kernel: CollisionKernel, problem_type: int, alpha, f, m: int,
         alpha_vals = np.asarray(alpha(x), dtype=float) * w_cell
         if not (alpha_vals.min() > 0):
             raise PreconditionError("alpha must be positive for the coercive problem")
+        # substituted variable u = g / (1-mu^2)^(k/2): conservative form
+        #   -d/dmu( w (1-mu^2)^(k+1) du/dmu ) + V u = f (1-mu^2)^(k/2-1)
+        # with V = (1-mu^2)^(k-1) (k w [s2 + (nu/d) mu s2 - k mu^2] + alpha);
+        # k = 0 is the raw variable, with the equation divided by (1-mu^2)
         k = int(reduced_order)
-        if k == 0:
-            # symmetric scaled form: divide the equation by (1-mu^2)
-            diag = cond[:-1] + cond[1:] + alpha_vals / s2
-            rhs = f_vals / s2
-            cvals = cond
-            post = None
-        else:
-            # substituted variable u = g / (1-mu^2)^(k/2): conservative form
-            #   -d/dmu( w (1-mu^2)^(k+1) du/dmu ) + V u = f (1-mu^2)^(k/2-1)
-            # with V = (1-mu^2)^(k-1) (k w [s2 + (nu/d) mu s2 - k mu^2] + alpha)
-            nu_over_d = np.asarray(kernel.nu(x), dtype=float) / kernel.d
-            cvals = w_face * s2_face ** (k + 1) / dx**2
-            V = s2 ** (k - 1) * (
-                k * w_cell * (s2 + nu_over_d * x * s2 - k * x * x) + alpha_vals)
-            diag = cvals[:-1] + cvals[1:] + V
-            rhs = f_vals * s2 ** (k / 2.0 - 1.0)
-            post = s2 ** (k / 2.0)
+        nu_over_d = np.asarray(kernel.nu(x), dtype=float) / kernel.d
+        cvals = w_face * s2_face ** (k + 1) / dx**2
+        V = s2 ** (k - 1) * (k * w_cell * (s2 + nu_over_d * x * s2 - k * x * x) + alpha_vals)
+        diag = cvals[:-1] + cvals[1:] + V
+        rhs = f_vals * s2 ** (k / 2.0 - 1.0)
         ab = np.zeros((3, m))
         ab[0, 1:] = -cvals[1:-1]
         ab[1] = diag
         ab[2, :-1] = -cvals[1:-1]
-        g = solve_banded((1, 1), ab, rhs)
-        if post is not None:
-            g = post * g
+        g = s2 ** (k / 2.0) * solve_banded((1, 1), ab, rhs)
         if not np.all(np.isfinite(g)):
             raise SolverError("finite-difference solve produced non-finite values")
         return DenseSolution(grid=grid, values=g,
@@ -158,6 +148,7 @@ def fd_solve(kernel: CollisionKernel, problem_type: int, alpha, f, m: int,
                 f"type-2 data must have zero mean; int f dmu = {fmean:.6e}")
         from scipy.sparse import bmat
 
+        cond = w_face * s2_face / dx**2  # conductances; zero at the domain ends
         A = diags(
             [-cond[1:-1], cond[:-1] + cond[1:], -cond[1:-1]],
             offsets=[-1, 0, 1], format="csr")

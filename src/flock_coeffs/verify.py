@@ -14,6 +14,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from . import fields
 from .coeffs import check_ordering, compute_coefficients, compute_r2_coeffs, run_pipeline
 from .elliptic import MuProfile, solve_gci
 from .fields import (
@@ -128,13 +129,13 @@ def _trivial_checks(report: VerificationReport):
     report.add("uniform_field_zero", "trivial", 1e-14,
                max(float(np.abs(r1f).max()), float(np.abs(r2f).max())))
 
+    # the field path's transverse projection, on component-major (3, 64) data
     rng = np.random.default_rng(0)
-    omega = rng.standard_normal((64, 3))
-    omega /= np.linalg.norm(omega, axis=1, keepdims=True)
-    X = rng.standard_normal((64, 3))
-    proj = lambda v: v - np.sum(v * omega, axis=1, keepdims=True) * omega
-    report.add("projection_idempotence", "trivial", 1e-14,
-               float(np.abs(proj(proj(X)) - proj(X)).max()))
+    omega = rng.standard_normal((3, 64))
+    omega /= np.linalg.norm(omega, axis=0)
+    once = fields._project_perp(omega, rng.standard_normal((3, 64)), np.empty((3, 64)))
+    twice = fields._project_perp(omega, once, np.empty((3, 64)))
+    report.add("projection_idempotence", "trivial", 1e-14, float(np.abs(twice - once).max()))
 
 
 def _pipeline_checks(report, kernel, kappa, n, oracle_m, seed):

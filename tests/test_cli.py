@@ -175,6 +175,17 @@ def test_coeffs_invariant_violation_exits_2(tmp_path, capsys, command, expected)
         assert len(list(out.glob("*.csv"))) == 8
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--field", "vortex"], "error: unknown field 'vortex'"),
+    (["--scheme-order", "4"], "error: order-4 stencil needs periodic extents"),
+], ids=["unknown-field", "order-4-small-grid"])
+def test_fields_domain_errors_are_usage_errors(tmp_path, capsys, argv, message):
+    code = run(["fields", "--grid", "4,4,4", "--nu", "const:1", "--d", "1",
+                "-o", str(tmp_path / "out"), *argv])
+    assert code == 1
+    assert message in capsys.readouterr().err
+
+
 def test_coeffs_numeric_failure_exits_3():
     # the weight spread 2/d is beyond what any quadrature rule resolves
     assert run(["coeffs", "--nu", "const:1", "--d", "1e-07", "--n", "32",

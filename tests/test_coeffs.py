@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import flock_coeffs.coeffs as coeffs_mod
+import flock_coeffs.fields as fields_mod
 import flock_coeffs.verify as verify_mod
 from flock_coeffs.coeffs import (
     beta_quadratic_form,
@@ -278,3 +279,21 @@ def test_full_verify_solves_three_profile_sets(monkeypatch, kappa):
     report = verify_mod.run_verification(kappa=kappa, n=32, oracle_m=2000)
     assert report.passed
     assert sorted(degrees) == [32, 32, 64]
+
+
+def test_projection_check_reads_the_field_projection(monkeypatch):
+    # the quick tier checks the field path's own projection: a map that is
+    # not idempotent (a half-strength projection) must fail it
+    def half(omega, vec, out):
+        along = vec[0] * omega[0] + vec[1] * omega[1] + vec[2] * omega[2]
+        for k in range(3):
+            out[k][...] = vec[k] - 0.5 * along * omega[k]
+        return out
+
+    def check():
+        report = verify_mod.run_verification(quick=True)
+        return next(c for c in report.checks if c.name == "projection_idempotence")
+
+    assert check().passed
+    monkeypatch.setattr(fields_mod, "_project_perp", half)
+    assert not check().passed

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from numpy.polynomial import legendre as npleg
 from numpy.polynomial import polynomial as nppoly
+from scipy.linalg.lapack import dgecon
 
 from flock_coeffs import elliptic
 from flock_coeffs.coeffs import run_pipeline
@@ -391,3 +392,41 @@ def test_factors_under_concurrent_first_use(even_kernel):
     assert len(rule.factors) == 1
     alone = solve_gci(even_kernel, 96, build_rule(200)).h.coef
     assert all(np.array_equal(g.h.coef, alone) for g in got)
+
+
+def test_singular_operator_errors_name_d(even_kernel):
+    base = build_rule(40)
+    rule = QuadratureRule(nodes=base.nodes, weights=np.zeros(base.n))
+    d = f"at d = {even_kernel.d:g}"
+    with pytest.raises(SolverError, match=f"singular discrete system {d}"):
+        solve_type1(even_kernel, ones, lambda mu: (1.0 - mu * mu) ** 1.5, 16,
+                    rule=rule, name="gci")
+    with pytest.raises(SolverError, match=f"singular discrete system {d}"):
+        solve_type2(even_kernel, lambda mu: 0.0 * mu, 16, rule=rule, name="b2")
+    with pytest.raises(PreconditionError, match=f"alpha must be positive .* {d}"):
+        solve_type1(even_kernel, lambda mu: mu, lambda mu: 0 * mu, 8)
+
+
+def test_condition_estimate_is_reproducible():
+    # LAPACK gecon's last bits move with the allocation state of the process;
+    # the estimate recorded in meta must not
+    kernel = constant_kernel(1.0, d=1.0)
+    rule = build_rule(300)
+    seen, junk = set(), []
+    for i in range(12):
+        rule.factors.clear()
+        seen.add(solve_gci(kernel, 256, rule=rule).h.meta["condition"])
+        junk.append(np.ones(1000 * (i % 5) + 7))
+        junk.extend(np.ones(13 * i + 1) for _ in range(i))
+    assert len(seen) == 1
+
+
+@pytest.mark.parametrize("d", [0.02, 1.0])
+def test_condition_estimate_matches_gecon(d):
+    # the same Hager-Higham iteration as LAPACK's, on the cached factors:
+    # gecon with unit norm returns 1 / (its estimate of ||A^-1||_1)
+    for kernel in registry_kernels(d=d):
+        for factors in run_pipeline(kernel, 64, 0.1).eq.rule.factors.values():
+            rcond = dgecon(factors.lu, 1.0)[0]
+            estimate = elliptic._inverse_norm1(factors.lu, factors.piv)
+            assert abs(estimate * rcond - 1.0) <= 1e-12
