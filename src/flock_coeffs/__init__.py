@@ -58,7 +58,6 @@ from .kernel import (
     make_kernel,
     registry_kernels,
     tabulated_kernel,
-    with_sigma_shift,
 )
 from .oracle import (
     DenseSolution,
@@ -73,7 +72,6 @@ from .oracle import (
 from .quad import (
     QuadratureRule,
     VonMisesEquilibrium,
-    average_M,
     average_weighted,
     build_equilibrium,
     build_rule,

@@ -409,14 +409,13 @@ def check_ordering(hydro: HydroCoefficients) -> None:
         raise InvariantError(f"expected c3 > 0, got {c3:.6e}")
 
 
-def compute_coefficients(kernel: CollisionKernel, n: int = 64, kappa: float = 0.0,
-                         strict: bool = True) -> HydroCoefficients:
+def compute_coefficients(kernel: CollisionKernel, n: int = 64,
+                         kappa: float = 0.0) -> HydroCoefficients:
     """The coefficient set of run_pipeline, without the solved stages.
 
-    `strict` checks the ordering 0 < c2 < c1 < 1 and c3 > 0.  beta > 0 is
-    checked whether or not `strict` is set (compute_r1_coeffs).
+    The ordering 0 < c2 < c1 < 1 and c3 > 0 is checked (check_ordering), as
+    is beta > 0 (compute_r1_coeffs).
     """
     hydro = run_pipeline(kernel, n, kappa).hydro
-    if strict:
-        check_ordering(hydro)
+    check_ordering(hydro)
     return hydro

@@ -11,7 +11,7 @@ constant produced by `compute_kappa`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -30,7 +30,6 @@ __all__ = [
     "tabulated_kernel",
     "make_kernel",
     "registry_kernels",
-    "with_sigma_shift",
     "ball_kernel",
     "gaussian_kernel",
     "radial_moment",
@@ -46,7 +45,7 @@ class CollisionKernel:
     Immutable after construction; safe to share between concurrent solves.
     `sigma` is the antiderivative of `nu` with sigma(0) = 0.  The additive
     constant of sigma is free (it cancels in every normalized average); the
-    zero anchor is a convention, see `with_sigma_shift`.
+    zero anchor is a convention.
     """
 
     nu: Callable[[np.ndarray], np.ndarray]
@@ -191,16 +190,6 @@ def registry_kernels(d=1.0):
         even_poly_kernel([1.0, 0.5], d=d),
         tabulated_kernel(mu, 1.0 + 0.25 * mu**2 + 0.1 * mu**4, d=d, degree=8),
     ]
-
-
-def with_sigma_shift(kernel: CollisionKernel, delta: float) -> CollisionKernel:
-    """Same kernel with sigma replaced by sigma + delta.
-
-    The shift changes no downstream coefficient (it scales the equilibrium
-    weight uniformly); exposed so that invariance is testable.
-    """
-    base = kernel.sigma
-    return replace(kernel, sigma=lambda mu, base=base: np.asarray(base(mu)) + delta)
 
 
 # --- spatial kernel and the nonlocality constant ------------------------------

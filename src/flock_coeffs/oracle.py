@@ -5,10 +5,6 @@ it checks:
 
   * fd_solve       second-order conservative finite differences on a dense
                    cell-centered grid, for both degenerate problems;
-  * assemble_type1_form / solve_type1_weighted
-                   the symmetric weighted Galerkin form of the coercive
-                   problem, a second spectral discretization beside the
-                   weight-divided one the pipeline solves;
   * mode_apply     exact application of the azimuthally reduced linearized
                    operator to a polynomial profile (the image of every solved
                    profile must reproduce its defining data);
@@ -38,8 +34,6 @@ __all__ = [
     "DenseSolution",
     "build_dense_grid",
     "fd_solve",
-    "assemble_type1_form",
-    "solve_type1_weighted",
     "ModeOperator",
     "mode_apply",
     "mode_residuals",
@@ -163,69 +157,6 @@ def fd_solve(kernel: CollisionKernel, problem_type: int, alpha, f, m: int,
                                    "multiplier": float(sol[m])})
 
     raise PreconditionError(f"problem_type must be 1 or 2, got {problem_type}")
-
-
-# --- symmetric weighted Galerkin form of the coercive problem --------------------
-
-def assemble_type1_form(kernel: CollisionKernel, alpha, n: int, sing_order: int = 1,
-                        rule=None):
-    """Discrete weighted bilinear form of the coercive problem (SPD matrix).
-
-    The weak form a(g, v) = int w (1-mu^2) g' v' + int alpha g v / (1-mu^2)
-    with g = (1-mu^2)^(k/2) u and v = (1-mu^2)^(k/2) p, assembled in the
-    reduced variable with the equilibrium weight rescaled by its maximum.
-    `alpha` is the weight-free ratio alpha/w, multiplied here by that
-    rescaled weight.  Returns (A, shift) with shift the log of that maximum.
-    """
-    k = int(sing_order)
-    if rule is None:
-        rule = build_rule(quadrature_size(kernel, n + k + 2))
-    x, qw = rule.nodes, rule.weights
-    s2 = 1.0 - x * x
-    lw = kernel.log_weight(x)
-    shift = float(lw.max())
-    w = np.exp(lw - shift)
-    alpha_vals = np.asarray(alpha(x), dtype=float) * w
-
-    # derivative columns by Clenshaw from legder, not the solvers' recurrence
-    V = npleg.legvander(x, n)
-    Vd = npleg.legval(x, npleg.legder(np.eye(n + 1), axis=0)).T
-    w_dd = qw * w * s2 ** (k + 1)
-    w_dm = qw * w * x * s2**k
-    w_mm = qw * w * (k * x) ** 2 * s2 ** (k - 1)
-    w_al = qw * alpha_vals * s2 ** (k - 1)
-    A = (
-        Vd.T @ (Vd * w_dd[:, None])
-        - k * (Vd.T @ (V * w_dm[:, None]) + V.T @ (Vd * w_dm[:, None]))
-        + V.T @ (V * w_mm[:, None])
-        + V.T @ (V * w_al[:, None])
-    )
-    return A, shift
-
-
-def solve_type1_weighted(kernel: CollisionKernel, alpha, f, n: int, sing_order: int = 1,
-                         rule=None) -> MuProfile:
-    """Reduced factor u of the coercive problem from the weighted form.
-
-    Same problem, data ratios and return convention as
-    `elliptic.solve_type1`, solved through `assemble_type1_form` instead of
-    the weight-divided system.  The weighted data underflow where the weight
-    is sharply peaked, so this is a reference for moderate d only.
-    """
-    k = int(sing_order)
-    if rule is None:
-        rule = build_rule(quadrature_size(kernel, n + k + 2))
-    x, qw = rule.nodes, rule.weights
-    A, shift = assemble_type1_form(kernel, alpha, n, k, rule)
-    f_vals = np.asarray(f(x), dtype=float) * np.exp(kernel.log_weight(x) - shift)
-    F = npleg.legvander(x, n).T @ (qw * f_vals * (1.0 - x * x) ** (k / 2.0 - 1.0))
-    u = np.linalg.solve(A, F)
-    if not np.all(np.isfinite(u)):
-        raise SolverError("weighted type-1 solve produced non-finite values")
-    linres = float(np.linalg.norm(A @ u - F) / (np.linalg.norm(F) + 1e-300))
-    return MuProfile.from_coef(rule, u, {"problem": "type1", "sing_order": k,
-                                         "degree": n, "linear_residual": linres,
-                                         "formulation": "weighted"})
 
 
 # --- azimuthally reduced operator application ----------------------------------

@@ -24,7 +24,6 @@ __all__ = [
     "VonMisesEquilibrium",
     "build_equilibrium",
     "quadrature_size",
-    "average_M",
     "average_weighted",
 ]
 
@@ -144,22 +143,23 @@ def build_equilibrium(kernel: CollisionKernel, n_quad: int | None = None) -> Von
     return VonMisesEquilibrium(kernel=kernel, rule=rule, weight=weight, shift=shift, mass=mass)
 
 
-def average_M(eq: VonMisesEquilibrium, g) -> float:
-    """<g(cos theta)> over the equilibrium probability distribution."""
-    return eq.average(g)
+# a weight whose integral is at most this fraction of its absolute mass is
+# treated as integrating to zero
+DEGENERATE_WEIGHT_RTOL = 1e-13
 
 
-def average_weighted(rule: QuadratureRule, g, h_weight, rtol: float = 1e-13) -> float:
+def average_weighted(rule: QuadratureRule, g, h_weight) -> float:
     """<g>_h = int g h dmu / int h dmu for a one-signed weight h.
 
     The sign of h cancels in the ratio.  Raises DegenerateWeightError when the
-    weight integrates to (numerical) zero relative to its absolute mass.
+    weight integrates to (numerical) zero relative to its absolute mass
+    (DEGENERATE_WEIGHT_RTOL).
     """
     gv = _values_on(rule, g)
     hv = _values_on(rule, h_weight)
     denom = float(rule.weights @ hv)
     scale = float(rule.weights @ np.abs(hv))
-    if scale == 0.0 or abs(denom) <= rtol * scale:
+    if scale == 0.0 or abs(denom) <= DEGENERATE_WEIGHT_RTOL * scale:
         raise DegenerateWeightError(
             f"weight integrates to {denom:.3e} against absolute mass {scale:.3e}"
         )

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,20 @@ def legendre_kernel():
     """Weightless kernel (sigma = 0) for operator-level solver tests."""
     return CollisionKernel(nu=_zeros, nu_prime=_zeros, sigma=_zeros,
                            d=1.0, nu_min=0.0, model="legendre-test")
+
+
+@pytest.fixture(scope="session")
+def with_sigma_shift():
+    """`with_sigma_shift(kernel, delta)`: the same kernel with sigma + delta.
+
+    The shift changes no downstream coefficient (it scales the equilibrium
+    weight uniformly), which the invariance tests check.
+    """
+    def shift(kernel, delta):
+        base = kernel.sigma
+        return replace(kernel, sigma=lambda mu: np.asarray(base(mu)) + delta)
+
+    return shift
 
 
 def _pipeline(kernel, n=64, kappa=0.1):

@@ -20,10 +20,10 @@ from flock_coeffs.coeffs import (
 from flock_coeffs.elliptic import elliptic_problem_data
 from flock_coeffs.errors import PreconditionError
 from flock_coeffs.kernel import (
+    affine_kernel,
     constant_kernel,
     even_poly_kernel,
     registry_kernels,
-    with_sigma_shift,
 )
 
 
@@ -102,9 +102,10 @@ def test_inconsistent_constants_rejected(pipeline_even):
 @pytest.mark.parametrize("d", D_SWEEP)
 def test_mass_diffusion_positive_all_kernels(d):
     # positivity is structural and holds at every noise level; the c ordering
-    # is a moderate-noise regime property, so it is not enforced here
+    # is a moderate-noise regime property, so run_pipeline (which does not
+    # check it) is used here
     for kernel in registry_kernels(d=d):
-        hydro = compute_coefficients(kernel, n=48, strict=False)
+        hydro = run_pipeline(kernel, 48, 0.0).hydro
         assert hydro.beta > 1e-12
 
 
@@ -185,7 +186,7 @@ def test_self_convergence_degree_doubling(even_kernel):
     assert np.max(np.abs(all_values(h64) - all_values(h128))) < 1e-9
 
 
-def test_sigma_shift_changes_nothing(even_kernel):
+def test_sigma_shift_changes_nothing(even_kernel, with_sigma_shift):
     h = compute_coefficients(even_kernel, n=48, kappa=0.1)
     h_shift = compute_coefficients(with_sigma_shift(even_kernel, 5.0), n=48, kappa=0.1)
     assert np.max(np.abs(all_values(h) - all_values(h_shift))) < 1e-12
@@ -279,6 +280,21 @@ def test_full_verify_solves_three_profile_sets(monkeypatch, kappa):
     report = verify_mod.run_verification(kappa=kappa, n=32, oracle_m=2000)
     assert report.passed
     assert sorted(degrees) == [32, 32, 64]
+
+
+def test_max_principle_check_reads_the_given_kernel():
+    # verify reports the kernel under test's max h from its n and 2n runs,
+    # right after the self-convergence check that makes the 2n run
+    kernel, n, kappa = affine_kernel(1.0, 0.3, d=0.5), 32, 0.1
+    report = verify_mod.run_verification(kernel=kernel, kappa=kappa, n=n, oracle_m=2000)
+    names = [c.name for c in report.checks]
+    check = report.checks[names.index("gci_max_principle")]
+    assert names[names.index("gci_max_principle") - 1] == "self_convergence"
+    assert check.value == max(run_pipeline(kernel, n, kappa).hydro.residuals["h_max"],
+                              compute_coefficients(kernel, n=2 * n,
+                                                   kappa=kappa).residuals["h_max"])
+    assert check.passed and check.tolerance == 1e-10
+    assert f"n={n}" in check.detail and f"{2 * n}" in check.detail
 
 
 def test_projection_check_reads_the_field_projection(monkeypatch):

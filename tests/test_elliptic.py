@@ -20,8 +20,7 @@ from flock_coeffs.elliptic import (
 )
 from flock_coeffs.errors import PreconditionError, SolverError
 from flock_coeffs.kernel import constant_kernel, registry_kernels
-from flock_coeffs.oracle import assemble_type1_form, solve_type1_weighted
-from flock_coeffs.quad import QuadratureRule, build_rule
+from flock_coeffs.quad import QuadratureRule, build_rule, quadrature_size
 
 
 def apply_type1_operator(kernel, alpha, u_coefs, k):
@@ -52,6 +51,63 @@ def apply_type1_operator(kernel, alpha, u_coefs, k):
 
 def ones(mu):
     return np.ones_like(np.asarray(mu, dtype=float))
+
+
+# --- symmetric weighted Galerkin form of the coercive problem --------------------
+# A second spectral discretization beside the weight-divided one the solvers
+# use, kept here as the reference the production formulation is compared with.
+
+def assemble_type1_form(kernel, alpha, n, sing_order=1, rule=None):
+    """Discrete weighted bilinear form of the coercive problem (SPD matrix).
+
+    The weak form a(g, v) = int w (1-mu^2) g' v' + int alpha g v / (1-mu^2)
+    with g = (1-mu^2)^(k/2) u and v = (1-mu^2)^(k/2) p, assembled in the
+    reduced variable with the equilibrium weight rescaled by its maximum.
+    `alpha` is the weight-free ratio alpha/w, multiplied here by that
+    rescaled weight.  Returns (A, shift) with shift the log of that maximum.
+    """
+    k = int(sing_order)
+    if rule is None:
+        rule = build_rule(quadrature_size(kernel, n + k + 2))
+    x, qw = rule.nodes, rule.weights
+    s2 = 1.0 - x * x
+    lw = kernel.log_weight(x)
+    shift = float(lw.max())
+    w = np.exp(lw - shift)
+    alpha_vals = np.asarray(alpha(x), dtype=float) * w
+
+    # derivative columns by Clenshaw from legder, not the solvers' recurrence
+    V = npleg.legvander(x, n)
+    Vd = npleg.legval(x, npleg.legder(np.eye(n + 1), axis=0)).T
+    w_dd = qw * w * s2 ** (k + 1)
+    w_dm = qw * w * x * s2**k
+    w_mm = qw * w * (k * x) ** 2 * s2 ** (k - 1)
+    w_al = qw * alpha_vals * s2 ** (k - 1)
+    A = (
+        Vd.T @ (Vd * w_dd[:, None])
+        - k * (Vd.T @ (V * w_dm[:, None]) + V.T @ (Vd * w_dm[:, None]))
+        + V.T @ (V * w_mm[:, None])
+        + V.T @ (V * w_al[:, None])
+    )
+    return A, shift
+
+
+def solve_type1_weighted(kernel, alpha, f, n, rule, sing_order=1):
+    """Reduced factor u of the coercive problem from the weighted form.
+
+    Same problem, data ratios and return convention as `solve_type1`, solved
+    on `rule` through `assemble_type1_form` instead of the weight-divided
+    system.  The weighted data underflow where the weight is sharply peaked,
+    so this is a reference for moderate d only.
+    """
+    k = int(sing_order)
+    x, qw = rule.nodes, rule.weights
+    A, shift = assemble_type1_form(kernel, alpha, n, k, rule)
+    f_vals = np.asarray(f(x), dtype=float) * np.exp(kernel.log_weight(x) - shift)
+    F = npleg.legvander(x, n).T @ (qw * f_vals * (1.0 - x * x) ** (k / 2.0 - 1.0))
+    u = np.linalg.solve(A, F)
+    assert np.all(np.isfinite(u)), "weighted type-1 solve produced non-finite values"
+    return MuProfile.from_coef(rule, u, {"formulation": "weighted"})
 
 
 def test_type1_zero_data_gives_zero(legendre_kernel):
@@ -198,11 +254,11 @@ def test_gci_self_convergence(const_kernel):
 
 
 def test_gci_formulations_agree(const_kernel):
-    # production (weight-divided) against the oracle's weighted form
+    # production (weight-divided) against the weighted form above
     for kernel in (const_kernel, *registry_kernels(d=0.5)):
         row = elliptic_problem_data(kernel)["gci"]
         ud = solve_type1(kernel, row["alpha"], row["f"], 64)
-        uw = solve_type1_weighted(kernel, row["alpha"], row["f"], 64, rule=ud.rule)
+        uw = solve_type1_weighted(kernel, row["alpha"], row["f"], 64, ud.rule)
         assert ud.meta["formulation"] == "divided"
         assert np.max(np.abs(uw.values - ud.values)) < 1e-9
 

@@ -16,7 +16,6 @@ from flock_coeffs.kernel import (
     parse_config,
     registry_kernels,
     tabulated_kernel,
-    with_sigma_shift,
 )
 from flock_coeffs.quad import build_rule
 
@@ -88,7 +87,7 @@ def test_tabulated_kernel_reproduces_samples():
     assert abs(float(k.sigma(0.0))) < 1e-14
 
 
-def test_sigma_shift_helper():
+def test_sigma_shift_helper(with_sigma_shift):
     k = constant_kernel(1.0)
     ks = with_sigma_shift(k, 3.0)
     assert float(ks.sigma(0.25)) == pytest.approx(float(k.sigma(0.25)) + 3.0)

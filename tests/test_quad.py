@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from flock_coeffs.errors import DegenerateWeightError, DomainError, NumericError
-from flock_coeffs.kernel import constant_kernel, with_sigma_shift
+from flock_coeffs.kernel import constant_kernel
 from flock_coeffs.quad import (
-    average_M,
     average_weighted,
     build_equilibrium,
     build_rule,
@@ -55,7 +54,7 @@ def test_zero_size_rule_rejected():
 
 def test_average_of_one_is_one(const_kernel):
     eq = build_equilibrium(const_kernel)
-    assert average_M(eq, lambda mu: np.ones_like(mu)) == pytest.approx(1.0, abs=1e-14)
+    assert eq.average(lambda mu: np.ones_like(mu)) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_normalization_constant_makes_unit_mass(even_kernel):
@@ -68,12 +67,12 @@ def test_normalization_constant_makes_unit_mass(even_kernel):
 @pytest.mark.parametrize("d", [0.05, 0.2, 1.0, 5.0])
 def test_mean_direction_cosine_matches_langevin(d):
     eq = build_equilibrium(constant_kernel(1.0, d=d))
-    assert average_M(eq, lambda mu: mu) == pytest.approx(langevin(1.0 / d), abs=1e-13)
+    assert eq.average(lambda mu: mu) == pytest.approx(langevin(1.0 / d), abs=1e-13)
 
 
 def test_weak_alignment_limit_is_symmetric():
     eq = build_equilibrium(constant_kernel(1.0, d=1e8))
-    assert abs(average_M(eq, lambda mu: mu)) < 1e-7
+    assert abs(eq.average(lambda mu: mu)) < 1e-7
 
 
 def test_average_weighted_normalization():
@@ -108,7 +107,7 @@ def test_nonfinite_integrand_reports_location():
     bad = np.ones(eq.rule.n)
     bad[eq.rule.n // 2] = np.nan
     with pytest.raises(NumericError, match="mu="):
-        average_M(eq, bad)
+        eq.average(bad)
 
 
 def test_bracket_self_convergence_on_doubling(even_kernel):
@@ -117,12 +116,12 @@ def test_bracket_self_convergence_on_doubling(even_kernel):
     v = {}
     for n in (160, 320):
         eq = build_equilibrium(even_kernel, n)
-        v[n] = average_M(eq, lambda mu: np.cos(3 * mu) * (1 + mu**4))
+        v[n] = eq.average(lambda mu: np.cos(3 * mu) * (1 + mu**4))
     assert abs(v[160] - v[320]) < 1e-12
 
 
-def test_average_invariant_under_sigma_shift(even_kernel):
+def test_average_invariant_under_sigma_shift(even_kernel, with_sigma_shift):
     eq = build_equilibrium(even_kernel, 200)
     eq_shift = build_equilibrium(with_sigma_shift(even_kernel, 7.0), 200)
     g = lambda mu: mu**3 - 0.2 * mu
-    assert average_M(eq, g) == pytest.approx(average_M(eq_shift, g), abs=1e-13)
+    assert eq.average(g) == pytest.approx(eq_shift.average(g), abs=1e-13)
