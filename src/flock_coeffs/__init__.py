@@ -20,7 +20,7 @@ from .coeffs import (
     run_pipeline,
     solve_profiles,
 )
-from .elliptic import FactoredProfile, GciSolution, MuProfile, solve_gci, solve_type1, solve_type2
+from .elliptic import GciSolution, MuProfile, solve_gci, solve_type1, solve_type2
 from .errors import (
     ConfigError,
     DegenerateWeightError,
@@ -60,8 +60,6 @@ from .kernel import (
     tabulated_kernel,
 )
 from .oracle import (
-    DenseSolution,
-    ModeOperator,
     compare_spectral_fd,
     fd_solve,
     gci_orthogonality,

@@ -36,7 +36,7 @@ class _Parser(argparse.ArgumentParser):
     # reserves 2 for invariant failures, so remap to 1
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise SystemExit(EXIT_USAGE)
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
 def _build_parser():
@@ -102,8 +102,6 @@ def _merged_config(args):
         if params:
             cfg["nu.params"] = params
     if args.d is not None:
-        if args.d <= 0:
-            raise ConfigError(f"d must be positive, got {args.d}")
         cfg["d"] = str(args.d)
     if args.kappa is not None:
         cfg["kappa"] = str(args.kappa)
@@ -181,9 +179,19 @@ def cmd_profiles(args) -> int:
 
     pipe = run_pipeline(kernel, n, kappa)
     gci, profiles = pipe.gci, pipe.profiles
+
+    def dump(name, prof, values, sing_order=0):
+        rows = "\n".join(f"{m:.17g},{v:.17g}" for m, v in zip(prof.rule.nodes, values))
+        (outdir / f"{name}.csv").write_text("mu,value\n" + rows + "\n")
+        sidecar = {"coefficients": list(prof.coef), "sing_order": sing_order,
+                   "meta": prof.meta}
+        (outdir / f"{name}.json").write_text(json.dumps(sidecar, indent=2) + "\n")
+
+    # the full invariant profile g = sqrt(1-mu^2) h, with h's coefficients
+    h = gci.h
+    dump("g", h, (1.0 - h.rule.nodes**2) ** 0.5 * h.values, sing_order=1)
     dumps = {
-        "g": gci.g,
-        "h": gci.h,
+        "h": h,
         "h_prime": gci.h_prime,
         "a_perp": profiles.a_perp,
         "a_par": profiles.a_par,
@@ -192,26 +200,16 @@ def cmd_profiles(args) -> int:
         "b_par": profiles.b_par,
     }
     for name, prof in dumps.items():
-        base = getattr(prof, "base", prof)
-        nodes = base.rule.nodes
-        values = prof.values
-        rows = "\n".join(f"{m:.17g},{v:.17g}" for m, v in zip(nodes, values))
-        (outdir / f"{name}.csv").write_text("mu,value\n" + rows + "\n")
-        sidecar = {
-            "coefficients": list(base.coef),
-            "sing_order": getattr(prof, "sing_order", 0),
-            "meta": base.meta,
-        }
-        (outdir / f"{name}.json").write_text(json.dumps(sidecar, indent=2) + "\n")
-    sys.stdout.write(f"wrote {len(dumps)} profiles to {outdir}\n")
+        dump(name, prof, prof.values)
+    sys.stdout.write(f"wrote {len(dumps) + 1} profiles to {outdir}\n")
     return EXIT_OK
 
 
-def _parse_triplet(text, what):
+def _parse_triplet(text, what, kind=float):
     try:
-        parts = tuple(float(v) for v in text.split(","))
+        parts = tuple(kind(v) for v in text.split(","))
     except ValueError:
-        raise ConfigError(f"bad {what}: {text!r}")
+        raise ConfigError(f"bad {what}: {text!r} is not three {kind.__name__} values")
     if len(parts) != 3:
         raise ConfigError(f"{what} needs three comma-separated values")
     return parts
@@ -222,7 +220,7 @@ def cmd_fields(args) -> int:
     if args.input:
         state = load_field_csv(args.input)
     else:
-        shape = tuple(int(v) for v in _parse_triplet(args.grid, "--grid"))
+        shape = _parse_triplet(args.grid, "--grid", int)
         lengths = _parse_triplet(args.lengths, "--lengths") if args.lengths else None
         params = {}
         for item in args.param:

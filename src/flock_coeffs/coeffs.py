@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .elliptic import GciSolution, MuProfile, elliptic_problem_data, solve_gci, solve_problem
-from .errors import InvariantError
+from .errors import DomainError, InvariantError
 from .kernel import CollisionKernel
 from .quad import (
     VonMisesEquilibrium,
@@ -151,8 +151,7 @@ def profile_moment_residuals(profiles: ProfileSet, eq: VonMisesEquilibrium) -> d
     }
 
 
-def compute_r1_coeffs(kernel: CollisionKernel, profiles: ProfileSet,
-                      eq: VonMisesEquilibrium):
+def compute_r1_coeffs(profiles: ProfileSet, eq: VonMisesEquilibrium):
     """Mass-equation correction coefficients (beta, gamma).
 
     Same brackets as the gauge relations but with an extra cos(theta) factor.
@@ -352,7 +351,7 @@ def compute_r2_coeffs(kernel: CollisionKernel, gci: GciSolution,
 
     zeta = prefactor * (lpp[1:] + ep[1:] + xslots[1:])
 
-    beta, gamma = compute_r1_coeffs(kernel, profiles, eq)
+    beta, gamma = compute_r1_coeffs(profiles, eq)
     return HydroCoefficients(
         c1=c[0], c2=c[1], c3=c[2], beta=beta, gamma=gamma, zeta=zeta,
         kappa=float(kappa), d=kernel.d, n=int(n),
@@ -378,8 +377,10 @@ def run_pipeline(kernel: CollisionKernel, n: int, kappa: float) -> Pipeline:
     One shared quadrature rule (sized for the kernel's weight) is used for
     the solves and every bracket, so the consistency residuals recorded on
     the coefficient set sit at rounding level.  The ordering of the constants
-    is not checked here (see check_ordering).
+    is not checked here (see check_ordering); kappa must be finite.
     """
+    if not np.isfinite(kappa):
+        raise DomainError(f"nonlocality constant kappa must be finite, got {kappa}")
     eq = build_equilibrium(kernel, quadrature_size(kernel, n + 10))
     gci = solve_gci(kernel, n, rule=eq.rule)
     c = compute_c123(kernel, gci, eq)

@@ -21,8 +21,8 @@ coefficients and bounded data alpha/w and f/w, which the solvers take as
 given (the six problems of the pipeline are stated once, in that form, by
 `elliptic_problem_data`), so no unshifted exp(sigma/d) is formed and the
 system stays well conditioned however sharply the equilibrium weight peaks.
-The symmetric weighted Galerkin form lives in `oracle` as an independent
-discretization.
+The symmetric weighted Galerkin form lives in `tests/test_elliptic.py` as an
+independent discretization.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ from .quad import QuadratureRule, build_rule, quadrature_size
 
 __all__ = [
     "MuProfile",
-    "FactoredProfile",
     "GciSolution",
     "solve_type1",
     "solve_type2",
@@ -94,43 +93,14 @@ class MuProfile:
 
 
 @dataclass
-class FactoredProfile:
-    """(1-mu^2)^(sing_order/2) times a polynomial.
-
-    Exact representation for solutions that vanish algebraically at the
-    endpoints; never forms the singular quotient numerically.
-    """
-
-    base: MuProfile
-    sing_order: int
-
-    def __call__(self, mu):
-        mu = np.asarray(mu, dtype=float)
-        return (1.0 - mu * mu) ** (self.sing_order / 2.0) * self.base(mu)
-
-    @property
-    def nodes(self):
-        return self.base.rule.nodes
-
-    @property
-    def values(self):
-        s2 = 1.0 - self.nodes**2
-        return s2 ** (self.sing_order / 2.0) * self.base.values
-
-    @property
-    def meta(self):
-        return self.base.meta
-
-
-@dataclass
 class GciSolution:
     """Orientational-invariant profile: g = sqrt(1-mu^2) h with h <= 0.
 
-    h is the smooth factor (a true polynomial profile); h_prime its spectral
-    derivative; g the factored full solution.
+    h is the smooth factor (a true polynomial profile) and h_prime its
+    spectral derivative; the full solution g is never stored, and callers
+    that need it form sqrt(1-mu^2) h from h.
     """
 
-    g: FactoredProfile
     h: MuProfile
     h_prime: MuProfile
 
@@ -353,7 +323,7 @@ def solve_type1(kernel: CollisionKernel, alpha, f, n: int, *, sing_order: int = 
     (Petrov-Galerkin), and the pointwise residual of the divided equation,
     with one more factor 1/(1-mu^2) so that the endpoint degeneracy does not
     flatter it, is recorded in `meta["residual"]`.  The symmetric weighted
-    Galerkin form is kept in `oracle` as an independent check.
+    Galerkin form is kept in `tests/test_elliptic.py` as an independent check.
 
     The operator depends only on (n, k, alpha/w, nu/d), so it is assembled
     and LU-factored once per rule and kept in `rule.factors`, keyed by those
@@ -492,4 +462,4 @@ def solve_gci(kernel: CollisionKernel, n: int,
         raise InvariantError(
             f"maximum principle violated: invariant profile reaches {hmax:.3e} > 0"
         )
-    return GciSolution(g=FactoredProfile(h, 1), h=h, h_prime=h.derivative())
+    return GciSolution(h=h, h_prime=h.derivative())

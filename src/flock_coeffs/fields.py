@@ -59,8 +59,8 @@ class Grid:
             raise GridShapeError("grid is three-dimensional: shape and spacing of length 3")
         if any(s < 1 for s in self.shape):
             raise GridShapeError(f"bad grid shape {self.shape}")
-        if any(h <= 0 for h in self.spacing):
-            raise GridShapeError(f"grid spacing must be positive, got {self.spacing}")
+        if not all(0 < h < math.inf for h in self.spacing):  # also rejects NaN
+            raise GridShapeError(f"grid spacing must be positive and finite, got {self.spacing}")
 
     @property
     def lengths(self):
@@ -688,7 +688,7 @@ def _slabs(state, order):
 
 def evaluate_corrections(state: FieldState, coeffs, scheme_order: int = 2,
                          eps: float = 1.0) -> CorrectionFields:
-    """Both corrections, scaled by the scale-ratio eps used for reporting.
+    """Both corrections, scaled by the (finite) scale-ratio eps used for reporting.
 
     The state checks run once on the whole grid.  Then the grid is streamed
     in slabs of whole planes along axis 0, about SLAB_CELLS cells each,
@@ -701,6 +701,8 @@ def evaluate_corrections(state: FieldState, coeffs, scheme_order: int = 2,
     in decompose_gradients, evaluate_r1 and, for eps = 1, evaluate_r2, so
     the result does not depend on the slab size.
     """
+    if not math.isfinite(eps):
+        raise DomainError(f"eps must be finite, got {eps}")
     rho_min = _check_state(state, scheme_order)
     beta, gamma = coeffs.beta, coeffs.gamma
     zeta = _zeta_vector(coeffs) * eps

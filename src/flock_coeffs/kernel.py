@@ -57,8 +57,8 @@ class CollisionKernel:
     params: tuple = ()
 
     def __post_init__(self):
-        if not self.d > 0:
-            raise ConfigError(f"noise constant d must be positive, got {self.d}")
+        if not 0 < self.d < math.inf:  # also rejects NaN
+            raise ConfigError(f"noise constant d must be positive and finite, got {self.d}")
 
     def log_weight(self, mu):
         """sigma(mu)/d, the log of the orientational equilibrium weight."""

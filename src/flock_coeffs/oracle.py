@@ -1,13 +1,16 @@
 """Independent brute-force checks for the spectral pipeline.
 
 Three tools, each deliberately on a different discretization than the thing
-it checks:
+it checks, each a plain function of the kernel and the values it checks:
 
-  * fd_solve       second-order conservative finite differences on a dense
-                   cell-centered grid, for both degenerate problems;
-  * mode_apply     exact application of the azimuthally reduced linearized
-                   operator to a polynomial profile (the image of every solved
-                   profile must reproduce its defining data);
+  * fd_solve(kernel, problem_type, alpha, f, m)
+                   second-order conservative finite differences on a dense
+                   cell-centered grid of m cells strictly inside (-1, 1), for
+                   both degenerate problems; returns (nodes, values);
+  * mode_apply(kernel, k, profile)
+                   exact application of the azimuthally reduced linearized
+                   operator of mode k >= 0 to a polynomial profile (the image
+                   of every solved profile must reproduce its defining data);
   * gci_orthogonality / source_orthogonality
                    direct 2D sphere quadrature of the invariance property
                    that defines the orientational collision invariant.
@@ -15,12 +18,10 @@ it checks:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from numpy.polynomial import legendre as npleg
 from scipy.linalg import solve_banded
-from scipy.sparse import csc_matrix, diags
+from scipy.sparse import bmat, csc_matrix, diags
 from scipy.sparse.linalg import splu
 
 from .coeffs import ProfileSet
@@ -30,11 +31,7 @@ from .kernel import CollisionKernel
 from .quad import VonMisesEquilibrium, build_rule, quadrature_size
 
 __all__ = [
-    "DenseGrid1D",
-    "DenseSolution",
-    "build_dense_grid",
     "fd_solve",
-    "ModeOperator",
     "mode_apply",
     "mode_residuals",
     "gci_orthogonality",
@@ -45,33 +42,12 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class DenseGrid1D:
-    """Cell-centered uniform grid strictly inside (-1, 1)."""
-
-    m: int
-    nodes: np.ndarray
-    spacing: float
-
-
-@dataclass
-class DenseSolution:
-    grid: DenseGrid1D
-    values: np.ndarray
-    meta: dict
-
-
-def build_dense_grid(m: int) -> DenseGrid1D:
-    if m < 2:
-        raise PreconditionError(f"dense grid needs m >= 2, got {m}")
-    spacing = 2.0 / m
-    nodes = -1.0 + (np.arange(m) + 0.5) * spacing
-    return DenseGrid1D(m=m, nodes=nodes, spacing=spacing)
-
-
 def fd_solve(kernel: CollisionKernel, problem_type: int, alpha, f, m: int,
-             reduced_order: int = 0) -> DenseSolution:
+             reduced_order: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Conservative second-order solve of either degenerate problem.
+
+    Returns the nodes of the m-cell cell-centered grid strictly inside
+    (-1, 1) and the solution values there.
 
     `alpha` and `f` are the weight-free ratios alpha/w and f/w that the
     spectral solvers take (`alpha` is unused for type 2); this weighted
@@ -91,9 +67,8 @@ def fd_solve(kernel: CollisionKernel, problem_type: int, alpha, f, m: int,
     """
     if m < 100:
         raise PreconditionError(f"oracle resolution m must be >= 100, got {m}")
-    grid = build_dense_grid(m)
-    x = grid.nodes
-    dx = grid.spacing
+    dx = 2.0 / m
+    x = -1.0 + (np.arange(m) + 0.5) * dx
     faces = -1.0 + np.arange(m + 1) * dx
     s2_face = 1.0 - faces * faces
     s2 = 1.0 - x * x
@@ -127,9 +102,7 @@ def fd_solve(kernel: CollisionKernel, problem_type: int, alpha, f, m: int,
         g = s2 ** (k / 2.0) * solve_banded((1, 1), ab, rhs)
         if not np.all(np.isfinite(g)):
             raise SolverError("finite-difference solve produced non-finite values")
-        return DenseSolution(grid=grid, values=g,
-                             meta={"problem": "type1", "weight_shift": shift,
-                                   "reduced_order": k})
+        return x, g
 
     if problem_type == 2:
         # high-order check of the solvability condition (midpoint sums are
@@ -140,41 +113,25 @@ def fd_solve(kernel: CollisionKernel, problem_type: int, alpha, f, m: int,
         if not abs(fmean) < 1e-10:  # also rejects non-finite data
             raise PreconditionError(
                 f"type-2 data must have zero mean; int f dmu = {fmean:.6e}")
-        from scipy.sparse import bmat
-
         cond = w_face * s2_face / dx**2  # conductances; zero at the domain ends
         A = diags(
             [-cond[1:-1], cond[:-1] + cond[1:], -cond[1:-1]],
             offsets=[-1, 0, 1], format="csr")
         col = csc_matrix(np.full((m, 1), dx))
         K = bmat([[A, col], [col.T, None]], format="csc")
-        sol = splu(K).solve(np.concatenate([f_vals, [0.0]]))
-        g = sol[:m]
+        g = splu(K).solve(np.concatenate([f_vals, [0.0]]))[:m]
         if not np.all(np.isfinite(g)):
             raise SolverError("finite-difference solve produced non-finite values")
-        return DenseSolution(grid=grid, values=g,
-                             meta={"problem": "type2", "weight_shift": shift,
-                                   "multiplier": float(sol[m])})
+        return x, g
 
     raise PreconditionError(f"problem_type must be 1 or 2, got {problem_type}")
 
 
 # --- azimuthally reduced operator application ----------------------------------
 
-@dataclass(frozen=True)
-class ModeOperator:
-    """Linearized operator restricted to azimuthal mode k about the mean direction."""
-
-    kernel: CollisionKernel
-    k: int
-
-    def __post_init__(self):
-        if self.k < 0:
-            raise PreconditionError(f"mode index must be nonnegative, got {self.k}")
-
-
-def mode_apply(op: ModeOperator, profile: MuProfile) -> MuProfile:
-    """Image of the mode-k operator on M * (1-mu^2)^(k/2) u(mu) * exp(i k phi).
+def mode_apply(kernel: CollisionKernel, k: int, profile: MuProfile) -> MuProfile:
+    """Image of the linearized operator restricted to azimuthal mode k >= 0
+    about the mean direction, on M * (1-mu^2)^(k/2) u(mu) * exp(i k phi).
 
     `profile` is the reduced factor u.  The returned profile is the image
     with the common factor -M (1-mu^2)^(k/2) exp(i k phi) removed, i.e. the
@@ -186,8 +143,8 @@ def mode_apply(op: ModeOperator, profile: MuProfile) -> MuProfile:
     The (1-mu^2)^(-1) prefactor of the raw reduction never appears: it is
     cancelled analytically against the factor carried by the profile.
     """
-    k = op.k
-    kernel = op.kernel
+    if k < 0:
+        raise PreconditionError(f"mode index must be nonnegative, got {k}")
     rule = profile.rule
     x = rule.nodes
     s2 = 1.0 - x * x
@@ -205,14 +162,14 @@ def mode_apply(op: ModeOperator, profile: MuProfile) -> MuProfile:
         bad = x[~np.isfinite(image)][0]
         raise SolverError(f"mode image overflowed near mu = {bad:.6f}")
     degree = min(profile.degree + 28, rule.n - 2)
-    return _project_values(rule, image, degree, meta={"mode": k})
+    return _project_values(rule, image, degree)
 
 
-def _project_values(rule, values, degree, meta=None):
+def _project_values(rule, values, degree):
     V = npleg.legvander(rule.nodes, degree)
     scale = (2 * np.arange(degree + 1) + 1) / 2.0
     coef = scale * (V.T @ (rule.weights * values))
-    return MuProfile.from_coef(rule, coef, meta or {})
+    return MuProfile.from_coef(rule, coef)
 
 
 def mode_residuals(kernel: CollisionKernel, c, gci: GciSolution,
@@ -254,7 +211,7 @@ def mode_residuals(kernel: CollisionKernel, c, gci: GciSolution,
     ]
     out = {}
     for name, k, prof, expected in cases:
-        image = mode_apply(ModeOperator(kernel, k), prof)
+        image = mode_apply(kernel, k, prof)
         want = expected(prof.rule.nodes)
         scale = float(np.max(np.abs(want))) or 1.0
         out[name] = float(np.max(np.abs(image.values - want)) / scale)
@@ -273,8 +230,7 @@ def _sphere_grid(eq: VonMisesEquilibrium, n_phi: int):
 
 
 def gci_orthogonality(kernel: CollisionKernel, gci: GciSolution, trial: MuProfile,
-                      k: int, parity: str, eq: VonMisesEquilibrium,
-                      n_phi: int | None = None) -> float:
+                      k: int, parity: str, eq: VonMisesEquilibrium) -> float:
     """| int L(phi_trial) . psi domega | for a mode-k trial perturbation.
 
     The trial is the reduced factor u of M (1-mu^2)^(k/2) u(mu) trig(k phi).
@@ -282,14 +238,12 @@ def gci_orthogonality(kernel: CollisionKernel, gci: GciSolution, trial: MuProfil
     trials first (`project_trial_k1`).  The integral is evaluated by full 2D
     tensor quadrature, not by the azimuthal shortcut.
     """
-    if n_phi is None:
-        n_phi = max(16, 4 * (k + 2))
-    mu, wmu, phi, wphi = _sphere_grid(eq, n_phi)
+    mu, wmu, phi, wphi = _sphere_grid(eq, max(16, 4 * (k + 2)))
     s = np.sqrt(1.0 - mu * mu)
     m_norm = eq.weight / (2.0 * np.pi * eq.mass)  # probability-normalized weight
 
     trig = np.cos(k * phi) if parity == "cos" else np.sin(k * phi)
-    image = mode_apply(ModeOperator(kernel, k), trial)(mu)
+    image = mode_apply(kernel, k, trial)(mu)
     # L(phi_trial)(mu, phi) = -M s^k image(mu) trig(k phi)
     lmu = -m_norm * s**k * image
 
@@ -304,8 +258,7 @@ def gci_orthogonality(kernel: CollisionKernel, gci: GciSolution, trial: MuProfil
     return float(np.hypot(comp1, comp2))
 
 
-def trial_norm(kernel: CollisionKernel, trial: MuProfile, k: int,
-               eq: VonMisesEquilibrium) -> float:
+def trial_norm(trial: MuProfile, k: int, eq: VonMisesEquilibrium) -> float:
     """Natural norm of the trial perturbation M (1-mu^2)^(k/2) u trig(k phi).
 
     Weighted L2 norm with weight 1/M, the space the linearized operator acts
@@ -319,7 +272,7 @@ def trial_norm(kernel: CollisionKernel, trial: MuProfile, k: int,
     return float(np.sqrt(phi_weight * (eq.rule.weights @ vals)))
 
 
-def project_trial_k1(kernel: CollisionKernel, gci: GciSolution, trial: MuProfile,
+def project_trial_k1(gci: GciSolution, trial: MuProfile,
                      eq: VonMisesEquilibrium) -> MuProfile:
     """Remove the flux component from a mode-1 trial (reduced factor).
 
@@ -342,7 +295,7 @@ def project_trial_k1(kernel: CollisionKernel, gci: GciSolution, trial: MuProfile
 
 
 def source_orthogonality(kernel: CollisionKernel, gci: GciSolution, c,
-                         eq: VonMisesEquilibrium, n_phi: int = 24) -> dict:
+                         eq: VonMisesEquilibrium) -> dict:
     """Direct quadrature of the admissibility of the four gradient sources.
 
     Every component of each source family must integrate to zero against the
@@ -350,7 +303,7 @@ def source_orthogonality(kernel: CollisionKernel, gci: GciSolution, c,
     pipeline uses analytically.  Returns name -> worst normalized defect.
     """
     c1, c2, c3 = c
-    mu, wmu, phi, wphi = _sphere_grid(eq, n_phi)
+    mu, wmu, phi, wphi = _sphere_grid(eq, 24)
     MU, PHI = np.meshgrid(mu, phi, indexing="ij")
     W2 = np.outer(wmu, wphi)
     S = np.sqrt(1.0 - MU * MU)
@@ -399,11 +352,9 @@ def compare_spectral_fd(kernel: CollisionKernel, c, gci: GciSolution,
     out = {}
     for name, spec in probs.items():
         k, reduced = spec["sing_order"], spectral[name]
-        dense = fd_solve(kernel, spec["ptype"], spec["alpha"], spec["f"], m,
-                         reduced_order=k)
-        x = dense.grid.nodes
+        x, g_dense = fd_solve(kernel, spec["ptype"], spec["alpha"], spec["f"], m,
+                              reduced_order=k)
         g_spec = (1.0 - x * x) ** (k / 2.0) * reduced(x)
-        g_dense = dense.values
         if spec["ptype"] == 2:
             g_spec = g_spec - g_spec.mean()
             g_dense = g_dense - g_dense.mean()

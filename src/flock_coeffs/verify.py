@@ -164,11 +164,10 @@ def _pipeline_checks(report, kernel, kappa, n, oracle_m, seed):
     for k_mode, parity in ((0, "cos"), (2, "cos"), (2, "sin")):
         trial = MuProfile.from_coef(eq.rule, rng.standard_normal(7))
         worst = max(worst, gci_orthogonality(kernel, gci, trial, k_mode, parity, eq)
-                    / trial_norm(kernel, trial, k_mode, eq))
-    trial = project_trial_k1(kernel, gci,
-                             MuProfile.from_coef(eq.rule, rng.standard_normal(7)), eq)
+                    / trial_norm(trial, k_mode, eq))
+    trial = project_trial_k1(gci, MuProfile.from_coef(eq.rule, rng.standard_normal(7)), eq)
     worst = max(worst, gci_orthogonality(kernel, gci, trial, 1, "cos", eq)
-                / trial_norm(kernel, trial, 1, eq))
+                / trial_norm(trial, 1, eq))
     report.add("gci_orthogonality", "full", 1e-8, worst)
     report.add("source_orthogonality", "full", 1e-8,
                max(source_orthogonality(kernel, gci, c, eq).values()))

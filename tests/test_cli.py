@@ -56,8 +56,10 @@ def test_coeffs_zero_steps_is_usage_error(capsys):
     assert code == 1
 
 
-def test_bad_flag_is_usage_error():
+def test_bad_flag_is_usage_error(capsys):
     assert run(["coeffs", "--no-such-flag"]) == 1
+    assert ("flock-coeffs: error: unrecognized arguments: --no-such-flag"
+            in capsys.readouterr().err)
     assert run(["coeffs", "--config", "/nonexistent/path.conf"]) == 1
 
 
@@ -73,6 +75,14 @@ def test_config_file_with_flag_precedence(tmp_path):
     assert payload["kappa"] == 0.2  # file survives where no flag given
 
 
+def test_config_file_non_finite_kappa_is_usage_error(tmp_path, capsys):
+    conf = tmp_path / "run.conf"
+    conf.write_text("nu.model = const\nd = 1\nkappa = nan\n")
+    assert run(["coeffs", "--config", str(conf), "-o", str(tmp_path / "out.csv")]) == 1
+    assert "kappa must be finite, got nan" in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()
+
+
 def test_profiles_dump_nonpositive_invariant(tmp_path):
     outdir = tmp_path / "nested" / "profiles"  # created on demand
     code = run(["profiles", "--nu", "const:1", "--d", "1", "--n", "64",
@@ -84,7 +94,14 @@ def test_profiles_dump_nonpositive_invariant(tmp_path):
     assert values.max() <= 1e-10
     sidecar = json.loads((outdir / "h.json").read_text())
     assert sidecar["meta"]["residual"] < 1e-8
-    assert json.loads((outdir / "g.json").read_text())["sing_order"] == 1
+    g_sidecar = json.loads((outdir / "g.json").read_text())
+    assert g_sidecar["sing_order"] == 1
+    assert g_sidecar["coefficients"] == sidecar["coefficients"]
+    # g = sqrt(1-mu^2) h, value for value and bit for bit
+    h_rows = np.loadtxt(outdir / "h.csv", delimiter=",", skiprows=1)
+    g_rows = np.loadtxt(outdir / "g.csv", delimiter=",", skiprows=1)
+    assert np.array_equal(g_rows[:, 0], h_rows[:, 0])
+    assert np.array_equal(g_rows[:, 1], (1.0 - h_rows[:, 0] ** 2) ** 0.5 * h_rows[:, 1])
 
 
 def test_profiles_self_convergence_across_degrees(tmp_path):
@@ -178,7 +195,15 @@ def test_coeffs_invariant_violation_exits_2(tmp_path, capsys, command, expected)
 @pytest.mark.parametrize("argv, message", [
     (["--field", "vortex"], "error: unknown field 'vortex'"),
     (["--scheme-order", "4"], "error: order-4 stencil needs periodic extents"),
-], ids=["unknown-field", "order-4-small-grid"])
+    (["--scheme-order", "3"], "error: argument --scheme-order: invalid choice"),
+    (["--grid", "8.7,8,8"], "error: bad --grid: '8.7,8,8'"),
+    (["--grid", "1e400,8,8"], "error: bad --grid: '1e400,8,8'"),
+    (["--grid", "nan,8,8"], "error: bad --grid: 'nan,8,8'"),
+    (["--lengths", "nan,1,1"], "error: grid spacing must be positive and finite"),
+    (["--eps", "nan"], "error: eps must be finite, got nan"),
+    (["--kappa", "nan"], "error: nonlocality constant kappa must be finite, got nan"),
+], ids=["unknown-field", "order-4-small-grid", "scheme-order-3", "fractional-grid",
+        "overflowing-grid", "nan-grid", "nan-lengths", "nan-eps", "nan-kappa"])
 def test_fields_domain_errors_are_usage_errors(tmp_path, capsys, argv, message):
     code = run(["fields", "--grid", "4,4,4", "--nu", "const:1", "--d", "1",
                 "-o", str(tmp_path / "out"), *argv])
@@ -247,5 +272,7 @@ def test_invalid_degree_rejected():
     assert run(["coeffs", "--nu", "const:1", "--d", "1", "--n", "4"]) == 1
 
 
-def test_nonpositive_d_rejected():
-    assert run(["coeffs", "--nu", "const:1", "--d", "-1"]) == 1
+@pytest.mark.parametrize("d", ["-1", "inf"])
+def test_nonpositive_d_rejected(capsys, d):
+    assert run(["coeffs", "--nu", "const:1", "--d", d]) == 1
+    assert "d must be positive" in capsys.readouterr().err

@@ -121,7 +121,7 @@ def test_beta_continuous_in_noise():
 
 def test_beta_dirichlet_route(pipeline_const, pipeline_even):
     for p in (pipeline_const, pipeline_even):
-        beta, _ = compute_r1_coeffs(p["kernel"], p["profiles"], p["eq"])
+        beta, _ = compute_r1_coeffs(p["profiles"], p["eq"])
         assert abs(beta_quadratic_form(p["kernel"], p["profiles"], p["eq"]) - beta) < 1e-8
 
 

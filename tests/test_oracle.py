@@ -4,8 +4,6 @@ import pytest
 from flock_coeffs.elliptic import MuProfile, elliptic_problem_data
 from flock_coeffs.errors import PreconditionError
 from flock_coeffs.oracle import (
-    ModeOperator,
-    build_dense_grid,
     compare_spectral_fd,
     fd_solve,
     gci_orthogonality,
@@ -17,30 +15,30 @@ from flock_coeffs.oracle import (
 )
 
 
-def test_dense_grid_strictly_interior():
-    grid = build_dense_grid(500)
-    assert grid.nodes.min() > -1.0
-    assert grid.nodes.max() < 1.0
-    assert np.allclose(np.diff(grid.nodes), grid.spacing)
+def test_dense_grid_strictly_interior(legendre_kernel):
+    nodes, _ = fd_solve(legendre_kernel, 2, None, lambda mu: 0.0 * mu, 500)
+    assert nodes.min() > -1.0
+    assert nodes.max() < 1.0
+    assert np.allclose(np.diff(nodes), 2.0 / 500)
 
 
 def test_fd_zero_data(legendre_kernel):
-    sol = fd_solve(legendre_kernel, 2, None, lambda mu: 0.0 * mu, 200)
-    assert np.abs(sol.values).max() < 1e-14
+    _, values = fd_solve(legendre_kernel, 2, None, lambda mu: 0.0 * mu, 200)
+    assert np.abs(values).max() < 1e-14
 
 
 def test_fd_first_eigenfunction_exact_fluxes(legendre_kernel):
     # linear solution, quadratic conductance: the flux stencil is exact
-    sol = fd_solve(legendre_kernel, 2, None, lambda mu: 2.0 * mu, 300)
-    assert np.abs(sol.values - sol.grid.nodes).max() < 1e-10
+    nodes, values = fd_solve(legendre_kernel, 2, None, lambda mu: 2.0 * mu, 300)
+    assert np.abs(values - nodes).max() < 1e-10
 
 
 def test_fd_second_order_convergence(legendre_kernel):
     p2 = lambda mu: (3.0 * mu * mu - 1.0) / 2.0
     errs = []
     for m in (400, 800, 1600):
-        sol = fd_solve(legendre_kernel, 2, None, lambda mu: 6.0 * p2(mu), m)
-        errs.append(np.abs(sol.values - p2(sol.grid.nodes)).max())
+        nodes, values = fd_solve(legendre_kernel, 2, None, lambda mu: 6.0 * p2(mu), m)
+        errs.append(np.abs(values - p2(nodes)).max())
     assert 3.5 <= errs[0] / errs[1] <= 4.5
     assert 3.5 <= errs[1] / errs[2] <= 4.5
 
@@ -50,10 +48,9 @@ def test_fd_type1_against_manufactured(legendre_kernel):
     # data (1-mu^2)(3-6mu^2)
     errs = []
     for m in (400, 800):
-        sol = fd_solve(legendre_kernel, 1, lambda mu: np.ones_like(mu),
-                       lambda mu: (1 - mu**2) * (3 - 6 * mu**2), m)
-        x = sol.grid.nodes
-        errs.append(np.abs(sol.values - (1 - x * x)).max())
+        x, values = fd_solve(legendre_kernel, 1, lambda mu: np.ones_like(mu),
+                             lambda mu: (1 - mu**2) * (3 - 6 * mu**2), m)
+        errs.append(np.abs(values - (1 - x * x)).max())
     assert 3.5 <= errs[0] / errs[1] <= 4.5
 
 
@@ -63,10 +60,9 @@ def test_fd_reduced_variable_matches_spectral(pipeline_even):
     row = elliptic_problem_data(kernel)["gci"]
     errs = []
     for m in (2500, 5000):
-        sol = fd_solve(kernel, 1, row["alpha"], row["f"], m, reduced_order=1)
-        x = sol.grid.nodes
+        x, values = fd_solve(kernel, 1, row["alpha"], row["f"], m, reduced_order=1)
         ref = np.sqrt(1 - x * x) * p["gci"].h(x)
-        errs.append(np.linalg.norm(sol.values - ref) / np.linalg.norm(ref))
+        errs.append(np.linalg.norm(values - ref) / np.linalg.norm(ref))
     assert 3.5 <= errs[0] / errs[1] <= 4.5
 
 
@@ -89,20 +85,20 @@ def test_mode_null_space(pipeline_even):
     # constants span the kernel of the axisymmetric mode
     eq = pipeline_even["eq"]
     const = MuProfile.from_coef(eq.rule, [2.5])
-    image = mode_apply(ModeOperator(pipeline_even["kernel"], 0), const)
+    image = mode_apply(pipeline_even["kernel"], 0, const)
     assert np.abs(image.values).max() < 1e-12
 
 
 def test_mode_image_of_invariant_profile(pipeline_const, pipeline_even):
     # substituting the solved invariant profile recovers its constant data -d
     for p in (pipeline_const, pipeline_even):
-        image = mode_apply(ModeOperator(p["kernel"], 1), p["gci"].h)
+        image = mode_apply(p["kernel"], 1, p["gci"].h)
         assert np.abs(image.values + p["kernel"].d).max() < 1e-8
 
 
 def test_mode_image_of_b1(pipeline_even):
     p = pipeline_even
-    image = mode_apply(ModeOperator(p["kernel"], 2), p["profiles"].b1)
+    image = mode_apply(p["kernel"], 2, p["profiles"].b1)
     expected = np.asarray(p["kernel"].nu(image.rule.nodes)) / p["kernel"].d
     assert np.abs(image.values - expected).max() < 1e-8
 
@@ -122,7 +118,7 @@ def test_mode_quadratic_form_properties(pipeline_even):
     rng = np.random.default_rng(6)
 
     def pairing(k, u1, u2):
-        img = mode_apply(ModeOperator(p["kernel"], k), u1)(x)
+        img = mode_apply(p["kernel"], k, u1)(x)
         s2k = (1 - x * x) ** k
         return eq.average(s2k * img * u2(x))
 
@@ -144,7 +140,7 @@ def test_orthogonality_automatic_modes(pipeline_even):
     for k, parity in ((0, "cos"), (2, "cos"), (2, "sin")):
         trial = MuProfile.from_coef(eq.rule, rng.standard_normal(7))
         defect = gci_orthogonality(p["kernel"], p["gci"], trial, k, parity, eq)
-        assert defect < 1e-8 * trial_norm(p["kernel"], trial, k, eq)
+        assert defect < 1e-8 * trial_norm(trial, k, eq)
 
 
 def test_orthogonality_equilibrium_trial(pipeline_even):
@@ -161,10 +157,10 @@ def test_orthogonality_mode1_requires_projection(pipeline_even):
     rng = np.random.default_rng(8)
     trial = MuProfile.from_coef(eq.rule, rng.standard_normal(7))
     raw = gci_orthogonality(p["kernel"], p["gci"], trial, 1, "cos", eq)
-    assert raw > 1e-4 * trial_norm(p["kernel"], trial, 1, eq)  # flux-carrying
-    projected = project_trial_k1(p["kernel"], p["gci"], trial, eq)
+    assert raw > 1e-4 * trial_norm(trial, 1, eq)  # flux-carrying
+    projected = project_trial_k1(p["gci"], trial, eq)
     fixed = gci_orthogonality(p["kernel"], p["gci"], projected, 1, "cos", eq)
-    assert fixed < 1e-8 * trial_norm(p["kernel"], projected, 1, eq)
+    assert fixed < 1e-8 * trial_norm(projected, 1, eq)
 
 
 def test_source_admissibility(pipeline_const, pipeline_even):
@@ -183,5 +179,6 @@ def test_spectral_fd_cross_check_moderate(pipeline_even):
 
 
 def test_negative_mode_index_rejected(pipeline_even):
+    profile = pipeline_even["gci"].h
     with pytest.raises(PreconditionError):
-        ModeOperator(pipeline_even["kernel"], -1)
+        mode_apply(pipeline_even["kernel"], -1, profile)
