@@ -92,10 +92,11 @@ def _build_parser():
 def _merged_config(args):
     cfg = {}
     if args.config:
-        path = Path(args.config)
-        if not path.exists():
-            raise ConfigError(f"config file not found: {path}")
-        cfg = parse_config(path.read_text())
+        try:
+            text = Path(args.config).read_text()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read config file {args.config}: {exc}") from None
+        cfg = parse_config(text)
     if args.nu:
         model, _, params = args.nu.partition(":")
         cfg["nu.model"] = model
@@ -227,7 +228,10 @@ def cmd_fields(args) -> int:
             key, _, value = item.partition("=")
             if not _:
                 raise ConfigError(f"--param expects key=value, got {item!r}")
-            params[key] = float(value)
+            try:
+                params[key] = float(value)
+            except ValueError:
+                raise ConfigError(f"--param {key}: {value!r} is not a number") from None
         state = make_field(args.field, shape, lengths, params, seed=args.seed)
 
     hydro = compute_coefficients(kernel, n=n, kappa=kappa)

@@ -72,7 +72,7 @@ def compute_c123(kernel: CollisionKernel, gci: GciSolution, eq: VonMisesEquilibr
     """
     x = eq.rule.nodes
     s2 = 1.0 - x * x
-    h = gci.h.values_on(eq.rule)
+    h = gci.h.values
     nu = np.asarray(kernel.nu(x), dtype=float)
 
     c1 = eq.average(x)
@@ -92,7 +92,7 @@ def c_relation_residuals(kernel: CollisionKernel, gci: GciSolution, c,
     c1, c2, c3 = c
     x = eq.rule.nodes
     s2 = 1.0 - x * x
-    h = gci.h.values_on(eq.rule)
+    h = gci.h.values
     nu = np.asarray(kernel.nu(x), dtype=float)
     d = kernel.d
     qw = eq.rule.weights * eq.weight
@@ -125,9 +125,9 @@ def solve_profiles(kernel: CollisionKernel, c, n: int,
     b2 = solve_problem(kernel, "b2", b2_row, n, rule)
     # gauges: <a_par> = 0 and <b1 (1-mu^2)/2 + b2> = 0
     a_par = solved["a_par"]
-    a_par = a_par.shifted(-eq.average(a_par.values_on(rule)))
-    b2 = b2.shifted(-eq.average(0.5 * b1.values_on(rule) * (1.0 - x * x)
-                                + b2.values_on(rule)))
+    a_par = a_par.shifted(-eq.average(a_par.values))
+    b2 = b2.shifted(-eq.average(0.5 * b1.values * (1.0 - x * x)
+                                + b2.values))
     return ProfileSet(a_perp=solved["a_perp"], a_par=a_par, b1=b1, b2=b2,
                       b_par=solved["b_par"])
 
@@ -141,7 +141,7 @@ def profile_moment_residuals(profiles: ProfileSet, eq: VonMisesEquilibrium) -> d
     """
     x = eq.rule.nodes
     s2 = 1.0 - x * x
-    ap, al, b1, b2, bp = (p.values_on(eq.rule) for p in (
+    ap, al, b1, b2, bp = (p.values for p in (
         profiles.a_perp, profiles.a_par, profiles.b1, profiles.b2, profiles.b_par))
     return {
         "a_perp_moment": abs(eq.average(ap * s2)),
@@ -160,9 +160,9 @@ def compute_r1_coeffs(profiles: ProfileSet, eq: VonMisesEquilibrium):
     """
     x = eq.rule.nodes
     s2 = 1.0 - x * x
-    beta = eq.average(profiles.a_par.values_on(eq.rule) * x)
-    gamma = eq.average((0.5 * profiles.b1.values_on(eq.rule) * s2
-                        + profiles.b2.values_on(eq.rule)) * x)
+    beta = eq.average(profiles.a_par.values * x)
+    gamma = eq.average((0.5 * profiles.b1.values * s2
+                        + profiles.b2.values) * x)
     if not beta > 0:
         raise InvariantError(f"mass-diffusion coefficient beta = {beta:.6e} <= 0")
     return beta, gamma
@@ -176,7 +176,7 @@ def beta_quadratic_form(kernel: CollisionKernel, profiles: ProfileSet,
     positivity is manifest here.
     """
     x = eq.rule.nodes
-    ap = profiles.a_par.derivative().values_on(eq.rule)
+    ap = profiles.a_par.derivative().values
     return kernel.d * eq.average((1.0 - x * x) * ap * ap)
 
 
@@ -247,9 +247,9 @@ def _route_tables(kernel, gci, profiles, c, kappa, eq):
     c1, c2, c3 = c
     nu = np.asarray(kernel.nu(x), dtype=float)
     nup = np.asarray(kernel.nu_prime(x), dtype=float)
-    h = gci.h.values_on(eq.rule)
-    hp = gci.h_prime.values_on(eq.rule)
-    ap, al, b1, b2, bp = (p.values_on(eq.rule) for p in (
+    h = gci.h.values
+    hp = gci.h_prime.values
+    ap, al, b1, b2, bp = (p.values for p in (
         profiles.a_perp, profiles.a_par, profiles.b1, profiles.b2, profiles.b_par))
     avg = eq.average
 

@@ -70,10 +70,6 @@ class MuProfile:
     def __call__(self, mu):
         return npleg.legval(np.asarray(mu, dtype=float), self.coef)
 
-    def values_on(self, rule: QuadratureRule) -> np.ndarray:
-        """Values at the nodes of `rule`; the stored nodal values on its own rule."""
-        return self.values if rule is self.rule else self(rule.nodes)
-
     @property
     def degree(self) -> int:
         return len(self.coef) - 1

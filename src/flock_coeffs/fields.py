@@ -424,13 +424,6 @@ def _bundle_fields(rho, om, st, out):
     return out
 
 
-def _plus(total, x):
-    """total + x, added in place into total; None stands for an absent term."""
-    if total is None or x is None:
-        return x if total is None else total
-    return np.add(total, x, out=total)
-
-
 def _r1_field(rho, om, bundle, beta, gamma, st):
     """R1 on the planes of st.inner(rho); rho, om and bundle share planes."""
     rho_div = rho * bundle.divo
@@ -438,104 +431,94 @@ def _r1_field(rho, om, bundle, beta, gamma, st):
 
     def divergence(scalar):
         """div(scalar * omega), summed onto the axis-0 term."""
-        div = None
-        for ax in range(3):
+        def term(ax):
             np.multiply(st.reads(scalar, ax), st.reads(om[ax], ax), out=st.reads(flux, ax))
-            div = _plus(div, st.d(flux, ax))
+            return st.d(flux, ax)
+
+        div = term(0)
+        div += term(1)
+        div += term(2)
         return div
 
     return beta * divergence(bundle.dpar) + gamma * divergence(rho_div)
 
 
-def _add_r2(out, rho, om, bundle, st, zeta, slots):
-    """out[k] += sum over `slots` of zeta[s - 1] * T_s[k], for the structures
-    T_s of R2 on the planes of st.inner(rho); rho, om and bundle share planes.
+# R2 = D + Q.  Since zeta is constant, the structures are regrouped without
+# changing their discretisation and the zeta (z_s = zeta[s - 1]) are folded
+# into the factors:
+#
+#   D = P_perp(z5 (omega . grad) gperp + rho (z11 (omega . grad) tilt + div T)),
+#       T = z12 sig + z13 gam + z2 divo Id
+#   Q = (z1 divo + z7 dpar / rho) gperp + (z6 dpar + z8 rho divo) tilt
+#       + sig (z3 gperp + z9 rho tilt) + gam (z4 gperp + z10 rho tilt)
+#
+# Both parts add into out[k] on the planes of st.inner(rho); rho, om and
+# bundle share planes.  Q is transverse as it stands and D is projected once.
 
-    Since zeta is constant, the structures are regrouped without changing
-    their discretisation and the zeta are folded into the factors:
-
-      Q = (z1 divo + z7 dpar / rho) gperp + (z6 dpar + z8 rho divo) tilt
-          + sig (z3 gperp + z9 rho tilt) + gam (z4 gperp + z10 rho tilt)
-      D = P_perp(z5 (omega . grad) gperp
-                 + rho (z11 (omega . grad) tilt + div T)),
-          T = z12 sig + z13 gam + z2 divo Id
-
-    Q is transverse as it stands and D is projected once.  Only the terms of
-    the given slots are formed, so the thirteen slots cost 27 derivatives,
-    while one slot alone costs what its own structure needs (3 for slot 2,
-    9 for slots 5, 11 and 12, 6 for slot 13).
-    """
+def _add_d(out, rho, om, bundle, st, zeta):
+    """out += D: the second-derivative structures 2, 5, 11, 12 and 13, in 27
+    derivatives and one transverse projection."""
     d = st.d
-    z = {s: zeta[s - 1] for s in slots}
+    z2, z5, z11, z12, z13 = (zeta[s - 1] for s in (2, 5, 11, 12, 13))
     rho_in, om_in = st.inner(rho), st.inner(om)
-    gperp, tilt, sig, gam = (st.inner(x) for x in (bundle.gperp, bundle.tilt,
-                                                     bundle.sig, bundle.gam))
-    dpar, divo = st.inner(bundle.dpar), st.inner(bundle.divo)
-    tmp = np.empty(dpar.shape)
-
-    def combine(*terms, out=None):
-        """sum of z_s * f() over the (s, f) terms whose slot is given, or None."""
-        total = None
-        for s, f in terms:
-            if s in z:
-                if total is None:
-                    total = np.multiply(f(), z[s], out=out)
-                else:
-                    total += f() * z[s]
-        return total
-
-    def along(s, vec, k):
-        """sum_j (z_s omega_j) d_j vec[k], or None without slot s."""
-        if s not in z:
-            return None
-        col = None
-        for j in range(3):
-            x = d(vec[k], j, out=None if col is None else tmp)
-            x *= zom[s][j]
-            col = _plus(col, x)
-        return col
-
-    def div_column(k):
-        """(div T)_k = d_j T_jk, each T_jk formed only on the planes that
-        d(., j) reads; the swirl's diagonal is exact zeros and is left out."""
-        col = None
-        for j in range(3):
-            other = (2, lambda: st.reads(bundle.divo, j)) if j == k else \
-                (13, lambda: st.reads(bundle.gam[j, k], j))
-            if combine((12, lambda: st.reads(bundle.sig[j, k], j)), other,
-                       out=st.reads(entry, j)) is not None:
-                col = _plus(col, d(entry, j))
-        return col
-
-    zom = {s: [om_in[j] * z[s] for j in range(3)] for s in (5, 11) if s in z}
+    tmp = np.empty(rho_in.shape)
     entry = np.empty(bundle.divo.shape)
+
+    def along(zom, vec, k):
+        """sum_j zom[j] d_j vec[k], with zom = z omega."""
+        col = d(vec[k], 0)
+        col *= zom[0]
+        for j in (1, 2):
+            x = d(vec[k], j, out=tmp)
+            x *= zom[j]
+            col += x
+        return col
+
+    def t_entry(j, k):
+        """T_jk in entry, formed only on the planes that d(., j) reads; the
+        swirl's diagonal is exact zeros and is left out."""
+        t = np.multiply(st.reads(bundle.sig[j, k], j), z12, out=st.reads(entry, j))
+        t += st.reads(bundle.divo, j) * z2 if j == k else st.reads(bundle.gam[j, k], j) * z13
+        return entry
+
+    zom5, zom11 = ([om_in[j] * z for j in range(3)] for z in (z5, z11))
     cols = []
     for k in range(3):
-        col = _plus(div_column(k), along(11, bundle.tilt, k))
-        if col is not None:
-            col *= rho_in
-        cols.append(_plus(along(5, bundle.gperp, k), col))
-    if cols[0] is not None:
-        _project_perp(om_in, cols, out=cols)
-        for k in range(3):
-            out[k] += cols[k]
-    del cols
+        col = d(t_entry(0, k), 0)
+        col += d(t_entry(1, k), 1)
+        col += d(t_entry(2, k), 2)
+        col += along(zom11, bundle.tilt, k)
+        col *= rho_in
+        cols.append(np.add(along(zom5, bundle.gperp, k), col, out=col))
+    _project_perp(om_in, cols, out=cols)
+    for k in range(3):
+        out[k] += cols[k]
 
-    for vec, scale in ((gperp, combine((1, lambda: divo), (7, lambda: dpar / rho_in))),
-                       (tilt, combine((6, lambda: dpar), (8, lambda: rho_in * divo)))):
-        if scale is not None:
-            for k in range(3):
-                out[k] += np.multiply(scale, vec[k], out=tmp)
+
+def _add_q(out, rho, om, bundle, st, zeta):
+    """out += Q: the quadratic structures 1, 3, 4 and 6 to 10, pointwise
+    products of bundle entries."""
+    z1, z3, z4, z6, z7, z8, z9, z10 = (zeta[s - 1] for s in (1, 3, 4, 6, 7, 8, 9, 10))
+    rho, gperp, tilt, sig, gam, dpar, divo = (st.inner(x) for x in (
+        rho, bundle.gperp, bundle.tilt, bundle.sig, bundle.gam, bundle.dpar, bundle.divo))
+    tmp = np.empty(dpar.shape)
+    for vec, scale in ((gperp, divo * z1 + dpar / rho * z7),
+                       (tilt, dpar * z6 + rho * divo * z8)):
+        for k in range(3):
+            out[k] += np.multiply(scale, vec[k], out=tmp)
     # the swirl's diagonal is exact zeros and is left out
-    for tens, diagonal, slot_gperp, slot_tilt in ((sig, True, 3, 9), (gam, False, 4, 10)):
-        vec = [combine((slot_gperp, lambda: gperp[k]), (slot_tilt, lambda: rho_in * tilt[k]))
-               for k in range(3)]
-        if vec[0] is None:
-            continue
+    for tens, diagonal, z_gperp, z_tilt in ((sig, True, z3, z9), (gam, False, z4, z10)):
+        vec = [gperp[k] * z_gperp + rho * tilt[k] * z_tilt for k in range(3)]
         for j in range(3):
             for k in range(3):
                 if diagonal or j != k:
                     out[j] += np.multiply(tens[j, k], vec[k], out=tmp)
+
+
+def _add_r2(out, rho, om, bundle, st, zeta):
+    """out += R2 = D + Q, sum_s zeta[s - 1] * T_s over the 13 structures."""
+    _add_d(out, rho, om, bundle, st, zeta)
+    _add_q(out, rho, om, bundle, st, zeta)
 
 
 def _whole_grid(state, order):
@@ -595,36 +578,31 @@ def _check_bundle(state, bundle):
             f"bundle shape {bundle.par_grad_rho.shape} does not match grid {state.grid.shape}")
 
 
-def _r2_on_grid(state, bundle):
-    """A function (zeta, slots) -> sum over the slots of zeta_s T_s on the
-    whole grid, as a grid + (3,) view of (3, ...) storage (see _add_r2)."""
+def _r2_on_grid(add, state, bundle, zeta):
+    """add(out, ..., zeta), one of the R2 parts, on the whole grid into zeroed
+    (3, ...) storage, returned as a grid + (3,) view."""
     _check_bundle(state, bundle)
     _check_positive_density(state.rho.min())
-    args = (state.rho, _omega_components(state), _stored_bundle(bundle),
-            _whole_grid(state, bundle.scheme_order))
-
-    def r2(zeta, slots):
-        out = np.zeros((3,) + state.grid.shape)
-        _add_r2(out, *args, zeta, slots)
-        return np.moveaxis(out, 0, -1)
-
-    return r2
+    out = np.zeros((3,) + state.grid.shape)
+    add(out, state.rho, _omega_components(state), _stored_bundle(bundle),
+        _whole_grid(state, bundle.scheme_order), zeta)
+    return np.moveaxis(out, 0, -1)
 
 
 def r2_terms(state: FieldState, bundle: GradientBundle) -> dict:
     """The 13 tensor structures of the velocity correction, slot -> field.
 
-    Each structure is formed alone, at its own cost, by the slot algebra
-    that evaluate_r2 and evaluate_corrections run on all thirteen at once:
-    second-derivative structures differentiate stored bundle entries with
-    the bundle's scheme order and project transverse; quadratic structures
-    are pointwise products of bundle entries.  Every returned field is
-    orthogonal to omega and has the shape grid + (3,), as a view of
+    Structure s is the R2 part that its R2_TERM_TAGS tag names, run with the
+    unit vector e_s as zeta: a second-derivative structure costs the 27
+    derivatives and the transverse projection of the whole D part, a
+    quadratic one the pointwise products of the Q part.  Every returned
+    field is orthogonal to omega and has the shape grid + (3,), as a view of
     (3, ...) storage.
     """
-    r2 = _r2_on_grid(state, bundle)
-    ones = np.ones(13)
-    return {slot: r2(ones, (slot,)) for slot in R2_TERM_TAGS}
+    part = {"quadratic": _add_q, "derivative": _add_d}
+    unit = np.eye(13)
+    return {s: _r2_on_grid(part[tag], state, bundle, unit[s - 1])
+            for s, tag in R2_TERM_TAGS.items()}
 
 
 def _zeta_vector(coeffs):
@@ -640,11 +618,10 @@ def evaluate_r2(state: FieldState, bundle: GradientBundle, coeffs) -> np.ndarray
     `coeffs` is either a coefficient-set object exposing `.zeta` or a plain
     13-vector.  Linear in the zeta vector by construction.  The structures
     are formed in merged groups with the zeta folded into their factors
-    (27 derivatives and one transverse projection, see _add_r2); second
+    (27 derivatives and one transverse projection, see _add_d); second
     derivatives use the bundle's scheme order.
     """
-    zeta = _zeta_vector(coeffs)
-    return _r2_on_grid(state, bundle)(zeta, R2_TERM_TAGS)
+    return _r2_on_grid(_add_r2, state, bundle, _zeta_vector(coeffs))
 
 
 def _gather_planes(src, start, out):
@@ -728,7 +705,7 @@ def evaluate_corrections(state: FieldState, coeffs, scheme_order: int = 2,
         bundle = _bundle_rows(rows[:, :m])
         rho, om = st.inner(rho), st.inner(om)
         np.multiply(_r1_field(rho, om, bundle, beta, gamma, st), eps, out=r1[i0:i1])
-        _add_r2(r2[:, i0:i1], rho, om, bundle, st, zeta, R2_TERM_TAGS)
+        _add_r2(r2[:, i0:i1], rho, om, bundle, st, zeta)
     return CorrectionFields(r1=r1, r2=np.moveaxis(r2, 0, -1))
 
 
@@ -752,6 +729,8 @@ def make_field(name: str, shape=(16, 16, 16), lengths=None, params=None,
     if lengths is None:
         lengths = (2 * np.pi,) * 3
     shape = tuple(int(n) for n in shape)
+    if min(shape) < 1:
+        raise GridShapeError(f"bad grid shape {shape}")
     grid = Grid(shape=shape, spacing=tuple(L / n for L, n in zip(lengths, shape)))
     x, y, z = grid.axes()
     params = params or {}
@@ -774,6 +753,8 @@ def make_field(name: str, shape=(16, 16, 16), lengths=None, params=None,
         omega[..., 0] = np.sin(alpha)
         omega[..., 2] = np.cos(alpha)
     elif name == "random-smooth":
+        if seed < 0:
+            raise DomainError(f"seed must be non-negative, got {seed}")
         rng = np.random.default_rng(seed)
         kx, ky, kz = (2 * np.pi / L for L in lengths)
         omega[..., 2] = 2.0
@@ -811,7 +792,10 @@ def save_field_csv(state: FieldState, path):
 
 def load_field_csv(path) -> FieldState:
     """Read a field state back; the lattice is reconstructed from coordinates."""
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    try:
+        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    except (OSError, ValueError) as exc:
+        raise FieldStateError(f"cannot read field CSV {path}: {exc}") from None
     if data.shape[1] != 7:
         raise FieldStateError(f"expected 7 columns ({FIELD_CSV_HEADER}), got {data.shape[1]}")
     axes = []

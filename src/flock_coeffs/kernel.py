@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
+from numpy.polynomial import Legendre, Polynomial
 from numpy.polynomial import legendre as npleg
 
 from .errors import ConfigError, DomainError
@@ -89,24 +90,21 @@ def evaluate_kernel(kernel: CollisionKernel, mu):
 # the admissible class explicit: constant, affine a + b*mu, even polynomial in
 # mu, and a tabulated variant fitted by a polynomial.
 
-def _poly_kernel(coeffs_mu, d, model, params):
-    """Kernel from nu given as plain power-series coefficients in mu."""
-    c = np.asarray(coeffs_mu, dtype=float)
-    dc = np.polynomial.polynomial.polyder(c) if len(c) > 1 else np.zeros(1)
-    # antiderivative anchored at 0: integral term-by-term, constant term 0
-    ic = np.concatenate([[0.0], c / np.arange(1, len(c) + 1)])
-
-    sample = np.polynomial.polynomial.polyval(np.linspace(-1, 1, 4001), c)
-    nu_min = float(sample.min())
+def _series_kernel(series, d, model, params):
+    """Kernel whose rate nu is a numpy series on the default domain [-1, 1]
+    (a power series or a Legendre fit): nu' is its derivative and sigma its
+    antiderivative with sigma(0) = 0.  The kernel keeps the series' bound
+    methods, so it hashes and compares by identity."""
+    nu_min = float(series(np.linspace(-1, 1, 4001)).min())
     if nu_min <= 0:
         raise ConfigError(
             f"nu must be strictly positive on [-1, 1]; model {model}{params} "
             f"attains {nu_min:.3e}"
         )
     return CollisionKernel(
-        nu=lambda mu, c=c: np.polynomial.polynomial.polyval(np.asarray(mu, float), c),
-        nu_prime=lambda mu, dc=dc: np.polynomial.polynomial.polyval(np.asarray(mu, float), dc),
-        sigma=lambda mu, ic=ic: np.polynomial.polynomial.polyval(np.asarray(mu, float), ic),
+        nu=series.__call__,
+        nu_prime=series.deriv().__call__,
+        sigma=series.integ(lbnd=0).__call__,
         d=float(d),
         nu_min=nu_min,
         model=model,
@@ -116,19 +114,19 @@ def _poly_kernel(coeffs_mu, d, model, params):
 
 def constant_kernel(value=1.0, d=1.0) -> CollisionKernel:
     """nu identically `value` (> 0); sigma(mu) = value * mu."""
-    return _poly_kernel([value], d, "const", (value,))
+    return _series_kernel(Polynomial([value]), d, "const", (value,))
 
 
 def affine_kernel(a, b, d=1.0) -> CollisionKernel:
     """nu(mu) = a + b*mu, requires a > |b| for positivity."""
-    return _poly_kernel([a, b], d, "affine", (a, b))
+    return _series_kernel(Polynomial([a, b]), d, "affine", (a, b))
 
 
 def even_poly_kernel(coeffs, d=1.0) -> CollisionKernel:
     """nu(mu) = sum_j coeffs[j] * mu^(2j), positivity checked by sampling."""
     c = np.zeros(2 * len(coeffs) - 1)
     c[::2] = coeffs
-    return _poly_kernel(c, d, "evenpoly", tuple(coeffs))
+    return _series_kernel(Polynomial(c), d, "evenpoly", tuple(coeffs))
 
 
 def tabulated_kernel(mu_points, nu_values, d=1.0, degree=None) -> CollisionKernel:
@@ -138,47 +136,34 @@ def tabulated_kernel(mu_points, nu_values, d=1.0, degree=None) -> CollisionKerne
     minimum of the fitted polynomial on a dense grid.
     """
     mu_points = _check_mu(mu_points)
-    nu_values = np.asarray(nu_values, dtype=float)
     if degree is None:
         degree = min(len(mu_points) - 1, 24)
-    coef = npleg.legfit(mu_points, nu_values, degree)
-    dcoef = npleg.legder(coef)
-    icoef = npleg.legint(coef, lbnd=0.0)
-
-    sample = npleg.legval(np.linspace(-1, 1, 4001), coef)
-    nu_min = float(sample.min())
-    if nu_min <= 0:
-        raise ConfigError(f"tabulated nu fit attains {nu_min:.3e} <= 0 on [-1, 1]")
-    return CollisionKernel(
-        nu=lambda mu, coef=coef: npleg.legval(np.asarray(mu, float), coef),
-        nu_prime=lambda mu, dcoef=dcoef: npleg.legval(np.asarray(mu, float), dcoef),
-        sigma=lambda mu, icoef=icoef: npleg.legval(np.asarray(mu, float), icoef),
-        d=float(d),
-        nu_min=nu_min,
-        model="tabulated",
-        params=(float(len(mu_points)), float(degree)),
-    )
+    fit = Legendre(npleg.legfit(mu_points, nu_values, degree))
+    return _series_kernel(fit, d, "tabulated", (len(mu_points), degree))
 
 
+# model -> (parameter count, builder); a count of None takes one or more
 KERNEL_MODELS = {
-    "const": lambda params, d: constant_kernel(*params, d=d),
-    "affine": lambda params, d: affine_kernel(*params, d=d),
-    "evenpoly": lambda params, d: even_poly_kernel(params, d=d),
+    "const": (1, lambda params, d: constant_kernel(*params, d=d)),
+    "affine": (2, lambda params, d: affine_kernel(*params, d=d)),
+    "evenpoly": (None, lambda params, d: even_poly_kernel(params, d=d)),
 }
 
 
 def make_kernel(model: str, params, d: float) -> CollisionKernel:
-    """Build a registry kernel by name; raises ConfigError on unknown model."""
+    """Build a registry kernel by name; raises ConfigError on an unknown model
+    or a parameter count the model does not take."""
     try:
-        builder = KERNEL_MODELS[model]
+        count, builder = KERNEL_MODELS[model]
     except KeyError:
         raise ConfigError(
             f"unknown nu model {model!r}; known: {sorted(KERNEL_MODELS)} (+ tabulated via API)"
         ) from None
-    try:
-        return builder(tuple(params), d)
-    except TypeError as exc:
-        raise ConfigError(f"bad parameters {params!r} for nu model {model!r}: {exc}") from None
+    params = tuple(params)
+    if not params or count not in (None, len(params)):
+        raise ConfigError(f"nu model {model!r} takes {count or 'one or more'} "
+                          f"parameter(s), got {len(params)}: {params}")
+    return builder(params, d)
 
 
 def registry_kernels(d=1.0):
@@ -211,8 +196,8 @@ class SpatialKernel:
 
 def ball_kernel(radius=1.0) -> SpatialKernel:
     """Indicator of the ball of given radius; moments in closed form."""
-    if radius <= 0:
-        raise ConfigError(f"ball radius must be positive, got {radius}")
+    if not 0 < radius < math.inf:  # also rejects NaN
+        raise ConfigError(f"ball radius must be positive and finite, got {radius}")
     return SpatialKernel(
         k_radial=lambda r, R=radius: np.where(np.asarray(r) <= R, 1.0, 0.0),
         support_radius=float(radius),
@@ -224,8 +209,8 @@ def ball_kernel(radius=1.0) -> SpatialKernel:
 
 def gaussian_kernel(scale=1.0) -> SpatialKernel:
     """K(r) = exp(-r^2 / (2 scale^2)); moments in closed form."""
-    if scale <= 0:
-        raise ConfigError(f"gaussian scale must be positive, got {scale}")
+    if not 0 < scale < math.inf:  # also rejects NaN
+        raise ConfigError(f"gaussian scale must be positive and finite, got {scale}")
     return SpatialKernel(
         k_radial=lambda r, s=scale: np.exp(-np.asarray(r) ** 2 / (2 * s * s)),
         support_radius=None,
@@ -295,6 +280,13 @@ def parse_config(text: str) -> dict:
     return out
 
 
+def _config_float(cfg, key, default):
+    try:
+        return float(cfg.get(key, default))
+    except ValueError:
+        raise ConfigError(f"bad {key} value {cfg[key]!r}") from None
+
+
 def _parse_floats(text):
     try:
         return tuple(float(tok) for tok in text.split(",") if tok.strip() != "")
@@ -311,23 +303,16 @@ def kernel_from_config(cfg: dict):
     """
     model = cfg.get("nu.model", "const")
     params = _parse_floats(cfg.get("nu.params", "1"))
-    try:
-        d = float(cfg.get("d", "1"))
-    except ValueError:
-        raise ConfigError(f"bad d value {cfg.get('d')!r}") from None
-    kernel = make_kernel(model, params, d)
+    kernel = make_kernel(model, params, _config_float(cfg, "d", "1"))
 
     if "kappa" in cfg:
-        try:
-            kappa = float(cfg["kappa"])
-        except ValueError:
-            raise ConfigError(f"bad kappa value {cfg['kappa']!r}") from None
+        kappa = _config_float(cfg, "kappa", None)
     elif "spatial.model" in cfg:
         smodel = cfg["spatial.model"]
         if smodel == "ball":
-            kappa = compute_kappa(ball_kernel(float(cfg.get("spatial.radius", "1"))))
+            kappa = compute_kappa(ball_kernel(_config_float(cfg, "spatial.radius", "1")))
         elif smodel == "gaussian":
-            kappa = compute_kappa(gaussian_kernel(float(cfg.get("spatial.scale", "1"))))
+            kappa = compute_kappa(gaussian_kernel(_config_float(cfg, "spatial.scale", "1")))
         else:
             raise ConfigError(f"unknown spatial model {smodel!r}; known: ball, gaussian")
     else:

@@ -26,7 +26,7 @@ from scipy.sparse.linalg import splu
 
 from .coeffs import ProfileSet
 from .elliptic import GciSolution, MuProfile, elliptic_problem_data
-from .errors import PreconditionError, SolverError
+from .errors import DomainError, PreconditionError, SolverError
 from .kernel import CollisionKernel
 from .quad import VonMisesEquilibrium, build_rule, quadrature_size
 
@@ -66,7 +66,7 @@ def fd_solve(kernel: CollisionKernel, problem_type: int, alpha, f, m: int,
     values are the full solution either way.
     """
     if m < 100:
-        raise PreconditionError(f"oracle resolution m must be >= 100, got {m}")
+        raise DomainError(f"oracle resolution m must be >= 100, got {m}")
     dx = 2.0 / m
     x = -1.0 + (np.arange(m) + 0.5) * dx
     faces = -1.0 + np.arange(m + 1) * dx

@@ -17,6 +17,7 @@ import numpy as np
 from . import fields
 from .coeffs import check_ordering, compute_coefficients, compute_r2_coeffs, run_pipeline
 from .elliptic import MuProfile
+from .errors import DomainError
 from .fields import (
     R2_TERM_TAGS,
     decompose_gradients,
@@ -297,6 +298,8 @@ def run_verification(kernel: CollisionKernel | None = None, kappa: float = 0.1,
                      n: int = 64, quick: bool = False, oracle_m: int = 4000,
                      seed: int = 0) -> VerificationReport:
     """Run the suite; `quick` restricts to the closed-form tier."""
+    if seed < 0:
+        raise DomainError(f"seed must be non-negative, got {seed}")
     t0 = time.perf_counter()
     if kernel is None:
         kernel = constant_kernel(1.0, d=1.0)

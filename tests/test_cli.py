@@ -202,13 +202,46 @@ def test_coeffs_invariant_violation_exits_2(tmp_path, capsys, command, expected)
     (["--lengths", "nan,1,1"], "error: grid spacing must be positive and finite"),
     (["--eps", "nan"], "error: eps must be finite, got nan"),
     (["--kappa", "nan"], "error: nonlocality constant kappa must be finite, got nan"),
+    (["--grid", "0,4,4"], "error: bad grid shape (0, 4, 4)"),
+    (["--field", "random-smooth", "--seed", "-1"], "error: seed must be non-negative, got -1"),
+    (["--field", "axial-sine", "--param", "amplitude=abc"],
+     "error: --param amplitude: 'abc' is not a number"),
 ], ids=["unknown-field", "order-4-small-grid", "scheme-order-3", "fractional-grid",
-        "overflowing-grid", "nan-grid", "nan-lengths", "nan-eps", "nan-kappa"])
+        "overflowing-grid", "nan-grid", "nan-lengths", "nan-eps", "nan-kappa", "empty-grid",
+        "negative-seed", "non-numeric-param"])
 def test_fields_domain_errors_are_usage_errors(tmp_path, capsys, argv, message):
     code = run(["fields", "--grid", "4,4,4", "--nu", "const:1", "--d", "1",
                 "-o", str(tmp_path / "out"), *argv])
     assert code == 1
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["coeffs", "--spatial", "ball:abc"], "error: bad spatial.radius value 'abc'"),
+    (["coeffs", "--spatial", "ball:nan"], "error: ball radius must be positive and finite"),
+    (["coeffs", "--spatial", "gaussian:inf"],
+     "error: gaussian scale must be positive and finite"),
+    (["coeffs", "--nu", "const:1,2"], "error: nu model 'const' takes 1 parameter(s), got 2"),
+    (["verify", "--oracle-m", "50"], "error: oracle resolution m must be >= 100, got 50"),
+    (["verify", "--seed", "-1"], "error: seed must be non-negative, got -1"),
+], ids=["non-numeric-radius", "nan-radius", "infinite-scale", "extra-nu-parameter",
+        "small-oracle-m", "negative-verify-seed"])
+def test_bad_numbers_are_usage_errors(tmp_path, capsys, argv, message):
+    assert run([*argv, "-o", str(tmp_path / "out")]) == 1
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, path, message", [
+    (["fields", "--input"], "missing.csv", "error: cannot read field CSV"),
+    (["fields", "--input"], "bad.csv", "error: cannot read field CSV"),
+    (["coeffs", "--config"], "directory", "error: cannot read config file"),
+], ids=["missing-field-csv", "non-numeric-field-csv", "config-directory"])
+def test_unreadable_files_are_usage_errors(tmp_path, capsys, argv, path, message):
+    (tmp_path / "bad.csv").write_text("x,y,z,rho,ox,oy,oz\n0,0,0,1,0,0,abc\n")
+    (tmp_path / "directory").mkdir()
+    path = tmp_path / path
+    assert run([*argv, str(path), "-o", str(tmp_path / "out")]) == 1
+    assert f"{message} {path}" in capsys.readouterr().err
 
 
 def test_coeffs_numeric_failure_exits_3():

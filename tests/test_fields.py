@@ -612,7 +612,7 @@ def count_derivatives(monkeypatch):
         return d(self, values, j, out=out)
 
     monkeypatch.setattr(fields._Stencil, "d", spy_d)
-    for name in ("_bundle_fields", "_r1_field", "_add_r2"):
+    for name in ("_bundle_fields", "_r1_field", "_add_d"):
         def in_phase(*args, name=name, run=getattr(fields, name)):
             phase.append(name)
             try:
@@ -630,7 +630,7 @@ def test_derivatives_per_slab(monkeypatch, order):
     calls = count_derivatives(monkeypatch)
     terms = r2_terms(state, decompose_gradients(state, scheme_order=order))
     assert len(terms) == 13
-    assert {p: calls.count(p) for p in set(calls)} == {"_bundle_fields": 12, "_add_r2": 36}
+    assert {p: calls.count(p) for p in set(calls)} == {"_bundle_fields": 12, "_add_d": 135}
 
     calls.clear()
     seen = record_slabs(monkeypatch)
@@ -639,7 +639,7 @@ def test_derivatives_per_slab(monkeypatch, order):
     slabs = len(seen)
     assert slabs == 7
     assert {p: calls.count(p) for p in set(calls)} == {
-        "_bundle_fields": 12 * slabs, "_r1_field": 6 * slabs, "_add_r2": 27 * slabs}
+        "_bundle_fields": 12 * slabs, "_r1_field": 6 * slabs, "_add_d": 27 * slabs}
 
 
 @pytest.mark.parametrize("order", [2, 4])

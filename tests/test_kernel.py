@@ -36,6 +36,14 @@ def test_even_poly_kernel_antiderivative():
     assert sig == pytest.approx(7.0 / 6.0, abs=1e-15)
 
 
+def test_registry_kernels_are_hashable():
+    kernels = registry_kernels(d=0.5)
+    index = {kernel: i for i, kernel in enumerate(kernels)}
+    for i, kernel in enumerate(kernels):
+        assert kernel == kernel
+        assert index[kernel] == i
+
+
 def test_out_of_range_mu_rejected():
     k = constant_kernel(1.0)
     with pytest.raises(DomainError):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from flock_coeffs.elliptic import MuProfile, elliptic_problem_data
-from flock_coeffs.errors import PreconditionError
+from flock_coeffs.errors import DomainError, PreconditionError
 from flock_coeffs.oracle import (
     compare_spectral_fd,
     fd_solve,
@@ -67,7 +67,7 @@ def test_fd_reduced_variable_matches_spectral(pipeline_even):
 
 
 def test_fd_preconditions(legendre_kernel):
-    with pytest.raises(PreconditionError):
+    with pytest.raises(DomainError, match="oracle resolution m must be >= 100"):
         fd_solve(legendre_kernel, 2, None, lambda mu: 0 * mu, 50)
     with pytest.raises(PreconditionError, match="zero mean"):
         fd_solve(legendre_kernel, 2, None, lambda mu: 1.0 + 0 * mu, 200)
