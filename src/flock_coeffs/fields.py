@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -793,8 +794,14 @@ def save_field_csv(state: FieldState, path):
 def load_field_csv(path) -> FieldState:
     """Read a field state back; the lattice is reconstructed from coordinates."""
     try:
-        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    except (OSError, ValueError) as exc:
+        rows = Path(path).read_text().splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise FieldStateError(f"cannot read field CSV {path}: {exc}") from None
+    if not any(row.strip() for row in rows[1:]):
+        raise FieldStateError(f"field CSV {path} holds no data rows below its header")
+    try:
+        data = np.loadtxt(rows, delimiter=",", skiprows=1, ndmin=2)
+    except ValueError as exc:
         raise FieldStateError(f"cannot read field CSV {path}: {exc}") from None
     if data.shape[1] != 7:
         raise FieldStateError(f"expected 7 columns ({FIELD_CSV_HEADER}), got {data.shape[1]}")

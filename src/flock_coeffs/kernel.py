@@ -298,11 +298,12 @@ def kernel_from_config(cfg: dict):
     """Build (CollisionKernel, kappa) from a parsed key=value mapping.
 
     Recognized keys: nu.model, nu.params, d, kappa, spatial.model,
-    spatial.radius, spatial.scale.  kappa takes precedence over the spatial
-    kernel; absent both, kappa defaults to 0 (purely local interaction).
+    spatial.radius, spatial.scale.  nu.params defaults to 1 for the const
+    model only.  kappa takes precedence over the spatial kernel; absent both,
+    kappa defaults to 0 (purely local interaction).
     """
     model = cfg.get("nu.model", "const")
-    params = _parse_floats(cfg.get("nu.params", "1"))
+    params = _parse_floats(cfg.get("nu.params", "1" if model == "const" else ""))
     kernel = make_kernel(model, params, _config_float(cfg, "d", "1"))
 
     if "kappa" in cfg:

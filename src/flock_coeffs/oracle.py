@@ -21,8 +21,6 @@ from __future__ import annotations
 import numpy as np
 from numpy.polynomial import legendre as npleg
 from scipy.linalg import solve_banded
-from scipy.sparse import bmat, csc_matrix, diags
-from scipy.sparse.linalg import splu
 
 from .coeffs import ProfileSet
 from .elliptic import GciSolution, MuProfile, elliptic_problem_data
@@ -55,7 +53,14 @@ def fd_solve(kernel: CollisionKernel, problem_type: int, alpha, f, m: int,
     exactly as in the spectral solvers.  Fluxes live at half-nodes where the
     coefficient w (1-mu^2) is evaluated directly, so the endpoint degeneracy
     closes the boundary fluxes naturally and no boundary condition is
-    needed.  Type 2 imposes the zero-mean gauge through a bordered row.
+    needed.
+
+    Type 2 solves the bordered system [A, w dx; dx 1^T, 0] exactly by its
+    flux recursion, in O(m): the multiplier spreads the data's residual mean
+    over the cells by their weight moments w dx, the same choice as the
+    spectral solver; the face fluxes are the running sums of the balanced
+    data (both end faces close), the cell differences are the fluxes over
+    the conductances, and the last row is the zero-mean gauge.
 
     Type 1 runs one conservative flux-form scheme in the substituted variable
     u = g / (1-mu^2)^(k/2), k = reduced_order (flux coefficient
@@ -84,7 +89,9 @@ def fd_solve(kernel: CollisionKernel, problem_type: int, alpha, f, m: int,
     if problem_type == 1:
         alpha_vals = np.asarray(alpha(x), dtype=float) * w_cell
         if not (alpha_vals.min() > 0):
-            raise PreconditionError("alpha must be positive for the coercive problem")
+            raise PreconditionError(
+                f"alpha must be positive for the coercive problem; min on the dense "
+                f"grid {alpha_vals.min():.3e} at d = {kernel.d:g}")
         # substituted variable u = g / (1-mu^2)^(k/2): conservative form
         #   -d/dmu( w (1-mu^2)^(k+1) du/dmu ) + V u = f (1-mu^2)^(k/2-1)
         # with V = (1-mu^2)^(k-1) (k w [s2 + (nu/d) mu s2 - k mu^2] + alpha);
@@ -101,7 +108,8 @@ def fd_solve(kernel: CollisionKernel, problem_type: int, alpha, f, m: int,
         ab[2, :-1] = -cvals[1:-1]
         g = s2 ** (k / 2.0) * solve_banded((1, 1), ab, rhs)
         if not np.all(np.isfinite(g)):
-            raise SolverError("finite-difference solve produced non-finite values")
+            raise SolverError(f"finite-difference solve produced non-finite values "
+                              f"at d = {kernel.d:g}")
         return x, g
 
     if problem_type == 2:
@@ -112,16 +120,22 @@ def fd_solve(kernel: CollisionKernel, problem_type: int, alpha, f, m: int,
                                       * np.exp(kernel.log_weight(rule.nodes) - shift)))
         if not abs(fmean) < 1e-10:  # also rejects non-finite data
             raise PreconditionError(
-                f"type-2 data must have zero mean; int f dmu = {fmean:.6e}")
-        cond = w_face * s2_face / dx**2  # conductances; zero at the domain ends
-        A = diags(
-            [-cond[1:-1], cond[:-1] + cond[1:], -cond[1:-1]],
-            offsets=[-1, 0, 1], format="csr")
-        col = csc_matrix(np.full((m, 1), dx))
-        K = bmat([[A, col], [col.T, None]], format="csc")
-        g = splu(K).solve(np.concatenate([f_vals, [0.0]]))[:m]
+                f"type-2 data must have zero mean; int f dmu = {fmean:.6e} "
+                f"at d = {kernel.d:g}")
+        cond = w_face[1:-1] * s2_face[1:-1] / dx**2  # interior faces
+        if not cond.min() > 0:  # also rejects NaN
+            raise SolverError(
+                f"dense-grid conductance vanishes or is not finite (min {cond.min():.3e}): "
+                f"the weight underflows across the grid at d = {kernel.d:g}")
+        lam = f_vals.sum() / w_cell.sum()
+        flux = -np.cumsum(f_vals - lam * w_cell)
+        g = np.empty(m)
+        g[0] = 0.0
+        np.cumsum(flux[:-1] / cond, out=g[1:])
+        g -= g.mean()
         if not np.all(np.isfinite(g)):
-            raise SolverError("finite-difference solve produced non-finite values")
+            raise SolverError(f"finite-difference solve produced non-finite values "
+                              f"at d = {kernel.d:g}")
         return x, g
 
     raise PreconditionError(f"problem_type must be 1 or 2, got {problem_type}")
@@ -337,6 +351,21 @@ def source_orthogonality(kernel: CollisionKernel, gci: GciSolution, c,
 
 # --- dense-vs-spectral comparison ------------------------------------------------
 
+# nodes per Legendre-Vandermonde block: a 4096 x 65 block is 2 MB, where the
+# whole 20000-node grid would take a 10 MB matrix
+_BLOCK_NODES = 4096
+
+
+def _legendre_columns(x, coefs) -> np.ndarray:
+    """Values at x of the Legendre series whose coefficients are the columns
+    of `coefs`, one Vandermonde product per block of nodes."""
+    out = np.empty((len(x), coefs.shape[1]))
+    for lo in range(0, len(x), _BLOCK_NODES):
+        block = x[lo:lo + _BLOCK_NODES]
+        out[lo:lo + len(block)] = npleg.legvander(block, coefs.shape[0] - 1) @ coefs
+    return out
+
+
 def compare_spectral_fd(kernel: CollisionKernel, c, gci: GciSolution,
                         profiles: ProfileSet, m: int = 20000) -> dict:
     """Relative L2 distance between spectral and dense FD solutions.
@@ -344,17 +373,24 @@ def compare_spectral_fd(kernel: CollisionKernel, c, gci: GciSolution,
     All six problems are re-solved on the dense grid from the same data,
     in the substituted variable where the solution carries an endpoint
     factor; zero-mean gauges are aligned by subtracting the dense-grid mean
-    from both solutions before comparing.
+    from both solutions before comparing.  The six spectral profiles are
+    evaluated on the dense grid together, in blocked Vandermonde products.
     """
     probs = elliptic_problem_data(kernel, c, b1=profiles.b1)
     spectral = {"gci": gci.h, "a_perp": profiles.a_perp, "a_par": profiles.a_par,
                 "b1": profiles.b1, "b2": profiles.b2, "b_par": profiles.b_par}
+    dense = {name: fd_solve(kernel, spec["ptype"], spec["alpha"], spec["f"], m,
+                            reduced_order=spec["sing_order"])
+             for name, spec in probs.items()}
+    x = dense["gci"][0]  # every solve returns the same grid
+    coefs = np.zeros((max(len(prof.coef) for prof in spectral.values()), len(probs)))
+    for j, name in enumerate(probs):
+        coefs[:len(spectral[name].coef), j] = spectral[name].coef
+    reduced = _legendre_columns(x, coefs)
     out = {}
-    for name, spec in probs.items():
-        k, reduced = spec["sing_order"], spectral[name]
-        x, g_dense = fd_solve(kernel, spec["ptype"], spec["alpha"], spec["f"], m,
-                              reduced_order=k)
-        g_spec = (1.0 - x * x) ** (k / 2.0) * reduced(x)
+    for j, (name, spec) in enumerate(probs.items()):
+        g_spec = (1.0 - x * x) ** (spec["sing_order"] / 2.0) * reduced[:, j]
+        g_dense = dense[name][1]
         if spec["ptype"] == 2:
             g_spec = g_spec - g_spec.mean()
             g_dense = g_dense - g_dense.mean()

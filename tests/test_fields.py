@@ -1,5 +1,6 @@
 import tracemalloc
 import types
+import warnings
 
 import numpy as np
 import pytest
@@ -279,6 +280,15 @@ def test_csv_load_rejects_bad_norm(tmp_path):
     save_field_csv(state, path)
     with pytest.raises(FieldStateError, match="cell"):
         load_field_csv(path)
+
+
+def test_csv_load_rejects_header_only_file(tmp_path):
+    path = tmp_path / "empty.csv"
+    path.write_text(FIELD_CSV_HEADER + "\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FieldStateError, match="no data rows"):
+            load_field_csv(path)
 
 
 def test_npz_roundtrip(tmp_path):

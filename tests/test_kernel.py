@@ -168,3 +168,12 @@ def test_config_errors():
         kernel_from_config({"nu.model": "const", "nu.params": "1", "d": "abc"})
     with pytest.raises(ConfigError):
         kernel_from_config({"spatial.model": "cube"})
+
+
+def test_nu_params_default_only_for_const():
+    kernel, _ = kernel_from_config({"nu.model": "const"})
+    assert kernel.nu(np.array([0.3]))[0] == 1.0
+    with pytest.raises(ConfigError, match=r"takes 2 parameter\(s\), got 0"):
+        kernel_from_config({"nu.model": "affine"})
+    with pytest.raises(ConfigError, match="got 0"):
+        kernel_from_config({"nu.model": "evenpoly"})

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from flock_coeffs.coeffs import run_pipeline
 from flock_coeffs.elliptic import MuProfile, elliptic_problem_data
-from flock_coeffs.errors import DomainError, PreconditionError
+from flock_coeffs.errors import DomainError, PreconditionError, SolverError
+from flock_coeffs.kernel import constant_kernel, even_poly_kernel
 from flock_coeffs.oracle import (
     compare_spectral_fd,
     fd_solve,
@@ -13,6 +15,7 @@ from flock_coeffs.oracle import (
     source_orthogonality,
     trial_norm,
 )
+from flock_coeffs.quad import build_rule, quadrature_size
 
 
 def test_dense_grid_strictly_interior(legendre_kernel):
@@ -64,6 +67,53 @@ def test_fd_reduced_variable_matches_spectral(pipeline_even):
         ref = np.sqrt(1 - x * x) * p["gci"].h(x)
         errs.append(np.linalg.norm(values - ref) / np.linalg.norm(ref))
     assert 3.5 <= errs[0] / errs[1] <= 4.5
+
+
+@pytest.mark.parametrize("which", ["legendre", "evenpoly"])
+def test_fd_type2_recursion_solves_bordered_system(which, legendre_kernel):
+    # the flux recursion against a dense solve of the bordered system it
+    # stands for: conductance matrix A, weighted border column w dx,
+    # uniform gauge row dx 1^T
+    kernel = legendre_kernel if which == "legendre" else even_poly_kernel([1.0, 0.5], d=0.5)
+    m = 300
+    dx = 2.0 / m
+    x = -1.0 + (np.arange(m) + 0.5) * dx
+    faces = -1.0 + np.arange(m + 1) * dx
+    lw_cell, lw_face = kernel.log_weight(x), kernel.log_weight(faces)
+    shift = max(lw_cell.max(), lw_face.max())
+    w_cell, w_face = np.exp(lw_cell - shift), np.exp(lw_face - shift)
+    # zero weighted mean: mu minus its weighted average
+    rule = build_rule(quadrature_size(kernel, 96))
+    w_rule = np.exp(kernel.log_weight(rule.nodes))
+    c1 = (rule.weights @ (rule.nodes * w_rule)) / (rule.weights @ w_rule)
+    data = lambda mu: np.asarray(mu) - c1
+
+    cond = w_face * (1.0 - faces**2) / dx**2
+    K = np.zeros((m + 1, m + 1))
+    K[np.arange(m), np.arange(m)] = cond[:-1] + cond[1:]
+    K[np.arange(m - 1), np.arange(1, m)] = -cond[1:-1]
+    K[np.arange(1, m), np.arange(m - 1)] = -cond[1:-1]
+    K[:m, m] = w_cell * dx
+    K[m, :m] = dx
+    ref = np.linalg.solve(K, np.concatenate([data(x) * w_cell, [0.0]]))[:m]
+
+    nodes, values = fd_solve(kernel, 2, None, data, m)
+    assert np.array_equal(nodes, x)
+    assert np.abs(values - ref).max() <= 1e-10 * np.abs(ref).max()
+
+
+def test_fd_type2_weight_underflow_names_d():
+    # a sigma/d spread of 1000 underflows the weight at the faces near mu = -1
+    with pytest.raises(SolverError, match=r"conductance .* at d = 0\.002"):
+        fd_solve(constant_kernel(1.0, d=0.002), 2, None, lambda mu: 0.0 * mu, 1000)
+
+
+def test_fd_precondition_messages_name_d(legendre_kernel):
+    with pytest.raises(PreconditionError, match=r"alpha must be positive .* at d = 0\.002"):
+        fd_solve(constant_kernel(1.0, d=0.002), 1, lambda mu: np.ones_like(mu),
+                 lambda mu: 0.0 * mu, 1000)
+    with pytest.raises(PreconditionError, match=r"zero mean; .* at d = 1$"):
+        fd_solve(legendre_kernel, 2, None, lambda mu: 1.0 + 0 * mu, 200)
 
 
 def test_fd_preconditions(legendre_kernel):
@@ -176,6 +226,17 @@ def test_spectral_fd_cross_check_moderate(pipeline_even):
     assert set(out) == {"gci", "a_perp", "a_par", "b1", "b2", "b_par"}
     # second-order floor at this resolution
     assert max(out.values()) < 1e-4 * (20000 / 5000) ** 2
+
+
+@pytest.mark.parametrize("d", [0.1, 0.05])
+def test_spectral_fd_type2_at_small_d(d):
+    # the weighted border keeps the type-2 check sharp where the weight
+    # spans many decades (the uniform border read 2e-2 and 9e4 here)
+    kernel = constant_kernel(1.0, d=d)
+    p = run_pipeline(kernel, 64, 0.1)
+    out = compare_spectral_fd(kernel, p.c, p.gci, p.profiles, m=20000)
+    assert out["a_par"] <= 1e-6
+    assert out["b2"] <= 1e-6
 
 
 def test_negative_mode_index_rejected(pipeline_even):
