@@ -136,10 +136,12 @@ def _sampled(fn, x):
 class _Factors:
     """LU factors of one discrete operator, kept on the rule (rule.factors).
 
-    `column` is the bordered column of a type-2 system (None for type 1);
-    `condition` is the 1-norm estimate of its condition number.
+    `nodal` maps Legendre coefficients to the operator's values at the rule
+    nodes; `column` is the bordered column of a type-2 system (None for
+    type 1); `condition` is the 1-norm estimate of its condition number.
     """
 
+    nodal: np.ndarray
     lu: np.ndarray
     piv: np.ndarray
     condition: float
@@ -193,7 +195,8 @@ def _factor(rule, key, basis, coefs, what, d, border=None) -> _Factors:
     column of moments int border P_j dmu and the zero-mean gauge row
     int g dmu = 0 (the column must have a component outside the range of
     the operator; the multiplier absorbs any truncation-level inconsistency
-    of the data).
+    of the data).  The nodal operator matrix is kept with the factors: the
+    solves form their images and defects from it (_defect).
     """
     factors = rule.factors.get(key)
     if factors is not None:
@@ -203,11 +206,7 @@ def _factor(rule, key, basis, coefs, what, d, border=None) -> _Factors:
     ops = Vdd * c2[:, None] + Vd * c1[:, None]
     if c0 is not None:
         ops += V * c0[:, None]
-    # weighted in place and dropped before factoring: the factors of the
-    # rule's other operators are alive here, so this is the solves' peak
-    ops *= rule.weights[:, None]
-    A = V.T @ ops
-    del ops
+    A = V.T @ (ops * rule.weights[:, None])
     column = None
     if border is not None:
         column = V.T @ (rule.weights * border)
@@ -220,32 +219,40 @@ def _factor(rule, key, basis, coefs, what, d, border=None) -> _Factors:
     lu, piv, info = dgetrf(A, overwrite_a=True)
     if info > 0:  # exactly zero pivot
         raise SolverError(f"{what}: singular discrete system at d = {d:g}", np.inf)
-    factors = _Factors(lu, piv, anorm * _inverse_norm1(lu, piv), column)
+    factors = _Factors(ops, lu, piv, anorm * _inverse_norm1(lu, piv), column)
     # a concurrent factorization of the same operator loses to the one stored first
     return rule.factors.setdefault(key, factors)
 
 
-def _solve(factors, basis, coefs, qw, F, d, what):
-    """Solve with the factors of _factor; checked like a direct solve.
-
-    Returns the solution (for a bordered system it ends with the
-    multiplier), the nodal image c2 u'' + c1 u' + c0 u of its first len(F)
-    entries u, and the linear residual, formed from that image rather than
-    from the assembled matrix, which is not kept.
-    """
-    rhs = F if factors.column is None else np.append(F, 0.0)
-    sol = dgetrs(factors.lu, factors.piv, rhs)[0]
-    if not np.all(np.isfinite(sol)):
-        raise SolverError(f"{what}: non-finite solution at d = {d:g}", factors.condition)
+def _defect(factors, V, qw, F, sol):
+    """Nodal image c2 u'' + c1 u' + c0 u of the first len(F) entries u of
+    `sol`, and the defect of `sol` in the system of _factor, formed from that
+    image rather than from the assembled matrix, which is not kept."""
     u = sol[:len(F)]
-    V, Vd, Vdd = basis
-    c2, c1, c0 = coefs
-    image = c2 * (Vdd @ u) + c1 * (Vd @ u)
-    if c0 is not None:
-        image += c0 * (V @ u)
+    image = factors.nodal @ u
     defect = V.T @ (qw * image) - F
     if factors.column is not None:
         defect = np.append(defect + factors.column * sol[-1], 2.0 * u[0])
+    return image, defect
+
+
+def _solve(factors, V, qw, F, d, what):
+    """Solve with the factors of _factor; checked like a direct solve.
+
+    Returns the solution (for a bordered system it ends with the
+    multiplier), its nodal image and the linear residual (_defect).  One
+    step of iterative refinement back-substitutes the defect of the first
+    solution.  The defect, formed from nodal values, is more accurate than
+    the rounded Galerkin sums of the assembled matrix: at the small-d end of
+    the range the refinement takes b2's solvability integral from rounding
+    noise of 1e-10 to 1e-9 down to 1e-12.
+    """
+    rhs = F if factors.column is None else np.append(F, 0.0)
+    sol = dgetrs(factors.lu, factors.piv, rhs)[0]
+    sol -= dgetrs(factors.lu, factors.piv, _defect(factors, V, qw, F, sol)[1])[0]
+    if not np.all(np.isfinite(sol)):
+        raise SolverError(f"{what}: non-finite solution at d = {d:g}", factors.condition)
+    image, defect = _defect(factors, V, qw, F, sol)
     linres = float(np.linalg.norm(defect) / (np.linalg.norm(F) + 1e-300))
     if linres > 1e-8:
         raise SolverError(f"{what}: ill-conditioned system, linear residual {linres:.3e} "
@@ -287,7 +294,8 @@ def _checked_solve(kernel, rule, n, k, key, coefs, rhs, shift, name, border=None
     what, d, qw = f"{name} solve", kernel.d, rule.weights
     basis = _basis(rule, n)
     factors = _factor(rule, key, basis, coefs, what, d, border)
-    sol, image, linres = _solve(factors, basis, coefs, qw, basis[0].T @ (qw * rhs), d, what)
+    V = basis[0]
+    sol, image, linres = _solve(factors, V, qw, V.T @ (qw * rhs), d, what)
     scale = float(np.max(np.abs(rhs / divisor))) or 1.0
     residual = float(np.max(np.abs((image - rhs) / divisor)) / scale)
     if not np.isfinite(residual):
@@ -398,7 +406,8 @@ def elliptic_problem_data(kernel: CollisionKernel, c=None, b1=None) -> dict:
       b_par   type 1, k=1:  1,          (nu/d^2)(mu - c2)(1-mu^2)^(3/2)
 
     Problems that need the leading-order constants appear once `c` is given;
-    the b2 problem needs the solved b1 profile as data.
+    the b2 problem needs the solved b1 profile as data, read from its stored
+    values at b1's own rule nodes and evaluated anywhere else.
     """
     nu = kernel.nu
     d = kernel.d
@@ -429,7 +438,7 @@ def elliptic_problem_data(kernel: CollisionKernel, c=None, b1=None) -> dict:
         if b1 is not None:
             problems["b2"] = dict(
                 ptype=2, sing_order=0, alpha=None,
-                f=lambda mu: 2.0 * b1(mu) - c1 / d,
+                f=lambda mu: 2.0 * (b1.values if mu is b1.rule.nodes else b1(mu)) - c1 / d,
             )
     return problems
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import roots_legendre
+from scipy.special import eval_legendre
 
 from .errors import DegenerateWeightError, DomainError, NumericError
 from .kernel import CollisionKernel
@@ -50,11 +50,57 @@ class QuadratureRule:
         return 2 * self.n - 1
 
 
+# Newton's method stops once its largest step is this small; a rule that
+# needs more than _NEWTON_ITERATIONS steps is reported, not returned
+_NEWTON_STEP_TOL = 4e-16
+_NEWTON_ITERATIONS = 10
+
+
 def build_rule(n: int) -> QuadratureRule:
-    """n-point Gauss-Legendre rule on [-1, 1]."""
+    """n-point Gauss-Legendre rule on [-1, 1], nodes ascending.
+
+    Newton's method on the nonnegative half of the nodes, started from
+    Tricomi's asymptotic estimate (Hale & Townsend, SIAM J. Sci. Comput. 35,
+    2013), with P_n and P_{n-1} evaluated by scipy's three-term recurrence at
+    an integer degree.  The weights are 2 (1-x^2) / (n (P_{n-1} - x P_n))^2,
+    which is 2 (1-x^2) / (n P_{n-1})^2 at a root, rescaled to sum to 2.  The
+    half rule is mirrored, so the nodes are exactly
+    antisymmetric, the weights exactly symmetric, and the middle node of an
+    odd rule is exactly 0.0.  O(n^2) in compiled loops, with no LAPACK call,
+    so the bits do not depend on the BLAS build or its thread count.
+    """
+    if not float(n).is_integer():
+        raise DomainError(f"rule size must be an integer, got {n}")
+    # an integer degree keeps eval_legendre on its recurrence; a float one
+    # would send it down its hypergeometric path
+    n = int(n)
     if n < 1:
         raise DomainError(f"rule size must be >= 1, got {n}")
-    nodes, weights = roots_legendre(n)
+    # Tricomi's estimate of the nodes x_1 > x_2 > ... >= 0
+    theta = np.pi * (4.0 * np.arange(1, (n + 1) // 2 + 1) - 1.0) / (4.0 * n + 2.0)
+    x = (1.0 - (n - 1) / (8.0 * n**3)
+         - (39.0 - 28.0 / np.sin(theta) ** 2) / (384.0 * n**4)) * np.cos(theta)
+    if n % 2:
+        x[-1] = 0.0  # a root of every odd P_n, so its Newton step is exactly 0
+    for _ in range(_NEWTON_ITERATIONS):
+        p = eval_legendre(n, x)
+        s2 = (1.0 - x) * (1.0 + x)
+        flux = n * (eval_legendre(n - 1, x) - x * p)  # (1-x^2) P_n'(x)
+        step = p * s2 / flux
+        x = x - step
+        if np.max(np.abs(step)) <= _NEWTON_STEP_TOL:
+            break
+    else:
+        raise NumericError(f"Gauss-Legendre rule of size {n}: Newton's method did not "
+                           f"converge in {_NEWTON_ITERATIONS} steps")
+    # by Legendre's equation (1-x^2) P_n' is stationary at a root, where
+    # P_{n-1} alone moves to first order: near the ends of a 2000-node rule
+    # that first-order term is 1e-7 of the weight per rounding of the node
+    w = 2.0 * s2 / flux**2
+    half = n // 2
+    nodes = np.concatenate((-x[:half], x[::-1]))
+    weights = np.concatenate((w[:half], w[::-1]))
+    weights *= 2.0 / weights.sum()
     return QuadratureRule(nodes=nodes, weights=weights)
 
 

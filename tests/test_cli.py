@@ -250,7 +250,7 @@ def test_coeffs_numeric_failure_exits_3():
                 "--format", "json", "-o", "-"]) == 3
 
 
-@pytest.mark.parametrize("d, n", [("0.0015", "64"), ("0.0005", "512")])
+@pytest.mark.parametrize("d, n", [("0.0015", "64"), ("0.0005", "192")])
 def test_noise_below_range_exits_3_naming_d(capsys, d, n):
     # below what n resolves: an input-range failure (3), not an invariant bug
     # (2), reported by the b2 solvability check with the stage and d

@@ -54,9 +54,9 @@ def test_pressure_constant_for_constant_rate(d):
 
 
 @pytest.mark.parametrize("d, n", [(0.01, 64), (0.007, 64), (0.005, 128), (0.002, 128),
-                                  (0.0015, 192), (0.001, 256)])
+                                  (0.0015, 192), (0.001, 256), (0.0005, 512)])
 def test_small_noise_closed_forms(d, n):
-    # the weight exp(mu/d) spans up to 2000 e-folds; it underflows at the
+    # the weight exp(mu/d) spans up to 4000 e-folds; it underflows at the
     # nodes for d <= 0.002, yet every solve must record a finite residual
     hydro = compute_coefficients(constant_kernel(1.0, d=d), n=n)
     assert abs(hydro.c1 - langevin(1.0 / d)) < 1e-10
@@ -64,6 +64,17 @@ def test_small_noise_closed_forms(d, n):
     solves = {k: v for k, v in hydro.residuals.items() if k.endswith("_solve")}
     assert len(solves) == 6
     assert all(np.isfinite(v) for v in solves.values()), solves
+
+
+@pytest.mark.parametrize("d, n", [(0.001, 256), (0.0007, 384)])
+def test_b2_solvability_integral_at_rounding_level(d, n):
+    # the b2 data 2 b1 - c1/d integrate to zero against the weight; with one
+    # refinement step per solve the discrete integral sits near 1e-12, far
+    # under the 1e-10 bound of the solvability check (unrefined: 1e-10 to 1e-9)
+    kernel = constant_kernel(1.0, d=d)
+    p = run_pipeline(kernel, n, 0.1)
+    f = 2.0 * p.profiles.b1.values - p.c[0] / d
+    assert abs(float(p.eq.rule.weights @ (f * p.eq.weight))) < 1e-11
 
 
 def test_c_relation_certificates(pipeline_const, pipeline_even):

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+from numpy.polynomial import legendre as npleg
 
 from flock_coeffs.coeffs import run_pipeline
-from flock_coeffs.elliptic import MuProfile, elliptic_problem_data
+from flock_coeffs.elliptic import MuProfile, _basis, elliptic_problem_data
 from flock_coeffs.errors import DomainError, PreconditionError, SolverError
-from flock_coeffs.kernel import constant_kernel, even_poly_kernel
+from flock_coeffs.kernel import constant_kernel, even_poly_kernel, registry_kernels
 from flock_coeffs.oracle import (
     compare_spectral_fd,
     fd_solve,
@@ -159,6 +160,50 @@ def test_all_profile_mode_identities(pipeline_const, pipeline_even):
         assert max(res.values()) < 1e-8
 
 
+def _six_profiles(p):
+    # (mode index, reduced profile) of each solved problem
+    pr = p.profiles
+    return [(1, p.gci.h), (1, pr.a_perp), (0, pr.a_par), (2, pr.b1), (0, pr.b2),
+            (1, pr.b_par)]
+
+
+def _clenshaw_image(kernel, k, profile):
+    # mode_apply's nodal image with the derivatives by Clenshaw on legder
+    x = profile.rule.nodes
+    s2 = 1.0 - x * x
+    nu_over_d = np.asarray(kernel.nu(x)) / kernel.d
+    up = npleg.legval(x, npleg.legder(profile.coef))
+    upp = npleg.legval(x, npleg.legder(profile.coef, 2))
+    return kernel.d * (-s2 * upp + ((2.0 * k + 2.0) * x - nu_over_d * s2) * up
+                       + (k * (k + 1) + k * x * nu_over_d) * profile.values)
+
+
+@pytest.mark.parametrize("kernel", [constant_kernel(1.0, d=1.0),
+                                    even_poly_kernel([1.0, 0.5], d=0.5)],
+                         ids=["const", "evenpoly"])
+def test_mode_apply_derivatives_from_the_rule_basis(kernel):
+    p = run_pipeline(kernel, 64, 0.1)
+    for k, prof in _six_profiles(p):
+        x = prof.rule.nodes
+        _, Vd, Vdd = _basis(prof.rule, prof.degree)
+        for m, cached in ((1, Vd), (2, Vdd)):
+            clenshaw = npleg.legval(x, npleg.legder(prof.coef, m))
+            assert np.abs(cached @ prof.coef - clenshaw).max() <= 1e-12 * np.abs(clenshaw).max()
+        # the projection onto degree + 28 rounds to about 6e-13 at the ends
+        image = mode_apply(kernel, k, prof)
+        reference = _clenshaw_image(kernel, k, prof)
+        assert np.abs(image.values - reference).max() <= 1e-11 * np.abs(reference).max()
+    assert max(mode_residuals(kernel, p.c, p.gci, p.profiles).values()) <= 1e-8
+
+
+def test_nodal_reads_reject_another_rule(pipeline_even):
+    p = pipeline_even
+    eq = p["eq"]
+    other = MuProfile.from_coef(build_rule(eq.rule.n), [1.0, 0.5])
+    with pytest.raises(PreconditionError, match="rule"):
+        trial_norm(other, 1, eq)
+
+
 def test_mode_quadratic_form_properties(pipeline_even):
     # -int L(phi) phi / M is symmetric and nonnegative; strictly positive
     # off the null space and for k >= 1
@@ -218,6 +263,25 @@ def test_source_admissibility(pipeline_const, pipeline_even):
         defects = source_orthogonality(p["kernel"], p["gci"], p["c"], p["eq"])
         assert set(defects) == {"a_perp", "a_par", "b_bb", "b_pb"}
         assert max(defects.values()) < 1e-8
+
+
+@pytest.mark.parametrize("n", [64, 96, 128])
+@pytest.mark.parametrize("d", [0.7, 1.0, 2.0, 3.0])
+def test_a_perp_admissibility_for_constant_rate(d, n):
+    # 1 - c3 nu/d vanishes identically for a constant rate; the defect is
+    # relative to the mass of the two terms, not of their rounded difference
+    kernel = constant_kernel(1.0, d=d)
+    p = run_pipeline(kernel, n, 0.1)
+    assert source_orthogonality(kernel, p.gci, p.c, p.eq)["a_perp"] <= 1e-12
+
+
+@pytest.mark.parametrize("kernel", [constant_kernel(1.0, d=0.5), *registry_kernels(d=0.5)],
+                         ids=lambda k: k.model)
+def test_a_perp_admissibility_detects_perturbed_c3(kernel):
+    p = run_pipeline(kernel, 64, 0.1)
+    c1, c2, c3 = p.c
+    defects = source_orthogonality(kernel, p.gci, (c1, c2, c3 * (1.0 + 1e-6)), p.eq)
+    assert defects["a_perp"] > 1e-7
 
 
 def test_spectral_fd_cross_check_moderate(pipeline_even):

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from numpy.polynomial import legendre as npleg
+from scipy.special import roots_legendre
 
+import flock_coeffs.quad as quad
 from flock_coeffs.errors import DegenerateWeightError, DomainError, NumericError
 from flock_coeffs.kernel import constant_kernel
 from flock_coeffs.quad import (
@@ -50,6 +53,63 @@ def test_polynomial_exactness_to_declared_degree():
 def test_zero_size_rule_rejected():
     with pytest.raises(DomainError):
         build_rule(0)
+
+
+@pytest.mark.parametrize("n", [*range(1, 41), 64, 124, 125, 222, 414])
+def test_rule_agrees_with_golub_welsch(n):
+    # scipy's eigenvalue construction, as an independent reference; its end
+    # weights carry rounding of the order of 1e-9 at these sizes
+    nodes, weights = roots_legendre(n)
+    rule = build_rule(n)
+    assert np.abs(rule.nodes - nodes).max() <= 4.5e-16
+    assert (np.abs(rule.weights - weights) / weights).max() <= 2e-9
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 64, 125, 2314])
+def test_rule_is_exactly_symmetric(n):
+    rule = build_rule(n)
+    assert np.array_equal(rule.nodes, -rule.nodes[::-1])
+    assert np.array_equal(rule.weights, rule.weights[::-1])
+    assert np.all(np.diff(rule.nodes) > 0)
+    if n % 2:
+        middle = rule.nodes[n // 2]
+        assert middle == 0.0 and not np.signbit(middle)
+
+
+@pytest.mark.parametrize("n", [64, 200])
+def test_rule_integrates_legendre_polynomials_exactly(n):
+    rule = build_rule(n)
+    moments = npleg.legvander(rule.nodes, 2 * n - 1).T @ rule.weights
+    expected = np.zeros(2 * n)
+    expected[0] = 2.0
+    assert np.abs(moments - expected).max() <= 1e-13
+
+
+@pytest.mark.parametrize("n", [2314, 4100])
+def test_large_rules_converge(n):
+    # 2314 nodes: constant rate at d = 1e-3, n = 256, the edge of the range
+    rule = build_rule(n)
+    assert rule.n == n
+    assert -1.0 < rule.nodes[0] and rule.nodes[-1] < 1.0
+    assert np.all(np.diff(rule.nodes) > 0)
+    assert abs(rule.weights.sum() - 2.0) < 1e-13
+    assert abs(float(rule.weights @ rule.nodes**2) - 2.0 / 3.0) < 1e-13
+
+
+def test_rule_size_must_be_integral():
+    assert np.array_equal(build_rule(64.0).nodes, build_rule(64).nodes)
+    assert np.array_equal(build_rule(64.0).weights, build_rule(64).weights)
+    assert np.array_equal(build_rule(np.int64(64)).nodes, build_rule(64).nodes)
+    with pytest.raises(DomainError, match="integer"):
+        build_rule(2.5)
+    with pytest.raises(DomainError):
+        build_rule(float("nan"))
+
+
+def test_rule_reports_newton_failure(monkeypatch):
+    monkeypatch.setattr(quad, "_NEWTON_ITERATIONS", 1)
+    with pytest.raises(NumericError, match="size 64"):
+        build_rule(64)
 
 
 def test_average_of_one_is_one(const_kernel):
