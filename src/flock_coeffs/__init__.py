@@ -11,7 +11,6 @@ fields on periodic grids and an independent verification oracle.
 from .coeffs import (
     HydroCoefficients,
     Pipeline,
-    ProfileSet,
     beta_quadratic_form,
     compute_c123,
     compute_coefficients,
@@ -20,7 +19,7 @@ from .coeffs import (
     run_pipeline,
     solve_profiles,
 )
-from .elliptic import GciSolution, MuProfile, solve_gci, solve_type1, solve_type2
+from .elliptic import MuProfile, solve_gci, solve_type1, solve_type2
 from .errors import (
     ConfigError,
     DegenerateWeightError,

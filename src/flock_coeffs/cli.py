@@ -140,6 +140,9 @@ def _sweep_values(args):
             raise ConfigError("--d-min, --d-max and --steps must be given together")
         if args.steps < 1:
             raise ConfigError(f"--steps must be >= 1, got {args.steps}")
+        for flag, value in (("--d-min", args.d_min), ("--d-max", args.d_max)):
+            if not np.isfinite(value):
+                raise ConfigError(f"{flag} must be finite, got {value}")
         if not (0 < args.d_min <= args.d_max):
             raise ConfigError("need 0 < d-min <= d-max")
         if args.steps == 1:
@@ -178,31 +181,24 @@ def cmd_profiles(args) -> int:
     outdir = Path(args.output or "profiles-out")
     outdir.mkdir(parents=True, exist_ok=True)
 
-    pipe = run_pipeline(kernel, n, kappa)
-    gci, profiles = pipe.gci, pipe.profiles
+    profiles = run_pipeline(kernel, n, kappa).profiles
 
-    def dump(name, prof, values, sing_order=0):
+    def dump(name, prof, values=None, sing_order=0):
+        values = prof.values if values is None else values
         rows = "\n".join(f"{m:.17g},{v:.17g}" for m, v in zip(prof.rule.nodes, values))
         (outdir / f"{name}.csv").write_text("mu,value\n" + rows + "\n")
         sidecar = {"coefficients": list(prof.coef), "sing_order": sing_order,
                    "meta": prof.meta}
         (outdir / f"{name}.json").write_text(json.dumps(sidecar, indent=2) + "\n")
 
-    # the full invariant profile g = sqrt(1-mu^2) h, with h's coefficients
-    h = gci.h
+    # the invariant profile is written as h, next to its derivative h' and
+    # the full invariant g = sqrt(1-mu^2) h (with h's coefficients)
+    h = profiles["gci"]
     dump("g", h, (1.0 - h.rule.nodes**2) ** 0.5 * h.values, sing_order=1)
-    dumps = {
-        "h": h,
-        "h_prime": gci.h_prime,
-        "a_perp": profiles.a_perp,
-        "a_par": profiles.a_par,
-        "b1": profiles.b1,
-        "b2": profiles.b2,
-        "b_par": profiles.b_par,
-    }
-    for name, prof in dumps.items():
-        dump(name, prof, prof.values)
-    sys.stdout.write(f"wrote {len(dumps) + 1} profiles to {outdir}\n")
+    dump("h_prime", h.derivative())
+    for name, prof in profiles.items():
+        dump("h" if name == "gci" else name, prof)
+    sys.stdout.write(f"wrote {len(profiles) + 2} profiles to {outdir}\n")
     return EXIT_OK
 
 

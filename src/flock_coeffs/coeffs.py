@@ -11,9 +11,10 @@ velocity correction.  Each zeta combines three routes:
   * a "nonlocal" table proportional to the interaction-range constant kappa.
 
 `run_pipeline` alone sizes the quadrature rule and chains these stages, and
-returns them all as a `Pipeline`; `compute_coefficients` keeps only its
-coefficient set, on which every intermediate table is retained so every line
-of the assembly is independently checkable.
+returns them all as a `Pipeline`, the six solved profiles as one dict keyed
+like `elliptic_problem_data` ("gci" is h); `compute_coefficients` keeps only
+its coefficient set, on which every intermediate table is retained so every
+line of the assembly is independently checkable.
 """
 
 from __future__ import annotations
@@ -22,18 +23,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elliptic import GciSolution, MuProfile, elliptic_problem_data, solve_gci, solve_problem
-from .errors import DomainError, InvariantError
+from .elliptic import MuProfile, elliptic_problem_data, solve_gci, solve_problem
+from .errors import DomainError, InvariantError, NumericError
 from .kernel import CollisionKernel
 from .quad import (
     VonMisesEquilibrium,
     average_weighted,
     build_equilibrium,
     quadrature_size,
+    weight_spread,
 )
 
 __all__ = [
-    "ProfileSet",
     "HydroCoefficients",
     "Pipeline",
     "compute_c123",
@@ -48,23 +49,7 @@ __all__ = [
     "compute_coefficients",
 ]
 
-@dataclass
-class ProfileSet:
-    """The five response profiles, all smooth reduced factors.
-
-    a_perp and b_par multiply sqrt(1-mu^2) in the full kinetic correction and
-    b1 multiplies (1-mu^2); a_par and b2 appear as-is.  Gauges: a_par has zero
-    equilibrium average, and the b pair satisfies <b1 sin^2/2 + b2> = 0.
-    """
-
-    a_perp: MuProfile
-    a_par: MuProfile
-    b1: MuProfile
-    b2: MuProfile
-    b_par: MuProfile
-
-
-def compute_c123(kernel: CollisionKernel, gci: GciSolution, eq: VonMisesEquilibrium):
+def compute_c123(kernel: CollisionKernel, h: MuProfile, eq: VonMisesEquilibrium):
     """Leading-order constants: drift c1, convection c2, pressure c3.
 
     c1 is the plain equilibrium average of cos(theta); c2 and c3 average over
@@ -72,17 +57,16 @@ def compute_c123(kernel: CollisionKernel, gci: GciSolution, eq: VonMisesEquilibr
     """
     x = eq.rule.nodes
     s2 = 1.0 - x * x
-    h = gci.h.values
     nu = np.asarray(kernel.nu(x), dtype=float)
 
     c1 = eq.average(x)
-    hw = s2 * nu * h * eq.weight
+    hw = s2 * nu * h.values * eq.weight
     c2 = average_weighted(eq.rule, x, hw)
     c3 = kernel.d * average_weighted(eq.rule, 1.0 / nu, hw)
     return c1, c2, c3
 
 
-def c_relation_residuals(kernel: CollisionKernel, gci: GciSolution, c,
+def c_relation_residuals(kernel: CollisionKernel, h: MuProfile, c,
                          eq: VonMisesEquilibrium) -> dict:
     """The three equivalent integral forms of the c-definitions, as residuals.
 
@@ -92,7 +76,7 @@ def c_relation_residuals(kernel: CollisionKernel, gci: GciSolution, c,
     c1, c2, c3 = c
     x = eq.rule.nodes
     s2 = 1.0 - x * x
-    h = gci.h.values
+    hv = h.values
     nu = np.asarray(kernel.nu(x), dtype=float)
     d = kernel.d
     qw = eq.rule.weights * eq.weight
@@ -102,14 +86,19 @@ def c_relation_residuals(kernel: CollisionKernel, gci: GciSolution, c,
 
     return {
         "c1_relation": _ratio((x - c1), np.ones_like(x)),
-        "c2_relation": _ratio((nu / d) * (x - c2) * s2 * h, (nu / d) * s2 * h),
-        "c3_relation": _ratio((1.0 - nu * c3 / d) * s2 * h, s2 * h),
+        "c2_relation": _ratio((nu / d) * (x - c2) * s2 * hv, (nu / d) * s2 * hv),
+        "c3_relation": _ratio((1.0 - nu * c3 / d) * s2 * hv, s2 * hv),
     }
 
 
 def solve_profiles(kernel: CollisionKernel, c, n: int,
-                   eq: VonMisesEquilibrium) -> ProfileSet:
+                   eq: VonMisesEquilibrium) -> dict:
     """Solve the five response problems on eq's rule and apply the gauges.
+
+    Returns name -> reduced profile for the rows of elliptic_problem_data
+    after gci, in order: a_perp and b_par multiply sqrt(1-mu^2) in the full
+    kinetic correction, b1 multiplies (1-mu^2), a_par and b2 appear as-is.
+    Gauges: <a_par> = 0 and <b1 sin^2/2 + b2> = 0.
 
     The two conservative problems are solvable only when the c constants are
     self-consistent (zero-mean data); an inconsistent c surfaces as a
@@ -117,22 +106,19 @@ def solve_profiles(kernel: CollisionKernel, c, n: int,
     """
     rule = eq.rule
     x = rule.nodes
-    probs = elliptic_problem_data(kernel, c)
-    solved = {name: solve_problem(kernel, name, probs[name], n, rule)
-              for name in ("a_perp", "a_par", "b1", "b_par")}
+    rows = elliptic_problem_data(kernel, c)
+    solved = {name: solve_problem(kernel, name, row, n, rule)
+              for name, row in rows.items() if name != "gci"}
     b1 = solved["b1"]
-    b2_row = elliptic_problem_data(kernel, c, b1=b1)["b2"]
-    b2 = solve_problem(kernel, "b2", b2_row, n, rule)
-    # gauges: <a_par> = 0 and <b1 (1-mu^2)/2 + b2> = 0
+    rows = elliptic_problem_data(kernel, c, b1=b1)
+    b2 = solve_problem(kernel, "b2", rows["b2"], n, rule)
     a_par = solved["a_par"]
-    a_par = a_par.shifted(-eq.average(a_par.values))
-    b2 = b2.shifted(-eq.average(0.5 * b1.values * (1.0 - x * x)
-                                + b2.values))
-    return ProfileSet(a_perp=solved["a_perp"], a_par=a_par, b1=b1, b2=b2,
-                      b_par=solved["b_par"])
+    solved["a_par"] = a_par.shifted(-eq.average(a_par.values))
+    solved["b2"] = b2.shifted(-eq.average(0.5 * b1.values * (1.0 - x * x) + b2.values))
+    return {name: solved[name] for name in rows if name != "gci"}
 
 
-def profile_moment_residuals(profiles: ProfileSet, eq: VonMisesEquilibrium) -> dict:
+def profile_moment_residuals(profiles: dict, eq: VonMisesEquilibrium) -> dict:
     """Zero-mean relations tying the profiles to the flux constraints.
 
     The a_par and b relations are gauge conditions (zero by construction);
@@ -141,17 +127,16 @@ def profile_moment_residuals(profiles: ProfileSet, eq: VonMisesEquilibrium) -> d
     """
     x = eq.rule.nodes
     s2 = 1.0 - x * x
-    ap, al, b1, b2, bp = (p.values for p in (
-        profiles.a_perp, profiles.a_par, profiles.b1, profiles.b2, profiles.b_par))
+    b1 = profiles["b1"].values
     return {
-        "a_perp_moment": abs(eq.average(ap * s2)),
-        "a_par_moment": abs(eq.average(al)),
-        "b_moment": abs(eq.average(0.5 * b1 * s2 + b2)),
-        "b_par_moment": abs(eq.average(bp * s2)),
+        "a_perp_moment": abs(eq.average(profiles["a_perp"].values * s2)),
+        "a_par_moment": abs(eq.average(profiles["a_par"].values)),
+        "b_moment": abs(eq.average(0.5 * b1 * s2 + profiles["b2"].values)),
+        "b_par_moment": abs(eq.average(profiles["b_par"].values * s2)),
     }
 
 
-def compute_r1_coeffs(profiles: ProfileSet, eq: VonMisesEquilibrium):
+def compute_r1_coeffs(profiles: dict, eq: VonMisesEquilibrium):
     """Mass-equation correction coefficients (beta, gamma).
 
     Same brackets as the gauge relations but with an extra cos(theta) factor.
@@ -160,15 +145,15 @@ def compute_r1_coeffs(profiles: ProfileSet, eq: VonMisesEquilibrium):
     """
     x = eq.rule.nodes
     s2 = 1.0 - x * x
-    beta = eq.average(profiles.a_par.values * x)
-    gamma = eq.average((0.5 * profiles.b1.values * s2
-                        + profiles.b2.values) * x)
+    beta = eq.average(profiles["a_par"].values * x)
+    gamma = eq.average((0.5 * profiles["b1"].values * s2
+                        + profiles["b2"].values) * x)
     if not beta > 0:
         raise InvariantError(f"mass-diffusion coefficient beta = {beta:.6e} <= 0")
     return beta, gamma
 
 
-def beta_quadratic_form(kernel: CollisionKernel, profiles: ProfileSet,
+def beta_quadratic_form(kernel: CollisionKernel, profiles: dict,
                         eq: VonMisesEquilibrium) -> float:
     """Independent route to beta through the dissipation quadratic form.
 
@@ -176,7 +161,7 @@ def beta_quadratic_form(kernel: CollisionKernel, profiles: ProfileSet,
     positivity is manifest here.
     """
     x = eq.rule.nodes
-    ap = profiles.a_par.derivative().values
+    ap = profiles["a_par"].derivative().values
     return kernel.d * eq.average((1.0 - x * x) * ap * ap)
 
 
@@ -239,7 +224,7 @@ class HydroCoefficients:
         }
 
 
-def _route_tables(kernel, gci, profiles, c, kappa, eq):
+def _route_tables(kernel, profiles, c, kappa, eq):
     """All bracket tables of the three assembly routes, in dict form."""
     x = eq.rule.nodes
     s2 = 1.0 - x * x
@@ -247,10 +232,13 @@ def _route_tables(kernel, gci, profiles, c, kappa, eq):
     c1, c2, c3 = c
     nu = np.asarray(kernel.nu(x), dtype=float)
     nup = np.asarray(kernel.nu_prime(x), dtype=float)
-    h = gci.h.values
-    hp = gci.h_prime.values
-    ap, al, b1, b2, bp = (p.values for p in (
-        profiles.a_perp, profiles.a_par, profiles.b1, profiles.b2, profiles.b_par))
+    h = profiles["gci"].values
+    hp = profiles["gci"].derivative().values
+    ap = profiles["a_perp"].values
+    al = profiles["a_par"].values
+    b1 = profiles["b1"].values
+    b2 = profiles["b2"].values
+    bp = profiles["b_par"].values
     avg = eq.average
 
     lam = {
@@ -336,8 +324,7 @@ def _route_tables(kernel, gci, profiles, c, kappa, eq):
     return lam, eta, xi, lpp, ep, xslots, prefactor
 
 
-def compute_r2_coeffs(kernel: CollisionKernel, gci: GciSolution,
-                      profiles: ProfileSet, c, kappa: float,
+def compute_r2_coeffs(kernel: CollisionKernel, profiles: dict, c, kappa: float,
                       eq: VonMisesEquilibrium, n: int,
                       residuals: dict) -> HydroCoefficients:
     """Assemble the thirteen velocity-correction coefficients.
@@ -347,7 +334,7 @@ def compute_r2_coeffs(kernel: CollisionKernel, gci: GciSolution,
     `residuals` is kept as given.
     """
     lam, eta, xi, lpp, ep, xslots, prefactor = _route_tables(
-        kernel, gci, profiles, c, kappa, eq)
+        kernel, profiles, c, kappa, eq)
 
     zeta = prefactor * (lpp[1:] + ep[1:] + xslots[1:])
 
@@ -362,13 +349,28 @@ def compute_r2_coeffs(kernel: CollisionKernel, gci: GciSolution,
 
 @dataclass(frozen=True)
 class Pipeline:
-    """Every stage of one run, from the equilibrium to the coefficient set."""
+    """Every stage of one run, from the equilibrium to the coefficient set.
+
+    `profiles` maps each row name of elliptic_problem_data, in the table's
+    order, to its solved reduced profile; profiles["gci"] is h.
+    """
 
     eq: VonMisesEquilibrium
-    gci: GciSolution
     c: tuple
-    profiles: ProfileSet
+    profiles: dict
     hydro: HydroCoefficients
+
+
+# The large-d end of the range.  With the log weight sigma/d spreading by s
+# over [-1, 1], each nodal weight exp(sigma/d - shift) lies in [e^-s, 1] and
+# is rounded by up to eps/2 (eps the machine epsilon), while its variation,
+# all that c1 = <mu> depends on, is of size s.  The rounding moves c1's
+# numerator by up to (eps/2) int |mu| dmu = eps/2 against a mass near 2, so
+# c1 by eps/4; for a constant rate c1 -> s/6, a relative error of up to
+# 1.5 eps/s.  The accuracy target below thus asks for s >= 3.3e-8
+# (d <= 6e7 for a unit constant rate).
+C1_RTOL = 1e-8
+MIN_WEIGHT_SPREAD = 1.5 * np.finfo(float).eps / C1_RTOL
 
 
 def run_pipeline(kernel: CollisionKernel, n: int, kappa: float) -> Pipeline:
@@ -377,28 +379,35 @@ def run_pipeline(kernel: CollisionKernel, n: int, kappa: float) -> Pipeline:
     One shared quadrature rule (sized for the kernel's weight) is used for
     the solves and every bracket, so the consistency residuals recorded on
     the coefficient set sit at rounding level.  The ordering of the constants
-    is not checked here (see check_ordering); kappa must be finite.
+    is not checked here (see check_ordering); kappa must be finite.  A weight
+    spread below MIN_WEIGHT_SPREAD (noise too large for c1 to hold C1_RTOL)
+    raises NumericError naming d.
     """
     if not np.isfinite(kappa):
         raise DomainError(f"nonlocality constant kappa must be finite, got {kappa}")
+    spread = weight_spread(kernel)
+    if spread < MIN_WEIGHT_SPREAD:
+        raise NumericError(
+            f"equilibrium weight spread {spread:.3g} is below {MIN_WEIGHT_SPREAD:.3g}, "
+            f"where c1 keeps a relative accuracy of {C1_RTOL:g}; noise constant "
+            f"d = {kernel.d:g} is above the supported range")
     eq = build_equilibrium(kernel, quadrature_size(kernel, n + 10))
-    gci = solve_gci(kernel, n, rule=eq.rule)
-    c = compute_c123(kernel, gci, eq)
-    profiles = solve_profiles(kernel, c, n, eq)
+    h = solve_gci(kernel, n, rule=eq.rule)
+    c = compute_c123(kernel, h, eq)
+    profiles = {"gci": h, **solve_profiles(kernel, c, n, eq)}
 
-    residuals = {**c_relation_residuals(kernel, gci, c, eq),
-                 **profile_moment_residuals(profiles, eq),
-                 "gci_solve": gci.h.meta["residual"]}
-    for name in ("a_perp", "a_par", "b1", "b2", "b_par"):
-        residuals[f"{name}_solve"] = getattr(profiles, name).meta["residual"]
-    residuals["h_max"] = float(gci.h.values.max())
-    hydro = compute_r2_coeffs(kernel, gci, profiles, c, kappa, eq, n, residuals)
+    residuals = {**c_relation_residuals(kernel, h, c, eq),
+                 **profile_moment_residuals(profiles, eq)}
+    for name, profile in profiles.items():
+        residuals[f"{name}_solve"] = profile.meta["residual"]
+    residuals["h_max"] = float(h.values.max())
+    hydro = compute_r2_coeffs(kernel, profiles, c, kappa, eq, n, residuals)
     # the Dirichlet route is compared with the assembled beta, so this entry
     # goes into hydro's residuals dict after assembly
     residuals["beta_dirichlet_diff"] = abs(
         beta_quadratic_form(kernel, profiles, eq) - hydro.beta)
     residuals["nu_min"] = kernel.nu_min
-    return Pipeline(eq=eq, gci=gci, c=c, profiles=profiles, hydro=hydro)
+    return Pipeline(eq=eq, c=c, profiles=profiles, hydro=hydro)
 
 
 def check_ordering(hydro: HydroCoefficients) -> None:

@@ -39,7 +39,6 @@ from .quad import QuadratureRule, build_rule, quadrature_size
 
 __all__ = [
     "MuProfile",
-    "GciSolution",
     "solve_type1",
     "solve_type2",
     "solve_gci",
@@ -86,19 +85,6 @@ class MuProfile:
         coef = self.coef.copy()
         coef[0] += constant
         return MuProfile.from_coef(self.rule, coef, dict(self.meta))
-
-
-@dataclass
-class GciSolution:
-    """Orientational-invariant profile: g = sqrt(1-mu^2) h with h <= 0.
-
-    h is the smooth factor (a true polynomial profile) and h_prime its
-    spectral derivative; the full solution g is never stored, and callers
-    that need it form sqrt(1-mu^2) h from h.
-    """
-
-    h: MuProfile
-    h_prime: MuProfile
 
 
 def _basis(rule: QuadratureRule, degree: int):
@@ -248,8 +234,11 @@ def _solve(factors, V, qw, F, d, what):
     noise of 1e-10 to 1e-9 down to 1e-12.
     """
     rhs = F if factors.column is None else np.append(F, 0.0)
-    sol = dgetrs(factors.lu, factors.piv, rhs)[0]
-    sol -= dgetrs(factors.lu, factors.piv, _defect(factors, V, qw, F, sol)[1])[0]
+    # scipy's getrs shifts the pivots in place around the LAPACK call, with
+    # the GIL released: solves sharing the cached factors each take a copy
+    piv = factors.piv.copy()
+    sol = dgetrs(factors.lu, piv, rhs)[0]
+    sol -= dgetrs(factors.lu, piv, _defect(factors, V, qw, F, sol)[1])[0]
     if not np.all(np.isfinite(sol)):
         raise SolverError(f"{what}: non-finite solution at d = {d:g}", factors.condition)
     image, defect = _defect(factors, V, qw, F, sol)
@@ -407,7 +396,8 @@ def elliptic_problem_data(kernel: CollisionKernel, c=None, b1=None) -> dict:
 
     Problems that need the leading-order constants appear once `c` is given;
     the b2 problem needs the solved b1 profile as data, read from its stored
-    values at b1's own rule nodes and evaluated anywhere else.
+    values at b1's own rule nodes and evaluated anywhere else.  The rows
+    come in the order listed, which is the order of the pipeline's profiles.
     """
     nu = kernel.nu
     d = kernel.d
@@ -430,16 +420,16 @@ def elliptic_problem_data(kernel: CollisionKernel, c=None, b1=None) -> dict:
             ptype=1, sing_order=2, alpha=lambda mu: 4.0,
             f=lambda mu: (np.asarray(nu(mu)) / d**2) * (1.0 - mu * mu) ** 2,
         )
-        problems["b_par"] = dict(
-            ptype=1, sing_order=1, alpha=lambda mu: 1.0,
-            f=lambda mu: (np.asarray(nu(mu)) / d**2) * (mu - c2)
-            * (1.0 - mu * mu) ** 1.5,
-        )
         if b1 is not None:
             problems["b2"] = dict(
                 ptype=2, sing_order=0, alpha=None,
                 f=lambda mu: 2.0 * (b1.values if mu is b1.rule.nodes else b1(mu)) - c1 / d,
             )
+        problems["b_par"] = dict(
+            ptype=1, sing_order=1, alpha=lambda mu: 1.0,
+            f=lambda mu: (np.asarray(nu(mu)) / d**2) * (mu - c2)
+            * (1.0 - mu * mu) ** 1.5,
+        )
     return problems
 
 
@@ -453,13 +443,13 @@ def solve_problem(kernel: CollisionKernel, name: str, problem: dict, n: int,
 
 
 def solve_gci(kernel: CollisionKernel, n: int,
-              rule: QuadratureRule | None = None) -> GciSolution:
-    """Orientational collision-invariant profile for the given kernel.
+              rule: QuadratureRule | None = None) -> MuProfile:
+    """Orientational collision-invariant profile h for the given kernel.
 
     Solves the gci row of elliptic_problem_data, the mode-1 problem with
-    alpha/w = 1 and f/w = -(1-mu^2)^(3/2); the reduced factor is h itself,
-    and the maximum principle gives h <= 0 (validated here as a solver
-    sanity check).
+    alpha/w = 1 and f/w = -(1-mu^2)^(3/2).  The reduced factor is h itself
+    (the full invariant is g = sqrt(1-mu^2) h, never stored), and the
+    maximum principle gives h <= 0 (validated here as a solver sanity check).
     """
     h = solve_problem(kernel, "gci", elliptic_problem_data(kernel)["gci"], n, rule)
     hmax = float(h.values.max())
@@ -467,4 +457,4 @@ def solve_gci(kernel: CollisionKernel, n: int,
         raise InvariantError(
             f"maximum principle violated: invariant profile reaches {hmax:.3e} > 0"
         )
-    return GciSolution(h=h, h_prime=h.derivative())
+    return h

@@ -22,8 +22,7 @@ import numpy as np
 from numpy.polynomial import legendre as npleg
 from scipy.linalg import solve_banded
 
-from .coeffs import ProfileSet
-from .elliptic import GciSolution, MuProfile, _basis, elliptic_problem_data
+from .elliptic import MuProfile, _basis, elliptic_problem_data
 from .errors import DomainError, PreconditionError, SolverError
 from .kernel import CollisionKernel
 from .quad import VonMisesEquilibrium, build_rule, quadrature_size
@@ -188,45 +187,30 @@ def _project_values(rule, values, degree):
     return MuProfile.from_coef(rule, coef)
 
 
-def mode_residuals(kernel: CollisionKernel, c, gci: GciSolution,
-                   profiles: ProfileSet) -> dict:
+def mode_residuals(kernel: CollisionKernel, c, profiles: dict) -> dict:
     """Each solved profile substituted back into its defining operator identity.
 
-    Relative sup-norm mismatch between the mode image and the data the
-    profile was solved against; all six should sit near rounding.
+    `profiles` is the pipeline's name -> profile dict.  Relative sup-norm
+    mismatch between the mode image and the data the profile was solved
+    against; all six should sit near rounding.  The mode index and the
+    expected image of each problem are stated here, independently of
+    elliptic_problem_data.
     """
     c1, c2, c3 = c
     d = kernel.d
     nu = kernel.nu
-
-    def expected_gci(x):
-        return -d * np.ones_like(x)
-
-    def expected_a_perp(x):
-        return 1.0 - c3 * np.asarray(nu(x)) / d
-
-    def expected_a_par(x):
-        return x - c1
-
-    def expected_b1(x):
-        return np.asarray(nu(x)) / d
-
-    def expected_b2(x):
-        return 2.0 * d * _nodal(profiles.b1, profiles.b2.rule) - c1
-
-    def expected_b_par(x):
-        return (np.asarray(nu(x)) / d) * (x - c2)
-
-    cases = [
-        ("gci", 1, gci.h, expected_gci),
-        ("a_perp", 1, profiles.a_perp, expected_a_perp),
-        ("a_par", 0, profiles.a_par, expected_a_par),
-        ("b1", 2, profiles.b1, expected_b1),
-        ("b2", 0, profiles.b2, expected_b2),
-        ("b_par", 1, profiles.b_par, expected_b_par),
-    ]
+    # name -> (mode index, expected image at the profile's nodes x)
+    cases = {
+        "gci": (1, lambda x: -d * np.ones_like(x)),
+        "a_perp": (1, lambda x: 1.0 - c3 * np.asarray(nu(x)) / d),
+        "a_par": (0, lambda x: x - c1),
+        "b1": (2, lambda x: np.asarray(nu(x)) / d),
+        "b2": (0, lambda x: 2.0 * d * _nodal(profiles["b1"], profiles["b2"].rule) - c1),
+        "b_par": (1, lambda x: (np.asarray(nu(x)) / d) * (x - c2)),
+    }
     out = {}
-    for name, k, prof, expected in cases:
+    for name, (k, expected) in cases.items():
+        prof = profiles[name]
         image = mode_apply(kernel, k, prof)
         want = expected(prof.rule.nodes)
         scale = float(np.max(np.abs(want))) or 1.0
@@ -254,7 +238,7 @@ def _sphere_grid(eq: VonMisesEquilibrium, n_phi: int):
     return mu, wmu, phi, wphi
 
 
-def gci_orthogonality(kernel: CollisionKernel, gci: GciSolution, trial: MuProfile,
+def gci_orthogonality(kernel: CollisionKernel, h: MuProfile, trial: MuProfile,
                       k: int, parity: str, eq: VonMisesEquilibrium) -> float:
     """| int L(phi_trial) . psi domega | for a mode-k trial perturbation.
 
@@ -272,9 +256,9 @@ def gci_orthogonality(kernel: CollisionKernel, gci: GciSolution, trial: MuProfil
     # L(phi_trial)(mu, phi) = -M s^k image(mu) trig(k phi)
     lmu = -m_norm * s**k * image
 
-    h = _nodal(gci.h, eq.rule)
-    psi1_mu = -h * s  # times sin(phi)
-    psi2_mu = h * s   # times cos(phi)
+    hv = _nodal(h, eq.rule)
+    psi1_mu = -hv * s  # times sin(phi)
+    psi2_mu = hv * s   # times cos(phi)
 
     int_sin = float((wphi * np.sin(phi)) @ trig)
     int_cos = float((wphi * np.cos(phi)) @ trig)
@@ -297,7 +281,7 @@ def trial_norm(trial: MuProfile, k: int, eq: VonMisesEquilibrium) -> float:
     return float(np.sqrt(phi_weight * (eq.rule.weights @ vals)))
 
 
-def project_trial_k1(gci: GciSolution, trial: MuProfile,
+def project_trial_k1(h: MuProfile, trial: MuProfile,
                      eq: VonMisesEquilibrium) -> MuProfile:
     """Remove the flux component from a mode-1 trial (reduced factor).
 
@@ -309,9 +293,9 @@ def project_trial_k1(gci: GciSolution, trial: MuProfile,
     mu = eq.rule.nodes
     s2 = 1.0 - mu * mu
     num = eq.average(s2 * _nodal(trial, eq.rule))
-    den = eq.average(s2 * _nodal(gci.h, eq.rule))
+    den = eq.average(s2 * _nodal(h, eq.rule))
     coef_t = trial.coef
-    coef_h = gci.h.coef
+    coef_h = h.coef
     size = max(len(coef_t), len(coef_h))
     coef = np.zeros(size)
     coef[: len(coef_t)] += coef_t
@@ -319,7 +303,7 @@ def project_trial_k1(gci: GciSolution, trial: MuProfile,
     return MuProfile.from_coef(trial.rule, coef)
 
 
-def source_orthogonality(kernel: CollisionKernel, gci: GciSolution, c,
+def source_orthogonality(kernel: CollisionKernel, h: MuProfile, c,
                          eq: VonMisesEquilibrium) -> dict:
     """Direct quadrature of the admissibility of the four gradient sources.
 
@@ -343,13 +327,13 @@ def source_orthogonality(kernel: CollisionKernel, gci: GciSolution, c,
     operp = np.stack([S * np.cos(PHI), S * np.sin(PHI), np.zeros_like(PHI)], axis=-1)
     nu = np.asarray(kernel.nu(MU), dtype=float)
     d = kernel.d
-    h = _nodal(gci.h, eq.rule)[:, None]
-    psi = np.stack([-h * S * np.sin(PHI), h * S * np.cos(PHI)], axis=-1)
+    hv = _nodal(h, eq.rule)[:, None]
+    psi = np.stack([-hv * S * np.sin(PHI), hv * S * np.cos(PHI)], axis=-1)
 
     def defect(component, mass=None):
         vals = [float((W2 * component * psi[..., i]).sum()) for i in range(2)]
         mass = np.abs(component) if mass is None else mass
-        scale = float((W2 * mass * np.abs(h) * S).sum()) + 1e-300
+        scale = float((W2 * mass * np.abs(hv) * S).sum()) + 1e-300
         return max(abs(v) for v in vals) / scale
 
     out = {}
@@ -385,26 +369,25 @@ def _legendre_columns(x, coefs) -> np.ndarray:
     return out
 
 
-def compare_spectral_fd(kernel: CollisionKernel, c, gci: GciSolution,
-                        profiles: ProfileSet, m: int = 20000) -> dict:
+def compare_spectral_fd(kernel: CollisionKernel, c, profiles: dict,
+                        m: int = 20000) -> dict:
     """Relative L2 distance between spectral and dense FD solutions.
 
-    All six problems are re-solved on the dense grid from the same data,
-    in the substituted variable where the solution carries an endpoint
-    factor; zero-mean gauges are aligned by subtracting the dense-grid mean
-    from both solutions before comparing.  The six spectral profiles are
-    evaluated on the dense grid together, in blocked Vandermonde products.
+    All six problems of elliptic_problem_data are re-solved on the dense
+    grid from the same data, in the substituted variable where the solution
+    carries an endpoint factor, and compared with the pipeline's profile of
+    the same name; zero-mean gauges are aligned by subtracting the dense-grid
+    mean from both solutions before comparing.  The six spectral profiles
+    are evaluated on the dense grid together, in blocked Vandermonde products.
     """
-    probs = elliptic_problem_data(kernel, c, b1=profiles.b1)
-    spectral = {"gci": gci.h, "a_perp": profiles.a_perp, "a_par": profiles.a_par,
-                "b1": profiles.b1, "b2": profiles.b2, "b_par": profiles.b_par}
+    probs = elliptic_problem_data(kernel, c, b1=profiles["b1"])
     dense = {name: fd_solve(kernel, spec["ptype"], spec["alpha"], spec["f"], m,
                             reduced_order=spec["sing_order"])
              for name, spec in probs.items()}
     x = dense["gci"][0]  # every solve returns the same grid
-    coefs = np.zeros((max(len(prof.coef) for prof in spectral.values()), len(probs)))
+    coefs = np.zeros((max(len(profiles[name].coef) for name in probs), len(probs)))
     for j, name in enumerate(probs):
-        coefs[:len(spectral[name].coef), j] = spectral[name].coef
+        coefs[:len(profiles[name].coef), j] = profiles[name].coef
     reduced = _legendre_columns(x, coefs)
     out = {}
     for j, (name, spec) in enumerate(probs.items()):

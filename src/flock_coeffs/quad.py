@@ -24,6 +24,7 @@ __all__ = [
     "VonMisesEquilibrium",
     "build_equilibrium",
     "quadrature_size",
+    "weight_spread",
     "average_weighted",
 ]
 
@@ -160,6 +161,12 @@ class VonMisesEquilibrium:
         return float((self.rule.weights * self.weight) @ values / self.mass)
 
 
+def weight_spread(kernel: CollisionKernel) -> float:
+    """Spread max - min of the log weight sigma/d over [-1, 1], sampled at 257 points."""
+    lw = kernel.log_weight(np.linspace(-1.0, 1.0, 257))
+    return float(lw.max() - lw.min())
+
+
 def quadrature_size(kernel: CollisionKernel, degree: int) -> int:
     """Node count resolving polynomials of `degree` against the kernel weight.
 
@@ -168,8 +175,7 @@ def quadrature_size(kernel: CollisionKernel, degree: int) -> int:
     spread beyond ~4000 (noise constants below ~1e-3 for order-one rates) is
     not resolvable in double precision and is rejected.
     """
-    lw = kernel.log_weight(np.linspace(-1.0, 1.0, 257))
-    spread = float(lw.max() - lw.min())
+    spread = weight_spread(kernel)
     if not np.isfinite(spread) or spread > 4000.0:
         raise NumericError(
             f"equilibrium weight spread {spread:.3g} is too large to resolve; "

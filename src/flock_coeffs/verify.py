@@ -141,7 +141,8 @@ def _trivial_checks(report: VerificationReport):
 
 def _pipeline_checks(report, kernel, kappa, n, oracle_m, seed):
     pipe = run_pipeline(kernel, n, kappa)
-    eq, gci, c, profiles, hydro = pipe.eq, pipe.gci, pipe.c, pipe.profiles, pipe.hydro
+    eq, c, profiles, hydro = pipe.eq, pipe.c, pipe.profiles, pipe.hydro
+    h = profiles["gci"]
     check_ordering(hydro)
     res = hydro.residuals
 
@@ -153,25 +154,25 @@ def _pipeline_checks(report, kernel, kappa, n, oracle_m, seed):
                passed=hydro.beta > 1e-12, detail="pass when beta > 1e-12")
     report.add("beta_dirichlet_identity", "full", 1e-8, res["beta_dirichlet_diff"])
     report.add("mode_identities", "full", 1e-8,
-               max(mode_residuals(kernel, c, gci, profiles).values()))
+               max(mode_residuals(kernel, c, profiles).values()))
 
     fd_tol = 1e-4 * (20000.0 / oracle_m) ** 2
     report.add("fd_agreement", "full", fd_tol,
-               max(compare_spectral_fd(kernel, c, gci, profiles, m=oracle_m).values()),
+               max(compare_spectral_fd(kernel, c, profiles, m=oracle_m).values()),
                detail=f"m={oracle_m}")
 
     rng = np.random.default_rng(seed)
     worst = 0.0
     for k_mode, parity in ((0, "cos"), (2, "cos"), (2, "sin")):
         trial = MuProfile.from_coef(eq.rule, rng.standard_normal(7))
-        worst = max(worst, gci_orthogonality(kernel, gci, trial, k_mode, parity, eq)
+        worst = max(worst, gci_orthogonality(kernel, h, trial, k_mode, parity, eq)
                     / trial_norm(trial, k_mode, eq))
-    trial = project_trial_k1(gci, MuProfile.from_coef(eq.rule, rng.standard_normal(7)), eq)
-    worst = max(worst, gci_orthogonality(kernel, gci, trial, 1, "cos", eq)
+    trial = project_trial_k1(h, MuProfile.from_coef(eq.rule, rng.standard_normal(7)), eq)
+    worst = max(worst, gci_orthogonality(kernel, h, trial, 1, "cos", eq)
                 / trial_norm(trial, 1, eq))
     report.add("gci_orthogonality", "full", 1e-8, worst)
     report.add("source_orthogonality", "full", 1e-8,
-               max(source_orthogonality(kernel, gci, c, eq).values()))
+               max(source_orthogonality(kernel, h, c, eq).values()))
 
     # route-table consistency; catches any sign corruption in the assembly
     z = np.asarray(hydro.zeta)
@@ -190,7 +191,7 @@ def _pipeline_checks(report, kernel, kappa, n, oracle_m, seed):
 
     # nonlocal-route slot relations need kappa != 0 to be nontrivial
     hydro_nl = hydro if kappa != 0.0 else compute_r2_coeffs(
-        kernel, gci, profiles, c, 0.25, eq, n, res)
+        kernel, profiles, c, 0.25, eq, n, res)
     x1 = np.asarray(hydro_nl.xi["slots"])
     xi = hydro_nl.xi["xi"]
     rel = np.array([x1[3] + x1[0], x1[1] - 0.5 * x1[0], x1[11] - 0.5 * x1[0],

@@ -45,8 +45,7 @@ def with_sigma_shift():
 
 def _pipeline(kernel, n=64, kappa=0.1):
     p = run_pipeline(kernel, n, kappa)
-    return dict(kernel=kernel, n=n, eq=p.eq, gci=p.gci, c=p.c, profiles=p.profiles,
-                hydro=p.hydro)
+    return dict(kernel=kernel, n=n, eq=p.eq, c=p.c, profiles=p.profiles, hydro=p.hydro)
 
 
 @pytest.fixture(scope="session")

@@ -41,7 +41,7 @@ def criterion(num, description, ok, detail=""):
 
 def pipeline(kernel, n=64, kappa=0.1):
     p = run_pipeline(kernel, n, kappa)
-    return p.eq, p.gci, p.c, p.profiles
+    return p.eq, p.c, p.profiles
 
 
 def test_criterion_1_mass_diffusion_positive():
@@ -59,8 +59,8 @@ def test_criterion_1_mass_diffusion_positive():
 def test_criterion_2_consistency_certificates():
     worst = 0.0
     for kernel in (constant_kernel(1.0, d=1.0), even_poly_kernel([1.0, 0.5], d=1.0)):
-        eq, gci, c, profiles = pipeline(kernel)
-        worst = max(worst, max(c_relation_residuals(kernel, gci, c, eq).values()))
+        eq, c, profiles = pipeline(kernel)
+        worst = max(worst, max(c_relation_residuals(kernel, profiles["gci"], c, eq).values()))
         worst = max(worst, max(profile_moment_residuals(profiles, eq).values()))
     criterion(2, "integral-form and moment certificates < 1e-9 at n=64",
               worst < 1e-9, f"worst residual = {worst:.3e}")
@@ -84,8 +84,7 @@ def test_criterion_4_maximum_principle():
     for n in (48, 64):
         for d in (0.1, 0.5, 1.0, 2.0):
             for kernel in registry_kernels(d=d):
-                gci = solve_gci(kernel, n)
-                worst = max(worst, float(gci.h.values.max()))
+                worst = max(worst, float(solve_gci(kernel, n).values.max()))
     criterion(4, "invariant profile h <= 1e-10 for every registry kernel at n = 48, 64",
               worst <= 1e-10, f"max h = {worst:.3e}")
 
@@ -94,12 +93,10 @@ def test_criterion_5_oracle_equivalence():
     worst_fd = 0.0
     worst_mode = 0.0
     for kernel in (constant_kernel(1.0, d=1.0), even_poly_kernel([1.0, 0.5], d=1.0)):
-        eq, gci, c, profiles = pipeline(kernel)
+        eq, c, profiles = pipeline(kernel)
         worst_fd = max(worst_fd,
-                       max(compare_spectral_fd(kernel, c, gci, profiles,
-                                               m=20000).values()))
-        worst_mode = max(worst_mode,
-                         max(mode_residuals(kernel, c, gci, profiles).values()))
+                       max(compare_spectral_fd(kernel, c, profiles, m=20000).values()))
+        worst_mode = max(worst_mode, max(mode_residuals(kernel, c, profiles).values()))
     ok = worst_fd <= 1e-4 and worst_mode < 1e-8
     criterion(5, "dense FD (m=20000) within 1e-4 and operator substitution "
                  "within 1e-8 for all six problems", ok,
@@ -109,9 +106,9 @@ def test_criterion_5_oracle_equivalence():
 def test_criterion_6_beta_quadratic_form_identity():
     worst = 0.0
     for kernel in (constant_kernel(1.0, d=1.0), even_poly_kernel([1.0, 0.5], d=1.0)):
-        eq, gci, c, profiles = pipeline(kernel)
+        eq, c, profiles = pipeline(kernel)
         x = eq.rule.nodes
-        beta = eq.average(profiles.a_par(x) * x)
+        beta = eq.average(profiles["a_par"](x) * x)
         worst = max(worst, abs(beta_quadratic_form(kernel, profiles, eq) - beta))
     criterion(6, "bracket and dissipation-form routes to beta agree to 1e-8",
               worst < 1e-8, f"gap = {worst:.3e}")

@@ -224,8 +224,10 @@ def test_fields_domain_errors_are_usage_errors(tmp_path, capsys, argv, message):
     (["coeffs", "--nu", "const:1,2"], "error: nu model 'const' takes 1 parameter(s), got 2"),
     (["verify", "--oracle-m", "50"], "error: oracle resolution m must be >= 100, got 50"),
     (["verify", "--seed", "-1"], "error: seed must be non-negative, got -1"),
+    (["coeffs", "--d-min", "0.1", "--d-max", "inf", "--steps", "3"],
+     "error: --d-max must be finite, got inf"),
 ], ids=["non-numeric-radius", "nan-radius", "infinite-scale", "extra-nu-parameter",
-        "small-oracle-m", "negative-verify-seed"])
+        "small-oracle-m", "negative-verify-seed", "infinite-d-max"])
 def test_bad_numbers_are_usage_errors(tmp_path, capsys, argv, message):
     assert run([*argv, "-o", str(tmp_path / "out")]) == 1
     assert message in capsys.readouterr().err
@@ -258,6 +260,18 @@ def test_noise_below_range_exits_3_naming_d(capsys, d, n):
     err = capsys.readouterr().err
     assert "b2 solve" in err
     assert f"d = {d}" in err
+
+
+@pytest.mark.parametrize("command, d", [("coeffs", "1e18"), ("coeffs", "1e300"),
+                                        ("profiles", "1e300"), ("fields", "1e300")])
+def test_noise_above_range_exits_3_naming_d(tmp_path, capsys, command, d):
+    # above what double precision resolves: the weight is flat to rounding,
+    # so c1 and the constants after it would be noise (at d = 1e18 that read
+    # as an invariant violation, and from d = 1.4e154 d**2 overflowed)
+    assert run([command, "--nu", "const:1", "--d", d, "-o", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert f"d = {float(d):g} is above the supported range" in err
 
 
 def test_verify_quick_tier_and_speed(tmp_path):

@@ -1,4 +1,5 @@
 import json
+import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
@@ -18,13 +19,14 @@ from flock_coeffs.coeffs import (
     solve_profiles,
 )
 from flock_coeffs.elliptic import elliptic_problem_data
-from flock_coeffs.errors import PreconditionError
+from flock_coeffs.errors import NumericError, PreconditionError
 from flock_coeffs.kernel import (
     affine_kernel,
     constant_kernel,
     even_poly_kernel,
     registry_kernels,
 )
+from flock_coeffs.quad import build_rule
 
 
 def langevin(kappa):
@@ -66,6 +68,40 @@ def test_small_noise_closed_forms(d, n):
     assert all(np.isfinite(v) for v in solves.values()), solves
 
 
+@pytest.mark.parametrize("d", [25.0, 50.0, 1e3, 1e6])
+def test_large_noise_drift_limit(d):
+    # the weight tends to uniform, exp(sigma/d) = 1 + sigma/d + O(d^-2), so
+    # c1 = <mu> = int mu sigma dmu / (2d) = int (1-mu^2) nu dmu / (4d) to
+    # leading order; the next term is O(1/d) relative, with a coefficient
+    # below 0.04 for these rates
+    rule = build_rule(16)
+    x = rule.nodes
+    for kernel in registry_kernels(d=d):
+        limit = float(rule.weights @ ((1.0 - x * x) * kernel.nu(x))) / (4.0 * d)
+        c1 = run_pipeline(kernel, 32, 0.1).hydro.c1
+        assert abs(c1 / limit - 1.0) <= 0.1 / d, kernel.model
+
+
+def test_weight_spread_bound_ends_the_range_at_6e7():
+    # for a unit constant rate the weight's spread 2/d falls below
+    # MIN_WEIGHT_SPREAD, where rounding of the weights costs c1 its C1_RTOL,
+    # between d = 6e7 and 7e7
+    assert 2.0 / 7e7 < coeffs_mod.MIN_WEIGHT_SPREAD < 2.0 / 6e7
+    run_pipeline(constant_kernel(1.0, d=6e7), 32, 0.1)
+    with pytest.raises(NumericError, match=re.escape("d = 7e+07 is above the supported range")):
+        run_pipeline(constant_kernel(1.0, d=7e7), 32, 0.1)
+
+
+def test_profiles_follow_the_problem_table(pipeline_even):
+    # one name-keyed dict in the order of elliptic_problem_data, and one
+    # recorded strong residual per solved problem, in the same order
+    p = pipeline_even
+    table = elliptic_problem_data(p["kernel"], p["c"], b1=p["profiles"]["b1"])
+    assert list(p["profiles"]) == list(table)
+    solves = [key for key in p["hydro"].residuals if key.endswith("_solve")]
+    assert solves == [f"{name}_solve" for name in table]
+
+
 @pytest.mark.parametrize("d, n", [(0.001, 256), (0.0007, 384)])
 def test_b2_solvability_integral_at_rounding_level(d, n):
     # the b2 data 2 b1 - c1/d integrate to zero against the weight; with one
@@ -73,13 +109,13 @@ def test_b2_solvability_integral_at_rounding_level(d, n):
     # under the 1e-10 bound of the solvability check (unrefined: 1e-10 to 1e-9)
     kernel = constant_kernel(1.0, d=d)
     p = run_pipeline(kernel, n, 0.1)
-    f = 2.0 * p.profiles.b1.values - p.c[0] / d
+    f = 2.0 * p.profiles["b1"].values - p.c[0] / d
     assert abs(float(p.eq.rule.weights @ (f * p.eq.weight))) < 1e-11
 
 
 def test_c_relation_certificates(pipeline_const, pipeline_even):
     for p in (pipeline_const, pipeline_even):
-        res = c_relation_residuals(p["kernel"], p["gci"], p["c"], p["eq"])
+        res = c_relation_residuals(p["kernel"], p["profiles"]["gci"], p["c"], p["eq"])
         assert max(res.values()) < 1e-9
 
 
@@ -170,7 +206,8 @@ def test_time_route_table_consistency(pipeline_even):
     p = pipeline_even
     h, eq = p["hydro"], p["eq"]
     x = eq.rule.nodes
-    l1_12 = eq.average(0.5 * (1 - x * x) * p["profiles"].b_par(x) * p["gci"].h(x))
+    pr = p["profiles"]
+    l1_12 = eq.average(0.5 * (1 - x * x) * pr["b_par"](x) * pr["gci"](x))
     assert h.lam["l1_12"] == pytest.approx(l1_12, abs=1e-15)
     lp5 = -0.5 * l1_12
     assert h.lam["prime"][4] == pytest.approx(lp5, abs=1e-15)
@@ -181,7 +218,7 @@ def test_prefactor_uses_probability_average(pipeline_even):
     p = pipeline_even
     eq, h = p["eq"], p["hydro"]
     x = eq.rule.nodes
-    bracket = eq.average((1 - x * x) * np.asarray(p["kernel"].nu(x)) * p["gci"].h(x))
+    bracket = eq.average((1 - x * x) * np.asarray(p["kernel"].nu(x)) * p["profiles"]["gci"](x))
     assert h.prefactor == pytest.approx(2.0 * p["kernel"].d / bracket, rel=1e-14)
 
 

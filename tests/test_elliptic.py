@@ -230,13 +230,13 @@ def test_type2_annihilates_constants(even_kernel):
 
 def test_solver_linear_residuals_are_small(pipeline_even):
     p = pipeline_even
-    for prof in (p["gci"].h, p["profiles"].a_perp, p["profiles"].a_par,
-                 p["profiles"].b1, p["profiles"].b2, p["profiles"].b_par):
+    assert len(p["profiles"]) == 6
+    for prof in p["profiles"].values():
         assert prof.meta["linear_residual"] < 1e-10
 
 
 def test_gci_residual_small(pipeline_const):
-    assert pipeline_const["gci"].h.meta["residual"] < 1e-8
+    assert pipeline_const["profiles"]["gci"].meta["residual"] < 1e-8
 
 
 def test_gci_self_convergence(const_kernel):
@@ -244,7 +244,7 @@ def test_gci_self_convergence(const_kernel):
     g128 = solve_gci(const_kernel, 128)
     xs = np.linspace(-1.0, 1.0, 2001)
     s = np.sqrt(1.0 - xs * xs)
-    assert np.max(np.abs(s * g64.h(xs) - s * g128.h(xs))) < 1e-11
+    assert np.max(np.abs(s * g64(xs) - s * g128(xs))) < 1e-11
 
 
 def test_gci_formulations_agree(const_kernel):
@@ -258,12 +258,12 @@ def test_gci_formulations_agree(const_kernel):
 
 
 def test_profile_modal_nodal_agreement(pipeline_even):
-    prof = pipeline_even["profiles"].b2
+    prof = pipeline_even["profiles"]["b2"]
     assert np.max(np.abs(prof(prof.rule.nodes) - prof.values)) < 1e-12
 
 
 def test_profile_derivative_antiderivative_roundtrip(pipeline_even):
-    prof = pipeline_even["profiles"].a_par
+    prof = pipeline_even["profiles"]["a_par"]
     back = prof.derivative().antiderivative()
     offset = prof(0.0) - back(0.0)
     xs = np.linspace(-1, 1, 101)
@@ -271,11 +271,11 @@ def test_profile_derivative_antiderivative_roundtrip(pipeline_even):
 
 
 def test_h_prime_matches_finite_differences(pipeline_even):
-    gci = pipeline_even["gci"]
+    h = pipeline_even["profiles"]["gci"]
     xs = np.linspace(-0.95, 0.95, 41)
     eps = 1e-5
-    fd = (gci.h(xs + eps) - gci.h(xs - eps)) / (2 * eps)
-    assert np.max(np.abs(fd - gci.h_prime(xs))) < 1e-6
+    fd = (h(xs + eps) - h(xs - eps)) / (2 * eps)
+    assert np.max(np.abs(fd - h.derivative()(xs))) < 1e-6
 
 
 def test_azimuthal_harmonic_integral_shortcut():
@@ -398,10 +398,10 @@ def test_cached_factors_match_a_fresh_rule(even_kernel):
 def test_kernels_on_one_rule_keep_their_own_factors():
     n, rule = 32, build_rule(120)
     kernels = [constant_kernel(1.0, d=0.5), constant_kernel(1.0, d=0.25)]
-    shared = [solve_gci(k, n, rule=rule).h for k in kernels]
+    shared = [solve_gci(k, n, rule=rule) for k in kernels]
     assert len(rule.factors) == 2
     for k, h in zip(kernels, shared):
-        own = solve_gci(k, n, rule=build_rule(120)).h
+        own = solve_gci(k, n, rule=build_rule(120))
         assert np.max(np.abs(h.coef - own.coef)) <= 1e-13 * np.max(np.abs(own.coef))
     assert np.max(np.abs(shared[0].coef - shared[1].coef)) > 1e-3
 
@@ -433,8 +433,28 @@ def test_factors_under_concurrent_first_use(even_kernel):
     finally:
         sys.setswitchinterval(interval)
     assert len(rule.factors) == 1
-    alone = solve_gci(even_kernel, 96, build_rule(200)).h.coef
-    assert all(np.array_equal(g.h.coef, alone) for g in got)
+    alone = solve_gci(even_kernel, 96, build_rule(200)).coef
+    assert all(np.array_equal(g.coef, alone) for g in got)
+
+
+def test_solves_pass_getrs_their_own_pivots(monkeypatch, even_kernel):
+    # scipy's getrs shifts its pivot argument in place around the LAPACK call
+    # with the GIL released; concurrent solves that handed it the cached
+    # pivots could corrupt the heap (the test above then failed or crashed)
+    rule = build_rule(120)
+    solve_gci(even_kernel, 64, rule=rule)
+    cached = [factors.piv for factors in rule.factors.values()]
+    passed = []
+    getrs = elliptic.dgetrs
+
+    def spy(lu, piv, b, **kwargs):
+        passed.append(piv)
+        return getrs(lu, piv, b, **kwargs)
+
+    monkeypatch.setattr(elliptic, "dgetrs", spy)
+    solve_gci(even_kernel, 64, rule=rule)
+    assert len(passed) == 2
+    assert not any(np.shares_memory(p, c) for p in passed for c in cached)
 
 
 def test_singular_operator_errors_name_d(even_kernel):
@@ -458,7 +478,7 @@ def test_condition_estimate_is_reproducible():
     seen, junk = set(), []
     for i in range(12):
         rule.factors.clear()
-        seen.add(solve_gci(kernel, 256, rule=rule).h.meta["condition"])
+        seen.add(solve_gci(kernel, 256, rule=rule).meta["condition"])
         junk.append(np.ones(1000 * (i % 5) + 7))
         junk.extend(np.ones(13 * i + 1) for _ in range(i))
     assert len(seen) == 1

@@ -65,7 +65,7 @@ def test_fd_reduced_variable_matches_spectral(pipeline_even):
     errs = []
     for m in (2500, 5000):
         x, values = fd_solve(kernel, 1, row["alpha"], row["f"], m, reduced_order=1)
-        ref = np.sqrt(1 - x * x) * p["gci"].h(x)
+        ref = np.sqrt(1 - x * x) * p["profiles"]["gci"](x)
         errs.append(np.linalg.norm(values - ref) / np.linalg.norm(ref))
     assert 3.5 <= errs[0] / errs[1] <= 4.5
 
@@ -143,28 +143,28 @@ def test_mode_null_space(pipeline_even):
 def test_mode_image_of_invariant_profile(pipeline_const, pipeline_even):
     # substituting the solved invariant profile recovers its constant data -d
     for p in (pipeline_const, pipeline_even):
-        image = mode_apply(p["kernel"], 1, p["gci"].h)
+        image = mode_apply(p["kernel"], 1, p["profiles"]["gci"])
         assert np.abs(image.values + p["kernel"].d).max() < 1e-8
 
 
 def test_mode_image_of_b1(pipeline_even):
     p = pipeline_even
-    image = mode_apply(p["kernel"], 2, p["profiles"].b1)
+    image = mode_apply(p["kernel"], 2, p["profiles"]["b1"])
     expected = np.asarray(p["kernel"].nu(image.rule.nodes)) / p["kernel"].d
     assert np.abs(image.values - expected).max() < 1e-8
 
 
 def test_all_profile_mode_identities(pipeline_const, pipeline_even):
     for p in (pipeline_const, pipeline_even):
-        res = mode_residuals(p["kernel"], p["c"], p["gci"], p["profiles"])
+        res = mode_residuals(p["kernel"], p["c"], p["profiles"])
         assert max(res.values()) < 1e-8
 
 
 def _six_profiles(p):
-    # (mode index, reduced profile) of each solved problem
-    pr = p.profiles
-    return [(1, p.gci.h), (1, pr.a_perp), (0, pr.a_par), (2, pr.b1), (0, pr.b2),
-            (1, pr.b_par)]
+    # (mode index, reduced profile) of each solved problem; the mode index is
+    # the endpoint order the problem table states
+    table = elliptic_problem_data(p.eq.kernel, p.c, b1=p.profiles["b1"])
+    return [(table[name]["sing_order"], prof) for name, prof in p.profiles.items()]
 
 
 def _clenshaw_image(kernel, k, profile):
@@ -193,7 +193,7 @@ def test_mode_apply_derivatives_from_the_rule_basis(kernel):
         image = mode_apply(kernel, k, prof)
         reference = _clenshaw_image(kernel, k, prof)
         assert np.abs(image.values - reference).max() <= 1e-11 * np.abs(reference).max()
-    assert max(mode_residuals(kernel, p.c, p.gci, p.profiles).values()) <= 1e-8
+    assert max(mode_residuals(kernel, p.c, p.profiles).values()) <= 1e-8
 
 
 def test_nodal_reads_reject_another_rule(pipeline_even):
@@ -234,7 +234,7 @@ def test_orthogonality_automatic_modes(pipeline_even):
     rng = np.random.default_rng(7)
     for k, parity in ((0, "cos"), (2, "cos"), (2, "sin")):
         trial = MuProfile.from_coef(eq.rule, rng.standard_normal(7))
-        defect = gci_orthogonality(p["kernel"], p["gci"], trial, k, parity, eq)
+        defect = gci_orthogonality(p["kernel"], p["profiles"]["gci"], trial, k, parity, eq)
         assert defect < 1e-8 * trial_norm(trial, k, eq)
 
 
@@ -243,7 +243,7 @@ def test_orthogonality_equilibrium_trial(pipeline_even):
     p = pipeline_even
     eq = p["eq"]
     trial = MuProfile.from_coef(eq.rule, [1.0])
-    assert gci_orthogonality(p["kernel"], p["gci"], trial, 0, "cos", eq) < 1e-14
+    assert gci_orthogonality(p["kernel"], p["profiles"]["gci"], trial, 0, "cos", eq) < 1e-14
 
 
 def test_orthogonality_mode1_requires_projection(pipeline_even):
@@ -251,16 +251,17 @@ def test_orthogonality_mode1_requires_projection(pipeline_even):
     eq = p["eq"]
     rng = np.random.default_rng(8)
     trial = MuProfile.from_coef(eq.rule, rng.standard_normal(7))
-    raw = gci_orthogonality(p["kernel"], p["gci"], trial, 1, "cos", eq)
+    h = p["profiles"]["gci"]
+    raw = gci_orthogonality(p["kernel"], h, trial, 1, "cos", eq)
     assert raw > 1e-4 * trial_norm(trial, 1, eq)  # flux-carrying
-    projected = project_trial_k1(p["gci"], trial, eq)
-    fixed = gci_orthogonality(p["kernel"], p["gci"], projected, 1, "cos", eq)
+    projected = project_trial_k1(h, trial, eq)
+    fixed = gci_orthogonality(p["kernel"], h, projected, 1, "cos", eq)
     assert fixed < 1e-8 * trial_norm(projected, 1, eq)
 
 
 def test_source_admissibility(pipeline_const, pipeline_even):
     for p in (pipeline_const, pipeline_even):
-        defects = source_orthogonality(p["kernel"], p["gci"], p["c"], p["eq"])
+        defects = source_orthogonality(p["kernel"], p["profiles"]["gci"], p["c"], p["eq"])
         assert set(defects) == {"a_perp", "a_par", "b_bb", "b_pb"}
         assert max(defects.values()) < 1e-8
 
@@ -272,7 +273,7 @@ def test_a_perp_admissibility_for_constant_rate(d, n):
     # relative to the mass of the two terms, not of their rounded difference
     kernel = constant_kernel(1.0, d=d)
     p = run_pipeline(kernel, n, 0.1)
-    assert source_orthogonality(kernel, p.gci, p.c, p.eq)["a_perp"] <= 1e-12
+    assert source_orthogonality(kernel, p.profiles["gci"], p.c, p.eq)["a_perp"] <= 1e-12
 
 
 @pytest.mark.parametrize("kernel", [constant_kernel(1.0, d=0.5), *registry_kernels(d=0.5)],
@@ -280,13 +281,14 @@ def test_a_perp_admissibility_for_constant_rate(d, n):
 def test_a_perp_admissibility_detects_perturbed_c3(kernel):
     p = run_pipeline(kernel, 64, 0.1)
     c1, c2, c3 = p.c
-    defects = source_orthogonality(kernel, p.gci, (c1, c2, c3 * (1.0 + 1e-6)), p.eq)
+    defects = source_orthogonality(kernel, p.profiles["gci"], (c1, c2, c3 * (1.0 + 1e-6)),
+                                   p.eq)
     assert defects["a_perp"] > 1e-7
 
 
 def test_spectral_fd_cross_check_moderate(pipeline_even):
     p = pipeline_even
-    out = compare_spectral_fd(p["kernel"], p["c"], p["gci"], p["profiles"], m=5000)
+    out = compare_spectral_fd(p["kernel"], p["c"], p["profiles"], m=5000)
     assert set(out) == {"gci", "a_perp", "a_par", "b1", "b2", "b_par"}
     # second-order floor at this resolution
     assert max(out.values()) < 1e-4 * (20000 / 5000) ** 2
@@ -298,12 +300,12 @@ def test_spectral_fd_type2_at_small_d(d):
     # spans many decades (the uniform border read 2e-2 and 9e4 here)
     kernel = constant_kernel(1.0, d=d)
     p = run_pipeline(kernel, 64, 0.1)
-    out = compare_spectral_fd(kernel, p.c, p.gci, p.profiles, m=20000)
+    out = compare_spectral_fd(kernel, p.c, p.profiles, m=20000)
     assert out["a_par"] <= 1e-6
     assert out["b2"] <= 1e-6
 
 
 def test_negative_mode_index_rejected(pipeline_even):
-    profile = pipeline_even["gci"].h
+    profile = pipeline_even["profiles"]["gci"]
     with pytest.raises(PreconditionError):
         mode_apply(pipeline_even["kernel"], -1, profile)

@@ -150,9 +150,9 @@ def test_average_weighted_uniform_symmetry():
 def test_average_weighted_reproduces_convection_constant(pipeline_const):
     # <cos theta> against the sin^2 nu h M weight equals c2 from the pipeline
     p = pipeline_const
-    eq, gci = p["eq"], p["gci"]
+    eq, h = p["eq"], p["profiles"]["gci"]
     x = eq.rule.nodes
-    weight = (1 - x * x) * np.asarray(p["kernel"].nu(x)) * gci.h(x) * eq.weight
+    weight = (1 - x * x) * np.asarray(p["kernel"].nu(x)) * h(x) * eq.weight
     assert average_weighted(eq.rule, x, weight) == pytest.approx(p["c"][1], abs=1e-13)
 
 
