@@ -276,6 +276,10 @@ def _checked_solve(kernel, rule, n, k, key, coefs, rhs, shift, name, border=None
     divided by `divisor` like the data, is recorded relative to the data in
     `meta["residual"]`; a non-finite value means the data overflowed or
     underflowed at the nodes, which no degree can repair, so it is raised.
+    For a bordered system the defect is that of the equation it solves,
+    L u + multiplier * border = data, so data whose mean is not exactly zero
+    (rounding in the constants they are built from) count against the
+    solve only through what the multiplier does not absorb.
     `meta` also carries the linear residual, the 1-norm condition estimate
     of the factored system (_inverse_norm1, reproducible to the bit) and,
     for a bordered system, its multiplier.
@@ -285,6 +289,8 @@ def _checked_solve(kernel, rule, n, k, key, coefs, rhs, shift, name, border=None
     factors = _factor(rule, key, basis, coefs, what, d, border)
     V = basis[0]
     sol, image, linres = _solve(factors, V, qw, V.T @ (qw * rhs), d, what)
+    if border is not None:
+        image = image + sol[-1] * border
     scale = float(np.max(np.abs(rhs / divisor))) or 1.0
     residual = float(np.max(np.abs((image - rhs) / divisor)) / scale)
     if not np.isfinite(residual):

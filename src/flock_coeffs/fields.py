@@ -176,11 +176,12 @@ class CorrectionFields:
     r2: np.ndarray
 
 
-# Cells per slab when evaluate_corrections streams the grid along axis 0: a
-# slab is this many cells' worth of whole planes (at least one).  A scalar
-# over 2**15 cells is 256 KiB, so the operands of the pointwise operations
-# stay in a core's L2 cache instead of the whole grid streaming through
-# memory once per numpy operation.
+# Cells per slab when make_field, FieldState.validate, decompose_gradients
+# and evaluate_corrections stream the grid along axis 0: a slab is this many
+# cells' worth of whole planes (at least one).  A scalar over 2**15 cells is
+# 256 KiB, so the operands of the pointwise operations stay in a core's L2
+# cache instead of the whole grid streaming through memory once per numpy
+# operation.
 SLAB_CELLS = 2 ** 15
 
 
@@ -540,10 +541,18 @@ def decompose_gradients(state: FieldState, scheme_order: int = 2) -> GradientBun
     The transverse-transverse orientation block is projected on both sides,
     its trace defines div_omega, and the shear/swirl split is taken as the
     definition (so the reassembly identities hold exactly).
+
+    The bundle is formed slab by slab (_slabs, about SLAB_CELLS cells of
+    whole axis-0 planes each) from rho and omega on the slab's planes plus
+    one derivative level of halo, straight into its 26-row output; every
+    cell sees the same operations as on the whole grid, so the result does
+    not depend on the slab size.
     """
     _check_state(state, scheme_order)
-    b = _bundle_fields(state.rho, _omega_components(state), _whole_grid(state, scheme_order),
-                       _bundle_rows(np.empty((_BUNDLE_ROWS,) + state.grid.shape)))
+    rows = np.empty((_BUNDLE_ROWS,) + state.grid.shape)
+    for i0, i1, rho, om, st in _slabs(state, scheme_order):
+        _bundle_fields(st.inner(rho), st.inner(om), st, _bundle_rows(rows[:, i0:i1]))
+    b = _bundle_rows(rows)
     return GradientBundle(
         scheme_order=scheme_order,
         grad_perp_rho=np.moveaxis(b.gperp, 0, -1),
@@ -712,9 +721,44 @@ def evaluate_corrections(state: FieldState, coeffs, scheme_order: int = 2,
 
 # --- analytic test fields ------------------------------------------------------
 
-def _normalize(vec):
-    """Scale each grid + (3,) vector to unit length, in place."""
-    vec /= np.linalg.norm(vec, axis=-1, keepdims=True)
+def _random_smooth(grid, lengths, rng, rho, omega):
+    """Write the random-smooth field into the grid array `rho` and the
+    grid + (3,) array `omega`:
+
+        rho = 1.5 + 0.4 cos(kx x) sin(kz z) + 0.2 cos(ky y),
+        v = 2 z-hat + sum of four modes amp cos(kx' x + px) cos(ky' y + py)
+            sin(kz' z + pz),   omega = v / |v|,
+
+    with k = 2 pi / L on each axis and each mode's amp, integer wave
+    multipliers (k' = multiplier * k) and phases drawn in that order from
+    `rng`.  The field is built one slab of whole axis-0 planes at a time, v
+    in three contiguous component slabs, and each output plane is written
+    once; each cell gets the operations of the whole-grid expressions, |v|^2
+    summed over the components in order, so the result does not depend on
+    the slab size.
+    """
+    modes = [(0.25 * rng.standard_normal(3), rng.integers(1, 3, size=3),
+              rng.uniform(0, 2 * np.pi, size=3)) for _ in range(4)]
+    x, y, z = grid.axes()
+    kx, ky, kz = (2 * np.pi / L for L in lengths)
+    factors = [(amp, np.cos(kv[0] * kx * x + ph[0]), np.cos(kv[1] * ky * y + ph[1]),
+                np.sin(kv[2] * kz * z + ph[2])) for amp, kv, ph in modes]
+    rho_xz, rho_y = 1.5 + 0.4 * np.cos(kx * x) * np.sin(kz * z), 0.2 * np.cos(ky * y)
+    step = _slab_planes(grid)
+    work = np.empty((5, step) + grid.shape[1:])
+    for i0 in range(0, grid.shape[0], step):
+        i1 = min(i0 + step, grid.shape[0])
+        np.add(rho_xz[i0:i1], rho_y, out=rho[i0:i1])
+        v, mode, tmp = work[:3, :i1 - i0], work[3, :i1 - i0], work[4, :i1 - i0]
+        v[:2] = 0.0
+        v[2] = 2.0
+        for amp, fx, fy, fz in factors:
+            np.multiply(fx[i0:i1] * fy, fz, out=mode)
+            for k in range(3):
+                v[k] += np.multiply(amp[k], mode, out=tmp)
+        norm = np.sqrt(_dot(v, v, out=mode, tmp=tmp), out=mode)
+        for k in range(3):
+            np.divide(v[k], norm, out=omega[i0:i1, ..., k])
 
 
 def make_field(name: str, shape=(16, 16, 16), lengths=None, params=None,
@@ -756,19 +800,8 @@ def make_field(name: str, shape=(16, 16, 16), lengths=None, params=None,
     elif name == "random-smooth":
         if seed < 0:
             raise DomainError(f"seed must be non-negative, got {seed}")
-        rng = np.random.default_rng(seed)
-        kx, ky, kz = (2 * np.pi / L for L in lengths)
-        omega[..., 2] = 2.0
-        for _ in range(4):
-            amp = 0.25 * rng.standard_normal(3)
-            kv = rng.integers(1, 3, size=3)
-            ph = rng.uniform(0, 2 * np.pi, size=3)
-            mode = np.cos(kv[0] * kx * x + ph[0]) * np.cos(kv[1] * ky * y + ph[1]) \
-                * np.sin(kv[2] * kz * z + ph[2])
-            for c in range(3):
-                omega[..., c] += amp[c] * mode
-        _normalize(omega)
-        rho = 1.5 + 0.4 * np.cos(kx * x) * np.sin(kz * z) + 0.2 * np.cos(ky * y)
+        rho = np.empty(shape)
+        _random_smooth(grid, lengths, np.random.default_rng(seed), rho, omega)
     else:
         raise DomainError(
             f"unknown field {name!r}; known: uniform, axial-sine, tilt-sine, random-smooth")

@@ -233,18 +233,26 @@ def _pipeline_checks(report, kernel, kappa, n, oracle_m, seed):
 
 
 def _field_checks(report, coeffs, seed):
-    def curl(state, order=2):
-        o, g = state.omega, state.grid
-        c = np.empty_like(o)
-        c[..., 0] = deriv(o[..., 2], 1, g.spacing[1], order) - deriv(o[..., 1], 2, g.spacing[2], order)
-        c[..., 1] = deriv(o[..., 0], 2, g.spacing[2], order) - deriv(o[..., 2], 0, g.spacing[0], order)
-        c[..., 2] = deriv(o[..., 1], 0, g.spacing[0], order) - deriv(o[..., 0], 1, g.spacing[1], order)
-        return c
+    def curl(om, grid, order=2):
+        """The curl of the component-major orientation om, per component."""
+        def d(k, j):
+            return deriv(om[k], j, grid.spacing[j], order)
+
+        return [d(2, 1) - d(1, 2), d(0, 2) - d(2, 0), d(1, 0) - d(0, 1)]
 
     def tilt_gap(npts):
         state = make_field("random-smooth", (npts,) * 3, seed=seed + 1)
         bundle = decompose_gradients(state)
-        diff = bundle.omega_tilt - np.cross(curl(state), state.omega)
+        om = fields._omega_components(state)
+        cu = curl(om, state.grid)
+        # omega_tilt - curl x omega, one component at a time into a
+        # C-contiguous grid + (3,) array
+        diff = np.empty(state.grid.shape + (3,))
+        for k in range(3):
+            i, j = (k + 1) % 3, (k + 2) % 3
+            cross = cu[i] * om[j]
+            cross -= cu[j] * om[i]
+            np.subtract(bundle.omega_tilt[..., k], cross, out=diff[..., k])
         return float(np.sqrt(np.mean(diff**2)))
 
     e_coarse, e_fine = tilt_gap(24), tilt_gap(48)
@@ -254,8 +262,8 @@ def _field_checks(report, coeffs, seed):
 
     state = make_field("random-smooth", (24,) * 3, seed=seed + 2)
     bundle = decompose_gradients(state)
-    cu = curl(state)
-    swirl = np.sum(cu * state.omega, axis=-1)
+    om = fields._omega_components(state)
+    swirl = fields._dot(curl(om, state.grid), om)
     X = np.random.default_rng(seed).standard_normal(3)
     gap = np.einsum("...jk,k->...j", bundle.gamma_omega, X) \
         - swirl[..., None] * np.cross(X, state.omega)
@@ -293,6 +301,13 @@ def _field_checks(report, coeffs, seed):
     ok = (len(terms) == 13 and nq == 8 and nd == 5)
     report.add("r2_structure_count", "full", 0.0, float(len(terms)), passed=ok,
                detail=f"{nq} quadratic + {nd} derivative")
+
+    # the 13 structures, weighted by zeta, sum to the r2 checked above
+    zeta = np.asarray(coeffs.zeta)
+    total = sum(zeta[s - 1] * terms[s] for s in R2_TERM_TAGS)
+    scale = float(np.abs(r2).max()) or 1.0
+    report.add("r2_structure_sum", "full", 1e-12, float(np.abs(total - r2).max()) / scale,
+               detail="max |sum_s zeta_s T_s - r2| / max |r2|")
 
 
 def run_verification(kernel: CollisionKernel | None = None, kappa: float = 0.1,

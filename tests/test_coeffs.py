@@ -361,3 +361,23 @@ def test_projection_check_reads_the_field_projection(monkeypatch):
     assert check().passed
     monkeypatch.setattr(fields_mod, "_project_perp", half)
     assert not check().passed
+
+
+def test_structure_sum_check_reads_the_r2_terms(monkeypatch):
+    # the full tier sums the 13 structures it counts against the r2 whose
+    # orthogonality it checks: a structure off by a factor must fail it
+    def check():
+        report = verify_mod.run_verification(n=32, oracle_m=2000)
+        return next(c for c in report.checks if c.name == "r2_structure_sum")
+
+    base = check()
+    assert base.passed and base.tolerance == 1e-12
+    terms = verify_mod.r2_terms
+
+    def doubled_slot_5(state, bundle):
+        out = terms(state, bundle)
+        out[5] = 2.0 * out[5]
+        return out
+
+    monkeypatch.setattr(verify_mod, "r2_terms", doubled_slot_5)
+    assert not check().passed

@@ -239,6 +239,17 @@ def test_gci_residual_small(pipeline_const):
     assert pipeline_const["profiles"]["gci"].meta["residual"] < 1e-8
 
 
+@pytest.mark.parametrize("d,bound", [(1e6, 1e-8), (6e7, 1e-7)])
+def test_type2_residual_counts_the_multiplier(d, bound):
+    # at large d, b2's data 2 b1 - c1/d cancel, so c1's rounding leaves them
+    # a mean of order 1e-5 of their size (0.23 at d = 6e7), which the
+    # bordered multiplier absorbs; the strong residual is that of
+    # L u + multiplier * w = data and so measures the solve, not the rounding
+    p = run_pipeline(constant_kernel(1.0, d=d), 64, 0.1)
+    assert p.hydro.residuals["b2_solve"] <= bound
+    assert p.profiles["b2"].meta["multiplier"] != 0.0
+
+
 def test_gci_self_convergence(const_kernel):
     g64 = solve_gci(const_kernel, 64)
     g128 = solve_gci(const_kernel, 128)

@@ -685,3 +685,85 @@ def test_workspace_does_not_grow_with_the_grid(monkeypatch):
         del corr
     outputs = 4 * (48 - 24) * 16 * 16 * 8
     assert peaks[1] - peaks[0] - outputs < outputs / 16
+
+
+# --- streamed make_field and decompose_gradients --------------------------------
+
+BUNDLE_FIELDS = ("grad_perp_rho", "par_grad_rho", "omega_tilt", "div_omega",
+                 "sigma_omega", "gamma_omega")
+
+
+@pytest.mark.parametrize("shape,order", [
+    ((13, 12, 11), 2), ((13, 12, 11), 4), ((1, 9, 7), 2), ((1, 9, 7), 4),
+    ((6, 6, 8), 2), ((6, 6, 8), 4), ((40, 12, 10), 2), ((40, 12, 10), 4),
+    ((5, 5, 5), 2), ((5, 5, 5), 4)])
+@pytest.mark.parametrize("planes", [1, 2, 3, 5])
+def test_decompose_slab_split_matches_one_slab(monkeypatch, shape, order, planes):
+    state = make_field("random-smooth", shape, lengths=(2.0, 3.0, 2.5), seed=26)
+    monkeypatch.setattr(fields, "SLAB_CELLS", shape[0] * shape[1] * shape[2])
+    whole = decompose_gradients(state, scheme_order=order)
+    seen = record_slabs(monkeypatch)
+    monkeypatch.setattr(fields, "SLAB_CELLS", planes * shape[1] * shape[2])
+    split = decompose_gradients(state, scheme_order=order)
+    n0 = shape[0]
+    assert len(seen) == (-(-n0 // planes) if n0 > planes else 1)
+    ref = ref_decompose(state, order)
+    for name in BUNDLE_FIELDS:
+        assert getattr(split, name).tobytes() == getattr(whole, name).tobytes(), name
+        assert_matches_reference(getattr(split, name), ref[name], name)
+
+
+@pytest.mark.parametrize("order", [2, 4])
+def test_decompose_derivatives_per_slab(monkeypatch, order):
+    state = make_field("random-smooth", (13, 12, 11), seed=27)
+    calls = count_derivatives(monkeypatch)
+    seen = record_slabs(monkeypatch)
+    monkeypatch.setattr(fields, "SLAB_CELLS", 2 * 12 * 11)
+    decompose_gradients(state, scheme_order=order)
+    assert len(seen) == 7
+    assert calls == ["_bundle_fields"] * 12 * len(seen)
+
+
+@pytest.mark.parametrize("name,params", [
+    ("uniform", {"rho": 0.8}), ("axial-sine", {"amplitude": 0.6}),
+    ("tilt-sine", {"alpha0": 0.4}), ("random-smooth", {})])
+@pytest.mark.parametrize("shape", [(13, 12, 11), (37, 38, 36)])
+def test_make_field_does_not_depend_on_the_slab_size(monkeypatch, name, params, shape):
+    def build():
+        return make_field(name, shape, lengths=(2.0, 3.0, 2.5), params=params, seed=28)
+
+    monkeypatch.setattr(fields, "SLAB_CELLS", shape[0] * shape[1] * shape[2])
+    whole = build()
+    for planes in (1, 2, 3, 5):
+        monkeypatch.setattr(fields, "SLAB_CELLS", planes * shape[1] * shape[2])
+        split = build()
+        assert split.rho.tobytes() == whole.rho.tobytes(), planes
+        assert split.omega.tobytes() == whole.omega.tobytes(), planes
+
+
+def traced_peak(run):
+    """The tracemalloc peak of run(), whose result is dropped."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("what,scalars", [("make_field", 4), ("decompose_gradients", 26)])
+def test_streamed_set_up_does_not_grow_with_the_grid(monkeypatch, what, scalars):
+    # as for evaluate_corrections: two grids that differ only in n0 stream
+    # the same slabs, so the traced peak grows by the outputs (rho and omega,
+    # or the 26 bundle rows) and by far less than a sixteenth of them more;
+    # whole-grid builds, with their grid-sized temporaries, fail this
+    monkeypatch.setattr(fields, "SLAB_CELLS", 4 * 16 * 16)
+    states = {n0: make_field("random-smooth", (n0, 16, 16), seed=29) for n0 in (24, 48)}
+    run = {
+        "make_field": lambda n0: make_field("random-smooth", (n0, 16, 16), seed=29),
+        "decompose_gradients": lambda n0: decompose_gradients(states[n0], scheme_order=4),
+    }[what]
+    run(24)
+    peaks = [traced_peak(lambda: run(n0)) for n0 in (24, 48)]
+    outputs = scalars * (48 - 24) * 16 * 16 * 8
+    assert peaks[1] - peaks[0] - outputs < outputs / 16
