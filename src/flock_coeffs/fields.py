@@ -152,7 +152,9 @@ class GradientBundle:
     decompose_gradients stores the vector and tensor fields component-major,
     as contiguous (3, ...) and (3, 3, ...) arrays, and exposes them here as
     np.moveaxis views: they have the shapes grid + (3,) and grid + (3, 3)
-    but are not C-contiguous.
+    but are not C-contiguous.  evaluate_r1, evaluate_r2 and r2_terms read
+    sigma_omega on and above the diagonal and gamma_omega above it only,
+    taking the rest by symmetry and antisymmetry.
     """
 
     scheme_order: int
@@ -345,7 +347,9 @@ def _check_positive_density(rho_min):
 
 
 class _Bundle(NamedTuple):
-    """The bundle entries, component-major (see GradientBundle)."""
+    """The bundle entries, component-major (see GradientBundle), with sigma
+    and gamma by their unique entries: sig holds sigma's six rows and gam
+    gamma's three, in the order of _UPPER (see _packed)."""
 
     gperp: np.ndarray
     dpar: np.ndarray
@@ -355,15 +359,29 @@ class _Bundle(NamedTuple):
     gam: np.ndarray
 
 
-# the 26 scalar rows of a stored bundle: gperp, dpar, tilt, divo, sig, gam
-_BUNDLE_ROWS = 26
+# the entry (j, k) of each stored row of sigma; gamma stores the first three
+_UPPER = ((0, 1), (0, 2), (1, 2), (0, 0), (1, 1), (2, 2))
+
+
+def _packed(j, k):
+    """(row, sign) of the entry (j, k): sigma[j, k] = sig[row] and
+    gamma[j, k] = sign * gam[row], where the sign is 1 above the diagonal,
+    -1 below it and 0 on it (gamma's diagonal is zero and not stored)."""
+    return _UPPER.index((min(j, k), max(j, k))), (k > j) - (j > k)
+
+
+def _packed_rows(sig, gam):
+    """The packed sig and gam rows as views of (3, 3, ...) sigma and gamma."""
+    return [sig[jk] for jk in _UPPER], [gam[jk] for jk in _UPPER[:3]]
+
+
+# the 17 scalar rows of a packed bundle: gperp, dpar, tilt, divo, sig, gam
+_BUNDLE_ROWS = 17
 
 
 def _bundle_rows(rows):
-    """The _Bundle stored in the 26 rows (axis 0) of `rows`."""
-    rest = rows.shape[1:]
-    return _Bundle(rows[0:3], rows[3], rows[4:7], rows[7],
-                   rows[8:17].reshape((3, 3) + rest), rows[17:26].reshape((3, 3) + rest))
+    """The _Bundle stored in the 17 rows (axis 0) of `rows`."""
+    return _Bundle(rows[0:3], rows[3], rows[4:7], rows[7], rows[8:14], rows[14:17])
 
 
 def _bundle_fields(rho, om, st, out):
@@ -381,48 +399,51 @@ def _bundle_fields(rho, om, st, out):
     for k in range(3):
         grad_rho[k] -= np.multiply(par_grad_rho, om[k], out=tmp)
 
-    # g[j, k] = d_j omega_k, formed in out.gam and turned into the swirl
-    # there; a = omega^T g is (omega . grad) omega, b = g omega
-    g = out.gam
+    # g[j][k] = d_j omega_k, formed in sigma's row of (j, k) for j <= k and
+    # in gamma's row of (k, j) for j > k, and turned into the shear and the
+    # swirl there.  a = omega^T g is (omega . grad) omega, formed in out.tilt
+    # and made transverse there once g is done with it; b = g omega, and
+    # c = omega . b lives in out.divo until div_omega replaces it
+    g = [[(out.sig if j <= k else out.gam)[_packed(j, k)[0]] for k in range(3)]
+         for j in range(3)]
     for j in range(3):
         for k in range(3):
-            d(om_halo[k], j, out=g[j, k])
+            d(om_halo[k], j, out=g[j][k])
     del om_halo
-    a = [_dot(om, g[:, k]) for k in range(3)]
-    b = [_dot(g[j], om) for j in range(3)]
-    c = _dot(om, b)
-    _project_perp(om, a, out=out.tilt)
+    a = out.tilt
+    for k in range(3):
+        _dot(om, [g[0][k], g[1][k], g[2][k]], out=a[k], tmp=tmp)
+    b = [_dot(g[j], om, tmp=tmp) for j in range(3)]
+    c = _dot(om, b, out=out.divo, tmp=tmp)
 
     # transverse-transverse block P g P = g - omega a^T - b omega^T
-    # + c omega omega^T, written over g entry by entry; u = c omega - a
-    u = a
+    # + c omega omega^T, written over g one column k at a time, with
+    # u = c omega_k - a_k
+    u = np.empty_like(tmp)
     for k in range(3):
-        np.subtract(np.multiply(c, om[k], out=tmp), a[k], out=u[k])
-    for j in range(3):
-        for k in range(3):
-            g[j, k] += np.multiply(om[j], u[k], out=tmp)
-            g[j, k] -= np.multiply(b[j], om[k], out=tmp)
-    del a, b, c, u
-    div_omega = np.add(g[0, 0], g[1, 1], out=out.divo)
-    div_omega += g[2, 2]
+        np.subtract(np.multiply(c, om[k], out=tmp), a[k], out=u)
+        for j in range(3):
+            g[j][k] += np.multiply(om[j], u, out=tmp)
+            g[j][k] -= np.multiply(b[j], om[k], out=tmp)
+    del b, c
+    _project_perp(om, a, out=a)
+    div_omega = np.add(g[0][0], g[1][1], out=out.divo)
+    div_omega += g[2][2]
 
-    # sigma_jj = 2 g_jj - div_omega (1 - om_j om_j),
-    # sigma_jk = g_jk + g_kj + div_omega (om_j om_k), gamma_jk = g_jk - g_kj;
-    # each entry of g is read before it is overwritten by gamma
-    sigma = out.sig
+    # sigma_jj = 2 g_jj - div_omega (1 - om_j om_j), and for j < k
+    # s = g_jk + g_kj, gamma_jk = g_jk - g_kj over g_kj, then
+    # sigma_jk = s + div_omega (om_j om_k) over g_jk; u's storage holds s
+    s = u
     for j in range(3):
-        np.multiply(g[j, j], 2.0, out=sigma[j, j])
+        np.multiply(g[j][j], 2.0, out=g[j][j])
         np.multiply(om[j], om[j], out=tmp)
         np.subtract(1.0, tmp, out=tmp)
-        sigma[j, j] -= np.multiply(div_omega, tmp, out=tmp)
-        g[j, j] = 0.0
+        g[j][j] -= np.multiply(div_omega, tmp, out=tmp)
         for k in range(j + 1, 3):
-            np.add(g[j, k], g[k, j], out=sigma[j, k])
+            np.add(g[j][k], g[k][j], out=s)
+            np.subtract(g[j][k], g[k][j], out=g[k][j])
             np.multiply(om[j], om[k], out=tmp)
-            sigma[j, k] += np.multiply(div_omega, tmp, out=tmp)
-            sigma[k, j] = sigma[j, k]
-            g[j, k] -= g[k, j]
-            np.negative(g[j, k], out=g[k, j])
+            np.add(s, np.multiply(div_omega, tmp, out=tmp), out=g[j][k])
     return out
 
 
@@ -478,9 +499,16 @@ def _add_d(out, rho, om, bundle, st, zeta):
 
     def t_entry(j, k):
         """T_jk in entry, formed only on the planes that d(., j) reads; the
-        swirl's diagonal is exact zeros and is left out."""
-        t = np.multiply(st.reads(bundle.sig[j, k], j), z12, out=st.reads(entry, j))
-        t += st.reads(bundle.divo, j) * z2 if j == k else st.reads(bundle.gam[j, k], j) * z13
+        swirl's diagonal is exact zeros and is left out, and its entry below
+        the diagonal is subtracted as the stored one above it."""
+        row, sign = _packed(j, k)
+        t = np.multiply(st.reads(bundle.sig[row], j), z12, out=st.reads(entry, j))
+        if sign == 0:
+            t += st.reads(bundle.divo, j) * z2
+        elif sign > 0:
+            t += st.reads(bundle.gam[row], j) * z13
+        else:
+            t -= st.reads(bundle.gam[row], j) * z13
         return entry
 
     zom5, zom11 = ([om_in[j] * z for j in range(3)] for z in (z5, z11))
@@ -501,20 +529,25 @@ def _add_q(out, rho, om, bundle, st, zeta):
     """out += Q: the quadratic structures 1, 3, 4 and 6 to 10, pointwise
     products of bundle entries."""
     z1, z3, z4, z6, z7, z8, z9, z10 = (zeta[s - 1] for s in (1, 3, 4, 6, 7, 8, 9, 10))
-    rho, gperp, tilt, sig, gam, dpar, divo = (st.inner(x) for x in (
-        rho, bundle.gperp, bundle.tilt, bundle.sig, bundle.gam, bundle.dpar, bundle.divo))
+    rho, gperp, tilt, dpar, divo = (st.inner(x) for x in (
+        rho, bundle.gperp, bundle.tilt, bundle.dpar, bundle.divo))
+    sig, gam = ([st.inner(x) for x in rows] for rows in (bundle.sig, bundle.gam))
     tmp = np.empty(dpar.shape)
     for vec, scale in ((gperp, divo * z1 + dpar / rho * z7),
                        (tilt, dpar * z6 + rho * divo * z8)):
         for k in range(3):
             out[k] += np.multiply(scale, vec[k], out=tmp)
-    # the swirl's diagonal is exact zeros and is left out
-    for tens, diagonal, z_gperp, z_tilt in ((sig, True, z3, z9), (gam, False, z4, z10)):
+    # sigma is symmetric; the swirl's diagonal is exact zeros and is left
+    # out, and its entry below the diagonal is subtracted as the one above
+    for tens, signed, z_gperp, z_tilt in ((sig, False, z3, z9), (gam, True, z4, z10)):
         vec = [gperp[k] * z_gperp + rho * tilt[k] * z_tilt for k in range(3)]
         for j in range(3):
             for k in range(3):
-                if diagonal or j != k:
-                    out[j] += np.multiply(tens[j, k], vec[k], out=tmp)
+                row, sign = _packed(j, k)
+                if not signed or sign > 0:
+                    out[j] += np.multiply(tens[row], vec[k], out=tmp)
+                elif sign < 0:
+                    out[j] -= np.multiply(tens[row], vec[k], out=tmp)
 
 
 def _add_r2(out, rho, om, bundle, st, zeta):
@@ -529,10 +562,12 @@ def _whole_grid(state, order):
 
 
 def _stored_bundle(bundle):
+    """The _Bundle of a GradientBundle, as views: sigma and gamma are read
+    above the diagonal (and sigma on it)."""
     return _Bundle(_vector_components(bundle.grad_perp_rho), bundle.par_grad_rho,
                    _vector_components(bundle.omega_tilt), bundle.div_omega,
-                   _tensor_components(bundle.sigma_omega),
-                   _tensor_components(bundle.gamma_omega))
+                   *_packed_rows(_tensor_components(bundle.sigma_omega),
+                           _tensor_components(bundle.gamma_omega)))
 
 
 def decompose_gradients(state: FieldState, scheme_order: int = 2) -> GradientBundle:
@@ -544,23 +579,35 @@ def decompose_gradients(state: FieldState, scheme_order: int = 2) -> GradientBun
 
     The bundle is formed slab by slab (_slabs, about SLAB_CELLS cells of
     whole axis-0 planes each) from rho and omega on the slab's planes plus
-    one derivative level of halo, straight into its 26-row output; every
-    cell sees the same operations as on the whole grid, so the result does
-    not depend on the slab size.
+    one derivative level of halo, straight into its 26-row output: sigma
+    and gamma above the diagonal (and sigma's diagonal) as _bundle_fields
+    forms them, then sigma's lower triangle by copy, gamma's by negation
+    and gamma's diagonal as zeros.  Every cell sees the same operations as
+    on the whole grid, so the result does not depend on the slab size.
     """
     _check_state(state, scheme_order)
-    rows = np.empty((_BUNDLE_ROWS,) + state.grid.shape)
-    for i0, i1, rho, om, st in _slabs(state, scheme_order):
-        _bundle_fields(st.inner(rho), st.inner(om), st, _bundle_rows(rows[:, i0:i1]))
-    b = _bundle_rows(rows)
+    shape = state.grid.shape
+    # gperp, dpar, tilt and divo as in a packed bundle, then sigma and gamma
+    # as whole 3 x 3 blocks: 26 rows
+    rows = np.empty((26,) + shape)
+    sig, gam = (rows[r:r + 9].reshape((3, 3) + shape) for r in (8, 17))
+    for i0, i1, rho, om, st in _slabs(state, scheme_order, 1):
+        slab, s, g = rows[:, i0:i1], sig[:, :, i0:i1], gam[:, :, i0:i1]
+        _bundle_fields(rho, om, st, _Bundle(slab[0:3], slab[3], slab[4:7], slab[7],
+                                            *_packed_rows(s, g)))
+        for j, k in _UPPER[:3]:
+            s[k, j] = s[j, k]
+            np.negative(g[j, k], out=g[k, j])
+        for j in range(3):
+            g[j, j] = 0.0
     return GradientBundle(
         scheme_order=scheme_order,
-        grad_perp_rho=np.moveaxis(b.gperp, 0, -1),
-        par_grad_rho=b.dpar,
-        omega_tilt=np.moveaxis(b.tilt, 0, -1),
-        div_omega=b.divo,
-        sigma_omega=np.moveaxis(b.sig, (0, 1), (-2, -1)),
-        gamma_omega=np.moveaxis(b.gam, (0, 1), (-2, -1)),
+        grad_perp_rho=np.moveaxis(rows[0:3], 0, -1),
+        par_grad_rho=rows[3],
+        omega_tilt=np.moveaxis(rows[4:7], 0, -1),
+        div_omega=rows[7],
+        sigma_omega=np.moveaxis(sig, (0, 1), (-2, -1)),
+        gamma_omega=np.moveaxis(gam, (0, 1), (-2, -1)),
     )
 
 
@@ -646,11 +693,11 @@ def _gather_planes(src, start, out):
         i += run
 
 
-def _slabs(state, order):
+def _slabs(state, order, levels):
     """Yield (i0, i1, rho, om, stencil) for the slabs [i0, i1) along axis 0.
 
     rho and the component-major om cover the slab's planes plus a halo of
-    two derivative levels, taken periodically; they are views of two
+    `levels` derivative levels, taken periodically; they are views of two
     buffers allocated once and refilled in one copy per slab, so each slab's
     pair is valid until the next is yielded.  A grid of at most one slab's
     planes is one slab with no halo that wraps like the whole-grid path.
@@ -662,14 +709,14 @@ def _slabs(state, order):
         return
     w = order // 2
     st = _Stencil(state.grid.spacing, order, w)
-    rho_buf = np.empty((planes + 4 * w,) + state.grid.shape[1:])
+    rho_buf = np.empty((planes + 2 * levels * w,) + state.grid.shape[1:])
     om_buf = np.empty((3,) + rho_buf.shape)
     for i0 in range(0, n0, planes):
         i1 = min(i0 + planes, n0)
-        m = i1 - i0 + 4 * w
+        m = i1 - i0 + 2 * levels * w
         rho, om = rho_buf[:m], om_buf[:, :m]
-        _gather_planes(state.rho, i0 - 2 * w, rho)
-        _gather_planes(state.omega, i0 - 2 * w, np.moveaxis(om, 0, -1))
+        _gather_planes(state.rho, i0 - levels * w, rho)
+        _gather_planes(state.omega, i0 - levels * w, np.moveaxis(om, 0, -1))
         yield i0, i1, rho, om, st
 
 
@@ -700,7 +747,7 @@ def evaluate_corrections(state: FieldState, coeffs, scheme_order: int = 2,
     block = np.zeros((4,) + state.grid.shape)
     r1, r2 = block[0], block[1:]
     rows = None
-    for i0, i1, rho, om, st in _slabs(state, scheme_order):
+    for i0, i1, rho, om, st in _slabs(state, scheme_order, 2):
         t = 2 * st.halo
         m = len(rho) - t
         if rows is None:
@@ -708,8 +755,12 @@ def evaluate_corrections(state: FieldState, coeffs, scheme_order: int = 2,
             rows = np.empty((_BUNDLE_ROWS, m) + state.grid.shape[1:])
             _bundle_fields(rho, om, st, _bundle_rows(rows))
         else:
-            # the previous slab's last t bundle planes are this slab's first
-            rows[:, :t] = rows[:, last - t:last]
+            # the previous slab's last t bundle planes are this slab's first,
+            # moved row by row: the source and target blocks of one
+            # assignment over all rows would share a memory extent, and
+            # numpy would copy the source through a temporary first
+            for row in rows:
+                row[:t] = row[last - t:last]
             _bundle_fields(rho[t:], om[:, t:], st, _bundle_rows(rows[:, t:m]))
         last = m
         bundle = _bundle_rows(rows[:, :m])

@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 import types
 import warnings
@@ -492,8 +493,8 @@ def record_slabs(monkeypatch):
     seen = []
     slabs = fields._slabs
 
-    def spy(state, order):
-        for item in slabs(state, order):
+    def spy(state, order, levels):
+        for item in slabs(state, order, levels):
             seen.append(item[:2])
             yield item
 
@@ -767,3 +768,112 @@ def test_streamed_set_up_does_not_grow_with_the_grid(monkeypatch, what, scalars)
     peaks = [traced_peak(lambda: run(n0)) for n0 in (24, 48)]
     outputs = scalars * (48 - 24) * 16 * 16 * 8
     assert peaks[1] - peaks[0] - outputs < outputs / 16
+
+
+# --- the packed bundle -------------------------------------------------------------
+
+@pytest.mark.parametrize("shape", [(13, 12, 11), (40, 12, 10)])
+@pytest.mark.parametrize("order", [2, 4])
+def test_corrections_match_the_public_readers(monkeypatch, shape, order):
+    # evaluate_corrections reads sigma and gamma from its packed workspace,
+    # evaluate_r1 and evaluate_r2 from the upper triangles of the bundle
+    # decompose_gradients returns; at eps = 1 the two give the same bits
+    monkeypatch.setattr(fields, "SLAB_CELLS", 2 * shape[1] * shape[2])
+    state = make_field("random-smooth", shape, lengths=(2.0, 3.0, 2.5), seed=30)
+    corr = evaluate_corrections(state, SLAB_COEFFS, scheme_order=order, eps=1.0)
+    bundle = decompose_gradients(state, scheme_order=order)
+    r1 = evaluate_r1(state, bundle, SLAB_COEFFS.beta, SLAB_COEFFS.gamma)
+    assert corr.r1.tobytes() == r1.tobytes()
+    assert corr.r2.tobytes() == evaluate_r2(state, bundle, SLAB_COEFFS).tobytes()
+
+
+def lattice_state(shape, spacing):
+    """A state built from integer-lattice formulas, one sqrt and divisions:
+    every operation is exactly rounded, so the bits do not depend on the
+    platform's libm."""
+    i, j, k = np.meshgrid(*(np.arange(n) for n in shape), indexing="ij")
+    rho = 1.0 + ((7 * i + 3 * j + 5 * k) % 13) / 16.0
+    v = np.stack([((3 * i + 5 * j + k) % 9 - 4) / 8.0,
+                  ((i + 2 * j + 7 * k) % 11 - 5) / 8.0,
+                  2.0 + ((5 * i + j + 3 * k) % 7) / 8.0], axis=-1)
+    norm = np.sqrt(v[..., 0] * v[..., 0] + v[..., 1] * v[..., 1] + v[..., 2] * v[..., 2])
+    return FieldState(Grid(shape, spacing), rho, v / norm[..., None]).validate()
+
+
+def sha256_of(*arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+# sha256 of every field output on lattice_state((13, 12, 11)) in slabs of 3
+# planes, recorded from the 26-row bundle of the previous release; storing
+# sigma and gamma by their unique entries moves no arithmetic
+PINNED_DIGESTS = {
+    2: {"corrections": "196b823c1dd591545aa1db1ade6cad8d54106a5397a108634aa4dec5fba72ac9",
+        "bundle": "fc466f78bd5b74d0b8ee475f86d81fe567d66d151c6a5eec6d1b780a745c351a",
+        "terms": "cd33920bd9b6eaba939dbbfc2f29bb62f52c7fcdc024ee83af2c2e8634df6fbe",
+        "r1_r2": "77aceda45e533ab3bda65ab98046de41c6f95ebad14ab344bbe9febabe9b7e77"},
+    4: {"corrections": "dd60aec9c04191351a2f559da151354c556101e104c9c1607ce8123fd3761c7f",
+        "bundle": "e3a592d2dbc8061d18598645169271b707f8fffed554c17c2df73b6a6363c0b9",
+        "terms": "985b1bbfac997e2274300ed696d0fd517bf598eec19c9bc58542b7788deb8923",
+        "r1_r2": "3415c1720cb65769e3f1aedf9f9b0f5e1c3f7f455b3ae4e33176c27ada6a2523"},
+}
+
+
+@pytest.mark.parametrize("order", [2, 4])
+def test_outputs_match_pinned_digests(monkeypatch, order):
+    monkeypatch.setattr(fields, "SLAB_CELLS", 3 * 12 * 11)
+    state = lattice_state((13, 12, 11), (0.5, 0.25, 0.375))
+    coeffs = types.SimpleNamespace(beta=0.375, gamma=-0.625,
+                                   zeta=(np.arange(13) * 5 % 13 - 6.5) / 4)
+    corr = evaluate_corrections(state, coeffs, scheme_order=order, eps=0.75)
+    b = decompose_gradients(state, scheme_order=order)
+    terms = r2_terms(state, b)
+    got = {
+        "corrections": sha256_of(corr.r1, corr.r2),
+        "bundle": sha256_of(*(getattr(b, name) for name in BUNDLE_FIELDS)),
+        "terms": sha256_of(*(terms[s] for s in sorted(terms))),
+        "r1_r2": sha256_of(evaluate_r1(state, b, coeffs.beta, coeffs.gamma),
+                           evaluate_r2(state, b, coeffs.zeta)),
+    }
+    assert got == PINNED_DIGESTS[order]
+
+
+@pytest.mark.parametrize("order", [2, 4])
+def test_slabs_gather_the_halo_each_caller_needs(monkeypatch, order):
+    # decompose_gradients differentiates once and gathers one derivative
+    # level of halo (2w = order planes); evaluate_corrections gathers two
+    monkeypatch.setattr(fields, "SLAB_CELLS", 3 * 12 * 11)
+    state = make_field("random-smooth", (13, 12, 11), seed=31)
+    halos = []
+    slabs = fields._slabs
+
+    def spy(state, order, levels):
+        for i0, i1, rho, om, st in slabs(state, order, levels):
+            halos.append(len(rho) - (i1 - i0))
+            yield i0, i1, rho, om, st
+
+    monkeypatch.setattr(fields, "_slabs", spy)
+    decompose_gradients(state, scheme_order=order)
+    assert halos == [order] * 5
+    halos.clear()
+    evaluate_corrections(state, SLAB_COEFFS, scheme_order=order)
+    assert halos == [2 * order] * 5
+
+
+def test_workspace_is_smaller_than_26_rows(monkeypatch):
+    # beyond the outputs (r1 and r2) and the two gather buffers (rho and
+    # omega on a slab plus 4w planes), a call holds the bundle workspace,
+    # one slab plus 2w planes deep, and the slab temporaries; all of it
+    # stays below what a workspace of 26 rows would take on its own
+    shape, order, planes = (12, 64, 64), 4, 2
+    monkeypatch.setattr(fields, "SLAB_CELLS", planes * 64 * 64)
+    state = make_field("random-smooth", shape, seed=32)
+    evaluate_corrections(state, SLAB_COEFFS, scheme_order=order)
+    peak = traced_peak(lambda: evaluate_corrections(state, SLAB_COEFFS, scheme_order=order))
+    plane, w = 64 * 64 * 8, order // 2
+    outputs = 4 * shape[0] * plane
+    gather = 4 * (planes + 4 * w) * plane
+    assert peak - outputs - gather < 26 * (planes + 2 * w) * plane
