@@ -11,8 +11,9 @@ conditions are imposed; well-posedness comes from the weighted weak form.  The
 type-1 solution space forces g to vanish like (1-mu^2)^(k/2) at the endpoints
 (k is the azimuthal mode), so the solver works in the smooth reduced factor
 u = g / (1-mu^2)^(k/2), represented in a Legendre basis.  Type-2 solutions are
-smooth and are solved directly, with the zero-mean gauge imposed through a
-bordered Lagrange row.
+smooth and are solved directly in the zero-mean gauge: the operator
+annihilates the Legendre P0 term, so the unknown in that slot is replaced by
+a Lagrange multiplier and the system stays square.
 
 Both problems are solved in one formulation: the strong equation divided
 through by the weight w (for type 1 also by (1-mu^2)^(k/2+1)), tested against
@@ -122,16 +123,15 @@ def _sampled(fn, x):
 class _Factors:
     """LU factors of one discrete operator, kept on the rule (rule.factors).
 
-    `nodal` maps Legendre coefficients to the operator's values at the rule
-    nodes; `column` is the bordered column of a type-2 system (None for
-    type 1); `condition` is the 1-norm estimate of its condition number.
+    `nodal` maps the unknowns to the operator's values at the rule nodes
+    (for type 2 its column 0 is the gauge column, see _factor); `condition`
+    is the 1-norm estimate of the factored system's condition number.
     """
 
     nodal: np.ndarray
     lu: np.ndarray
     piv: np.ndarray
     condition: float
-    column: np.ndarray | None
 
 
 def _inverse_norm1(lu, piv) -> float:
@@ -170,15 +170,18 @@ def _inverse_norm1(lu, piv) -> float:
     return max(est, 2.0 * float(np.abs(dgetrs(lu, piv, alt)[0]).sum()) / (3 * n))
 
 
-def _factor(rule, key, basis, coefs, what, d, border=None) -> _Factors:
+def _factor(rule, key, basis, coefs, what, d, gauge=None) -> _Factors:
     """Factors of the operator c2 u'' + c1 u' + c0 u tested against the
     Legendre basis, for the nodal coefficients `coefs` = (c2, c1, c0); c0 is
     None when the operator has no zero-order term.
 
     Assembled and factored once per rule and `key`; the key is built from
     the sampled coefficients, so only identical discrete systems share
-    factors.  With nodal weights `border`, the system is bordered by the
-    column of moments int border P_j dmu and the zero-mean gauge row
+    factors.  With nodal weights `gauge` (type 2, no zero-order term), the
+    operator's column 0 is identically zero, since P0' = P0'' = 0; it is
+    replaced by `gauge`, whose moments int gauge P_j dmu then fill the
+    system's column 0.  The unknown in slot 0 becomes a Lagrange multiplier
+    and the P0 coefficient is fixed at zero, which is the zero-mean gauge
     int g dmu = 0 (the column must have a component outside the range of
     the operator; the multiplier absorbs any truncation-level inconsistency
     of the data).  The nodal operator matrix is kept with the factors: the
@@ -192,52 +195,40 @@ def _factor(rule, key, basis, coefs, what, d, border=None) -> _Factors:
     ops = Vdd * c2[:, None] + Vd * c1[:, None]
     if c0 is not None:
         ops += V * c0[:, None]
+    if gauge is not None:
+        ops[:, 0] = gauge
     A = V.T @ (ops * rule.weights[:, None])
-    column = None
-    if border is not None:
-        column = V.T @ (rule.weights * border)
-        K = np.zeros((len(A) + 1, len(A) + 1))
-        K[:-1, :-1] = A
-        K[:-1, -1] = column
-        K[-1, 0] = 2.0  # int P_j dmu
-        A = K
     anorm = float(np.linalg.norm(A, 1))
     lu, piv, info = dgetrf(A, overwrite_a=True)
     if info > 0:  # exactly zero pivot
         raise SolverError(f"{what}: singular discrete system at d = {d:g}", np.inf)
-    factors = _Factors(ops, lu, piv, anorm * _inverse_norm1(lu, piv), column)
+    factors = _Factors(ops, lu, piv, anorm * _inverse_norm1(lu, piv))
     # a concurrent factorization of the same operator loses to the one stored first
     return rule.factors.setdefault(key, factors)
 
 
 def _defect(factors, V, qw, F, sol):
-    """Nodal image c2 u'' + c1 u' + c0 u of the first len(F) entries u of
-    `sol`, and the defect of `sol` in the system of _factor, formed from that
-    image rather than from the assembled matrix, which is not kept."""
-    u = sol[:len(F)]
-    image = factors.nodal @ u
-    defect = V.T @ (qw * image) - F
-    if factors.column is not None:
-        defect = np.append(defect + factors.column * sol[-1], 2.0 * u[0])
-    return image, defect
+    """Nodal image of `sol` under the operator of _factor, and its defect
+    in the Galerkin system, formed from that image rather than from the
+    assembled matrix, which is not kept."""
+    image = factors.nodal @ sol
+    return image, V.T @ (qw * image) - F
 
 
 def _solve(factors, V, qw, F, d, what):
     """Solve with the factors of _factor; checked like a direct solve.
 
-    Returns the solution (for a bordered system it ends with the
-    multiplier), its nodal image and the linear residual (_defect).  One
-    step of iterative refinement back-substitutes the defect of the first
-    solution.  The defect, formed from nodal values, is more accurate than
+    Returns the solution (for type 2 its slot 0 holds the multiplier), its
+    nodal image and the linear residual (_defect).  One step of iterative
+    refinement back-substitutes the defect of the first solution.  The defect, formed from nodal values, is more accurate than
     the rounded Galerkin sums of the assembled matrix: at the small-d end of
     the range the refinement takes b2's solvability integral from rounding
     noise of 1e-10 to 1e-9 down to 1e-12.
     """
-    rhs = F if factors.column is None else np.append(F, 0.0)
     # scipy's getrs shifts the pivots in place around the LAPACK call, with
     # the GIL released: solves sharing the cached factors each take a copy
     piv = factors.piv.copy()
-    sol = dgetrs(factors.lu, piv, rhs)[0]
+    sol = dgetrs(factors.lu, piv, F)[0]
     sol -= dgetrs(factors.lu, piv, _defect(factors, V, qw, F, sol)[1])[0]
     if not np.all(np.isfinite(sol)):
         raise SolverError(f"{what}: non-finite solution at d = {d:g}", factors.condition)
@@ -265,7 +256,7 @@ def _sampled_rule(kernel, n, k, rule):
     return rule, 1.0 - x * x, nu_over_d, kernel.log_weight(x)
 
 
-def _checked_solve(kernel, rule, n, k, key, coefs, rhs, shift, name, border=None,
+def _checked_solve(kernel, rule, n, k, key, coefs, rhs, shift, name, gauge=None,
                    divisor=1.0) -> MuProfile:
     """The solve both problem types share, on the divided equation with
     nodal coefficients `coefs` and nodal data `rhs`.
@@ -276,31 +267,31 @@ def _checked_solve(kernel, rule, n, k, key, coefs, rhs, shift, name, border=None
     divided by `divisor` like the data, is recorded relative to the data in
     `meta["residual"]`; a non-finite value means the data overflowed or
     underflowed at the nodes, which no degree can repair, so it is raised.
-    For a bordered system the defect is that of the equation it solves,
-    L u + multiplier * border = data, so data whose mean is not exactly zero
-    (rounding in the constants they are built from) count against the
-    solve only through what the multiplier does not absorb.
+    With a gauge column the defect is that of the equation the system
+    solves, L u + multiplier * gauge = data, so data whose mean is not
+    exactly zero (rounding in the constants they are built from) count
+    against the solve only through what the multiplier does not absorb; the
+    multiplier is taken out of slot 0, whose Legendre coefficient is zero.
     `meta` also carries the linear residual, the 1-norm condition estimate
     of the factored system (_inverse_norm1, reproducible to the bit) and,
-    for a bordered system, its multiplier.
+    with a gauge column, the multiplier.
     """
     what, d, qw = f"{name} solve", kernel.d, rule.weights
     basis = _basis(rule, n)
-    factors = _factor(rule, key, basis, coefs, what, d, border)
+    factors = _factor(rule, key, basis, coefs, what, d, gauge)
     V = basis[0]
     sol, image, linres = _solve(factors, V, qw, V.T @ (qw * rhs), d, what)
-    if border is not None:
-        image = image + sol[-1] * border
     scale = float(np.max(np.abs(rhs / divisor))) or 1.0
     residual = float(np.max(np.abs((image - rhs) / divisor)) / scale)
     if not np.isfinite(residual):
         raise SolverError(f"{what}: non-finite strong residual at d = {d:g}")
     meta = {"problem": key[0], "sing_order": k, "degree": n, "residual": residual,
             "linear_residual": linres, "condition": factors.condition}
-    if border is not None:
-        meta["multiplier"] = float(sol[-1])
+    if gauge is not None:
+        meta["multiplier"] = float(sol[0])
+        sol[0] = 0.0
     meta.update(weight_shift=shift, formulation="divided")
-    return MuProfile.from_coef(rule, sol[:n + 1], meta)
+    return MuProfile.from_coef(rule, sol, meta)
 
 
 def solve_type1(kernel: CollisionKernel, alpha, f, n: int, *, sing_order: int = 1,
@@ -359,16 +350,17 @@ def solve_type2(kernel: CollisionKernel, f, n: int, *,
     `f` is the weight-free ratio f/w (see elliptic_problem_data).
     Solvability requires int f dmu = 0, checked to 1e-10 as int (f/w) w dmu
     with the weight rescaled to O(1); the returned representative has
-    int g dmu = 0, imposed through a bordered constraint row rather than
-    post-shifting.  Callers re-gauge as needed.  `name` labels the problem
-    in error messages.
+    int g dmu = 0, imposed by the system itself rather than by
+    post-shifting: its Legendre P0 coefficient is exactly zero.  Callers
+    re-gauge as needed.  `name` labels the problem in error messages.
 
     As for solve_type1, the equation divided through by w has f/w as its
     data and smooth coefficients, and is tested against unweighted Legendre
     polynomials.  The rescaled weight enters only the solvability integral
-    and the bordered column.  The bordered system depends only on
-    (n, nu/d, w), so it is factored once per rule (a_par and b2 share it);
-    its multiplier and the other `meta` entries are those of _checked_solve.
+    and the gauge column, which takes the place of the operator's null P0
+    column (_factor).  The system depends only on (n, nu/d, w), so it is
+    factored once per rule (a_par and b2 share it); its multiplier and the
+    other `meta` entries are those of _checked_solve.
     """
     rule, s2, nu_over_d, lw = _sampled_rule(kernel, n, 0, rule)
     x, qw = rule.nodes, rule.weights
@@ -383,7 +375,7 @@ def solve_type2(kernel: CollisionKernel, f, n: int, *,
         )
     # the moments of w span the left-null complement of the operator
     return _checked_solve(kernel, rule, n, 0, ("type2", n, nu_over_d.tobytes(), w.tobytes()),
-                          (-s2, 2.0 * x - nu_over_d * s2, None), rhs, shift, name, border=w)
+                          (-s2, 2.0 * x - nu_over_d * s2, None), rhs, shift, name, gauge=w)
 
 
 def elliptic_problem_data(kernel: CollisionKernel, c=None, b1=None) -> dict:

@@ -889,21 +889,38 @@ def load_field_csv(path) -> FieldState:
         raise FieldStateError(f"cannot read field CSV {path}: {exc}") from None
     if data.shape[1] != 7:
         raise FieldStateError(f"expected 7 columns ({FIELD_CSV_HEADER}), got {data.shape[1]}")
-    axes = []
-    for col in range(3):
-        vals = np.unique(np.round(data[:, col], 12))
+    axes, index = [], []
+    for col, name in enumerate("xyz"):
+        vals, idx = np.unique(np.round(data[:, col], 12), return_inverse=True)
+        # coordinates i * spacing: the gaps agree up to the rounding above
+        gaps = np.diff(vals)
+        off = np.abs(gaps - gaps[:1])
+        if off.size and off.max() > 1e-9 * gaps[0] + 3e-12:
+            j = int(off.argmax())
+            raise FieldStateError(
+                f"field CSV {path}: axis {name} is not uniform: gap {gaps[j]:g} "
+                f"after {name} = {vals[j]:g}, against spacing {gaps[0]:g}")
         axes.append(vals)
+        index.append(idx)
     shape = tuple(len(a) for a in axes)
-    if int(np.prod(shape)) != data.shape[0]:
+    size = int(np.prod(shape))
+    if size != data.shape[0]:
         raise FieldStateError(
             f"rows ({data.shape[0]}) do not fill a {shape} lattice")
+    cell = np.ravel_multi_index(index, shape)
+    count = np.bincount(cell, minlength=size).reshape(shape)
+    if (count != 1).any():  # as many rows as cells: a repeat leaves a gap
+        twice, missing = int((count > 1).argmax()), int((count == 0).argmax())
+        raise FieldStateError(
+            f"field CSV {path}: cell {_cell(0, count, twice)} appears "
+            f"{count.flat[twice]} times and cell {_cell(0, count, missing)} is missing")
     spacing = tuple(
         float(a[1] - a[0]) if len(a) > 1 else 1.0 for a in axes)
-    order = np.lexsort((data[:, 2], data[:, 1], data[:, 0]))
-    data = data[order]
     grid = Grid(shape=shape, spacing=spacing)
-    rho = data[:, 3].reshape(shape)
-    omega = data[:, 4:7].reshape(shape + (3,))
+    ordered = np.empty_like(data)
+    ordered[cell] = data
+    rho = ordered[:, 3].reshape(shape)
+    omega = ordered[:, 4:7].reshape(shape + (3,))
     return FieldState(grid=grid, rho=rho, omega=omega).validate()
 
 

@@ -110,6 +110,46 @@ def solve_type1_weighted(kernel, alpha, f, n, rule, sing_order=1):
     return MuProfile.from_coef(rule, u, {"formulation": "weighted"})
 
 
+# --- bordered form of the conservative problem -----------------------------------
+# The zero-mean gauge imposed by an extra Lagrange row and column, beside the
+# square system the solver builds by putting the gauge column in place of the
+# operator's null P0 column.
+
+def solve_type2_bordered(kernel, f, n, rule):
+    """Zero-mean solution of the conservative problem from a bordered system.
+
+    Same divided equation, data ratio f/w and return convention as
+    `solve_type2`, solved on `rule` with the Galerkin matrix bordered by the
+    column of weight moments int w P_j dmu and the gauge row int g dmu = 0:
+    an (n+2)-square system whose last unknown is the multiplier.  The defect
+    of the first solution, formed from nodal values as in the solver, is
+    back-substituted once.
+    """
+    x, qw = rule.nodes, rule.weights
+    s2 = 1.0 - x * x
+    nu_over_d = np.asarray(kernel.nu(x), dtype=float) / kernel.d
+    lw = kernel.log_weight(x)
+    w = np.exp(lw - lw.max())
+    # derivative columns by Clenshaw from legder, not the solvers' recurrence
+    eye = np.eye(n + 1)
+    V, Vd, Vdd = (npleg.legval(x, npleg.legder(eye, m, axis=0)).T for m in (0, 1, 2))
+    ops = -s2[:, None] * Vdd + (2.0 * x - nu_over_d * s2)[:, None] * Vd
+    K = np.zeros((n + 2, n + 2))
+    K[:-1, :-1] = V.T @ (ops * qw[:, None])
+    K[:-1, -1] = V.T @ (qw * w)
+    K[-1, 0] = 2.0  # int P_j dmu
+    F = V.T @ (qw * np.asarray(f(x), dtype=float))
+
+    def defect(sol):
+        image = ops @ sol[:-1] + sol[-1] * w
+        return np.append(V.T @ (qw * image) - F, 2.0 * sol[0])
+
+    sol = np.linalg.solve(K, np.append(F, 0.0))
+    sol -= np.linalg.solve(K, defect(sol))
+    assert np.all(np.isfinite(sol)), "bordered type-2 solve produced non-finite values"
+    return MuProfile.from_coef(rule, sol[:-1])
+
+
 def test_type1_zero_data_gives_zero(legendre_kernel):
     u = solve_type1(legendre_kernel, ones, lambda mu: 0.0 * mu, 12, sing_order=1)
     assert np.max(np.abs(u.values)) < 1e-12
@@ -202,8 +242,9 @@ def test_type2_zero_mean_gauge(even_kernel):
     g = solve_type2(even_kernel,
                     lambda mu: mu - _wmean(even_kernel, mu) / _weight(even_kernel, mu),
                     24)
-    # canonical gauge: the Legendre constant coefficient vanishes
-    assert abs(g.coef[0]) < 1e-12
+    # canonical gauge: the Legendre constant coefficient is the fixed zero
+    # of the multiplier's slot
+    assert g.coef[0] == 0.0
 
 
 def _weight(kernel, mu):
@@ -226,6 +267,31 @@ def test_type2_annihilates_constants(even_kernel):
     assert np.max(np.abs(A[0])) < 1e-13 * np.max(np.abs(A))
     # restricted to nonconstant modes the operator is definite
     assert np.linalg.eigvalsh(A[1:, 1:]).min() > 0
+    # the solver's own basis carries the constant mode's derivatives as
+    # exact zeros, so the operator's P0 column is free for the gauge column
+    for degree in (1, 16, 64):
+        _, Vd, Vdd = _basis(rule, degree)
+        assert not Vd[:, 0].any() and not Vdd[:, 0].any()
+
+
+@pytest.mark.parametrize("kernels,n", [
+    pytest.param(lambda: registry_kernels(d=0.02), 64, id="registry-d0.02"),
+    pytest.param(lambda: registry_kernels(d=0.5), 64, id="registry-d0.5"),
+    pytest.param(lambda: registry_kernels(d=25.0), 64, id="registry-d25"),
+    pytest.param(lambda: [constant_kernel(1.0, d=1e-3)], 256, id="const-d0.001-n256"),
+])
+def test_type2_square_system_matches_bordered(kernels, n):
+    # a_par and b2 on the pipeline's rule, from the square system with the
+    # gauge column in slot 0 and from the bordered reference above
+    for kernel in kernels():
+        p = run_pipeline(kernel, n, 0.1)
+        rows = elliptic_problem_data(kernel, c=p.c, b1=p.profiles["b1"])
+        for name in ("a_par", "b2"):
+            got = solve_type2(kernel, rows[name]["f"], n, rule=p.eq.rule, name=name)
+            ref = solve_type2_bordered(kernel, rows[name]["f"], n, p.eq.rule)
+            scale = np.max(np.abs(ref.values))
+            assert np.max(np.abs(got.values - ref.values)) <= 1e-13 * scale, (name, kernel.d)
+            assert got.coef[0] == 0.0
 
 
 def test_solver_linear_residuals_are_small(pipeline_even):
@@ -243,7 +309,7 @@ def test_gci_residual_small(pipeline_const):
 def test_type2_residual_counts_the_multiplier(d, bound):
     # at large d, b2's data 2 b1 - c1/d cancel, so c1's rounding leaves them
     # a mean of order 1e-5 of their size (0.23 at d = 6e7), which the
-    # bordered multiplier absorbs; the strong residual is that of
+    # gauge column's multiplier absorbs; the strong residual is that of
     # L u + multiplier * w = data and so measures the solve, not the rounding
     p = run_pipeline(constant_kernel(1.0, d=d), 64, 0.1)
     assert p.hydro.residuals["b2_solve"] <= bound

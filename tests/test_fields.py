@@ -283,6 +283,25 @@ def test_csv_load_rejects_bad_norm(tmp_path):
         load_field_csv(path)
 
 
+def test_csv_load_rejects_nonuniform_axis(tmp_path):
+    # x in {0, 1, 3}: the first gap must not pass for the spacing
+    path = tmp_path / "nonuniform.csv"
+    rows = [f"{x},{y},{z},1,0,0,1" for x in (0, 1, 3) for y in (0, 1) for z in (0, 1)]
+    path.write_text("\n".join([FIELD_CSV_HEADER, *rows]) + "\n")
+    with pytest.raises(FieldStateError, match="axis x is not uniform: gap 2 after x = 1"):
+        load_field_csv(path)
+
+
+def test_csv_load_rejects_repeated_cell(tmp_path):
+    # as many rows as cells, but cell (1, 1, 0) is replaced by a second (0, 0, 0)
+    path = tmp_path / "repeat.csv"
+    path.write_text("\n".join([FIELD_CSV_HEADER, "0,0,0,1,0,0,1", "0,1,0,2,0,0,1",
+                               "1,0,0,3,0,0,1", "0,0,0,8,0,0,1"]) + "\n")
+    with pytest.raises(FieldStateError,
+                       match=r"cell \(0, 0, 0\) appears 2 times and cell \(1, 1, 0\) is missing"):
+        load_field_csv(path)
+
+
 def test_csv_load_rejects_header_only_file(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text(FIELD_CSV_HEADER + "\n")
