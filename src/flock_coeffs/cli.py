@@ -50,7 +50,9 @@ def _build_parser():
         sp.add_argument("--nu", help="alignment rate model, e.g. const:1 | "
                                      "affine:1,0.3 | evenpoly:1,0.5")
         sp.add_argument("--d", type=float, help="noise constant")
-        sp.add_argument("--n", type=int, help="spectral degree (default 64)")
+        sp.add_argument("--n", type=int,
+                        help="spectral degree (default 64); coeffs and fields take it "
+                             "as a cap and stop where the profiles resolve")
         sp.add_argument("--kappa", type=float, help="nonlocality constant")
         sp.add_argument("--spatial", help="spatial kernel, e.g. ball:1 | gaussian:0.5")
         sp.add_argument("--output", "-o", help="output file or directory ('-' = stdout)")

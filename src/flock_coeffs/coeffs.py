@@ -10,21 +10,24 @@ velocity correction.  Each zeta combines three routes:
   * a "transport" table (same profiles under the free-streaming moments),
   * a "nonlocal" table proportional to the interaction-range constant kappa.
 
-`run_pipeline` alone sizes the quadrature rule and chains these stages, and
-returns them all as a `Pipeline`, the six solved profiles as one dict keyed
-like `elliptic_problem_data` ("gci" is h); `compute_coefficients` keeps only
-its coefficient set, on which every intermediate table is retained so every
-line of the assembly is independently checkable.
+`run_pipeline` chains these stages at one degree n and returns them all as a
+`Pipeline`, the six solved profiles as one dict keyed like
+`elliptic_problem_data` ("gci" is h).  `compute_coefficients` treats n as a
+cap: it runs the same stages at trial degrees from FIRST_TRIAL_DEGREE up, on
+the one rule sized for n, and keeps the coefficient set of the first trial
+whose profiles' Legendre tails plateau (`_plateau`).  Every intermediate
+table is retained on the coefficient set, so every line of the assembly is
+independently checkable.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .elliptic import MuProfile, elliptic_problem_data, solve_gci, solve_problem
-from .errors import DomainError, InvariantError, NumericError
+from .errors import DomainError, FlockError, InvariantError, NumericError
 from .kernel import CollisionKernel
 from .quad import (
     VonMisesEquilibrium,
@@ -171,7 +174,9 @@ class HydroCoefficients:
 
     zeta[j-1] multiplies the j-th of the thirteen tensor structures of the
     velocity correction; the theorem-facing quadratic/derivative coefficients
-    are density-dependent combinations exposed by q_coeffs/d_coeffs.
+    are density-dependent combinations exposed by q_coeffs/d_coeffs.  `n` is
+    the degree asked for and `degree` the one the profiles were solved at:
+    they differ when compute_coefficients stopped below its cap.
     """
 
     c1: float
@@ -183,6 +188,7 @@ class HydroCoefficients:
     kappa: float
     d: float
     n: int
+    degree: int
     prefactor: float
     lam: dict
     eta: dict
@@ -210,6 +216,7 @@ class HydroCoefficients:
             "d": self.d,
             "kappa": self.kappa,
             "n": self.n,
+            "degree": self.degree,
             "c": [self.c1, self.c2, self.c3],
             "beta": self.beta,
             "gamma": self.gamma,
@@ -331,7 +338,8 @@ def compute_r2_coeffs(kernel: CollisionKernel, profiles: dict, c, kappa: float,
 
     zeta_j = prefactor * (time_j + transport_j + nonlocal_j) with the missing
     route entries identically zero.  All tables are kept on the result, and
-    `residuals` is kept as given.
+    `residuals` is kept as given; the profiles' degree n is recorded as both
+    `n` and `degree`.
     """
     lam, eta, xi, lpp, ep, xslots, prefactor = _route_tables(
         kernel, profiles, c, kappa, eq)
@@ -341,7 +349,7 @@ def compute_r2_coeffs(kernel: CollisionKernel, profiles: dict, c, kappa: float,
     beta, gamma = compute_r1_coeffs(profiles, eq)
     return HydroCoefficients(
         c1=c[0], c2=c[1], c3=c[2], beta=beta, gamma=gamma, zeta=zeta,
-        kappa=float(kappa), d=kernel.d, n=int(n),
+        kappa=float(kappa), d=kernel.d, n=int(n), degree=int(n),
         prefactor=prefactor, lam=lam, eta=eta, xi=xi, residuals=residuals,
         kernel_model=kernel.model, kernel_params=kernel.params,
     )
@@ -373,15 +381,11 @@ C1_RTOL = 1e-8
 MIN_WEIGHT_SPREAD = 1.5 * np.finfo(float).eps / C1_RTOL
 
 
-def run_pipeline(kernel: CollisionKernel, n: int, kappa: float) -> Pipeline:
-    """Invariant profile, constants, profiles and coefficient set at degree n.
+def _equilibrium(kernel: CollisionKernel, n: int, kappa: float) -> VonMisesEquilibrium:
+    """The equilibrium on the rule sized for degree n, after the range checks.
 
-    One shared quadrature rule (sized for the kernel's weight) is used for
-    the solves and every bracket, so the consistency residuals recorded on
-    the coefficient set sit at rounding level.  The ordering of the constants
-    is not checked here (see check_ordering); kappa must be finite.  A weight
-    spread below MIN_WEIGHT_SPREAD (noise too large for c1 to hold C1_RTOL)
-    raises NumericError naming d.
+    kappa must be finite; a weight spread below MIN_WEIGHT_SPREAD (noise too
+    large for c1 to hold C1_RTOL) raises NumericError naming d.
     """
     if not np.isfinite(kappa):
         raise DomainError(f"nonlocality constant kappa must be finite, got {kappa}")
@@ -391,8 +395,18 @@ def run_pipeline(kernel: CollisionKernel, n: int, kappa: float) -> Pipeline:
             f"equilibrium weight spread {spread:.3g} is below {MIN_WEIGHT_SPREAD:.3g}, "
             f"where c1 keeps a relative accuracy of {C1_RTOL:g}; noise constant "
             f"d = {kernel.d:g} is above the supported range")
-    eq = build_equilibrium(kernel, quadrature_size(kernel, n + 10))
-    h = solve_gci(kernel, n, rule=eq.rule)
+    return build_equilibrium(kernel, quadrature_size(kernel, n + 10))
+
+
+def _tail(coef) -> float:
+    """|last Legendre coefficient| / max |coefficient| (0 for a zero series)."""
+    scale = float(np.max(np.abs(coef)))
+    return abs(float(coef[-1])) / scale if scale > 0 else 0.0
+
+
+def _stages(kernel: CollisionKernel, h: MuProfile, n: int, kappa: float,
+            eq: VonMisesEquilibrium) -> Pipeline:
+    """Every stage after the invariant profile h, solved at degree n on eq's rule."""
     c = compute_c123(kernel, h, eq)
     profiles = {"gci": h, **solve_profiles(kernel, c, n, eq)}
 
@@ -401,6 +415,7 @@ def run_pipeline(kernel: CollisionKernel, n: int, kappa: float) -> Pipeline:
     for name, profile in profiles.items():
         residuals[f"{name}_solve"] = profile.meta["residual"]
     residuals["h_max"] = float(h.values.max())
+    residuals["tail"] = max(_tail(p.coef) for p in profiles.values())
     hydro = compute_r2_coeffs(kernel, profiles, c, kappa, eq, n, residuals)
     # the Dirichlet route is compared with the assembled beta, so this entry
     # goes into hydro's residuals dict after assembly
@@ -408,6 +423,20 @@ def run_pipeline(kernel: CollisionKernel, n: int, kappa: float) -> Pipeline:
         beta_quadratic_form(kernel, profiles, eq) - hydro.beta)
     residuals["nu_min"] = kernel.nu_min
     return Pipeline(eq=eq, c=c, profiles=profiles, hydro=hydro)
+
+
+def run_pipeline(kernel: CollisionKernel, n: int, kappa: float) -> Pipeline:
+    """Invariant profile, constants, profiles and coefficient set at degree n.
+
+    One shared quadrature rule (sized for the kernel's weight) is used for
+    the solves and every bracket, so the consistency residuals recorded on
+    the coefficient set sit at rounding level; `residuals["tail"]` is the
+    largest |last Legendre coefficient| / max |coefficient| of the six
+    profiles.  The ordering of the constants is not checked here (see
+    check_ordering); the range checks are those of _equilibrium.
+    """
+    eq = _equilibrium(kernel, n, kappa)
+    return _stages(kernel, solve_gci(kernel, n, rule=eq.rule), n, kappa, eq)
 
 
 def check_ordering(hydro: HydroCoefficients) -> None:
@@ -419,13 +448,114 @@ def check_ordering(hydro: HydroCoefficients) -> None:
         raise InvariantError(f"expected c3 > 0, got {c3:.6e}")
 
 
+# compute_coefficients' first trial degree; a cap at or below it is solved
+# at exactly the cap
+FIRST_TRIAL_DEGREE = 64
+EPS = np.finfo(float).eps
+
+
+def _envelope(coef) -> np.ndarray:
+    """max |coef[j:]| for each j, divided by its first entry (unless all are 0)."""
+    env = np.maximum.accumulate(np.abs(np.asarray(coef, dtype=float))[::-1])[::-1]
+    return env / env[0] if env[0] > 0 else env
+
+
+def _plateau(coef) -> bool:
+    """Whether the Legendre series `coef` has reached a plateau at level eps.
+
+    Step 2 of standardChop (Aurentz & Trefethen, "Chopping a Chebyshev
+    series", ACM TOMS 43, 2017), whose cutoff is below the series length
+    exactly when such a plateau exists.  On the normalized envelope e
+    (1-based), a plateau starts at j when e(j) = 0 or e(j2) / e(j) > r for
+    j2 = round(1.25 j + 5) within the series, with r = 3 (1 - log e(j) /
+    log eps): a stretch starting at eps need not be flat at all, one at
+    eps^(2/3) must be perfectly flat.  A series shorter than 17 never
+    plateaus; an all-zero one does.
+    """
+    env = _envelope(coef)
+    n = len(env)
+    if n < 17:
+        return False
+    if env[0] == 0:
+        return True
+    j = np.arange(2, n + 1)
+    j2 = np.floor(1.25 * j + 5.5).astype(int)  # round half up, as standardChop
+    j, j2 = j[j2 <= n], j2[j2 <= n]
+    e1, e2 = env[j - 1], env[j2 - 1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = 3.0 * (1.0 - np.log(e1) / np.log(EPS))
+        return bool(np.any((e1 == 0) | (e2 / e1 > r)))
+
+
+def _next_degree(degree: int, cap: int, profiles) -> int:
+    """The trial degree after `degree`, from the profiles that did not plateau.
+
+    Fits a geometric decay to each envelope between degree/2 and 7 degree/8
+    (the last coefficients of a truncated solve are not yet converged) and
+    extrapolates it to eps.  The decay of these profiles steepens with the
+    index, so that extrapolation comes out long for the profile it is fitted
+    to; the factor 1.35 and the 5 cover the plateau stretch of 1.25 j + 5
+    coefficients that _plateau needs past it, and the few percent more that
+    a_par and b2 need than h (which gates the trials alone).  Measured on
+    the registry kernels at d = 0.05, 0.02, 0.01, 0.005, 0.003 and 0.002
+    with a cap of 256, the estimate from a degree-64 trial's h was never
+    below the lowest degree at which all six profiles plateau (closest:
+    85 against 82, const:1 at d = 0.02).  An estimate that does not exceed
+    `degree`, or is not below `cap`, gives the cap.
+    """
+    a, b = degree // 2, (7 * degree) // 8
+    worst = -np.inf
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for p in profiles:
+            lenv = np.log(_envelope(p.coef))
+            rate = (lenv[a] - lenv[b]) / (b - a)
+            worst = max(worst, b + (lenv[b] - np.log(EPS)) / rate)
+    estimate = 1.35 * worst + 5.0
+    return int(np.ceil(estimate)) if degree < estimate < cap else cap
+
+
+def _trial(kernel: CollisionKernel, degree: int, kappa: float, eq: VonMisesEquilibrium):
+    """(coefficient set, []) at `degree` when all six profiles plateau, else
+    (None, the profiles that did not).
+
+    h is solved first and gates the trial: unless it plateaus, the other
+    five solves are skipped.
+    """
+    h = solve_gci(kernel, degree, rule=eq.rule)
+    if not _plateau(h.coef):
+        return None, [h]
+    pipe = _stages(kernel, h, degree, kappa, eq)
+    check_ordering(pipe.hydro)
+    rough = [p for p in pipe.profiles.values() if not _plateau(p.coef)]
+    return (None if rough else pipe.hydro), rough
+
+
 def compute_coefficients(kernel: CollisionKernel, n: int = 64,
                          kappa: float = 0.0) -> HydroCoefficients:
-    """The coefficient set of run_pipeline, without the solved stages.
+    """The coefficient set of the first trial degree, at most n, at which all
+    six profiles plateau (_plateau).
+
+    Trials start at FIRST_TRIAL_DEGREE and run the stages of run_pipeline on
+    one rule, sized for degree n as run_pipeline sizes it; each next degree
+    comes from the envelopes of the profiles that did not plateau
+    (_next_degree).  A trial below n that raises a FlockError counts as
+    unresolved.  The last resort is the run at degree n, which is
+    run_pipeline's to the bit and raises as it does.  The result's `n` is
+    the n asked for, its `degree` the one used.
 
     The ordering 0 < c2 < c1 < 1 and c3 > 0 is checked (check_ordering), as
     is beta > 0 (compute_r1_coeffs).
     """
-    hydro = run_pipeline(kernel, n, kappa).hydro
+    eq = _equilibrium(kernel, n, kappa)
+    degree = min(n, FIRST_TRIAL_DEGREE)
+    while degree < n:
+        try:
+            hydro, rough = _trial(kernel, degree, kappa, eq)
+        except FlockError:
+            break  # the run at n decides
+        if hydro is not None:
+            return replace(hydro, n=int(n))
+        degree = _next_degree(degree, n, rough)
+    hydro = _stages(kernel, solve_gci(kernel, n, rule=eq.rule), n, kappa, eq).hydro
     check_ordering(hydro)
     return hydro

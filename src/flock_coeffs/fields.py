@@ -889,19 +889,30 @@ def load_field_csv(path) -> FieldState:
         raise FieldStateError(f"cannot read field CSV {path}: {exc}") from None
     if data.shape[1] != 7:
         raise FieldStateError(f"expected 7 columns ({FIELD_CSV_HEADER}), got {data.shape[1]}")
-    axes, index = [], []
+    axes, index, spacing = [], [], []
     for col, name in enumerate("xyz"):
-        vals, idx = np.unique(np.round(data[:, col], 12), return_inverse=True)
+        coord = data[:, col]
+        bad = ~np.isfinite(coord)
+        if bad.any():
+            raise FieldStateError(f"field CSV {path}: coordinate {name} is not finite "
+                                  f"in data row {int(bad.argmax()) + 1}")
+        lo, extent = coord.min(), coord.max() - coord.min()
+        # coordinates that agree to 1e-12 of the axis's extent are one
+        # lattice plane, whatever the spacing's magnitude
+        keys = np.round((coord - lo) / extent, 12) if extent > 0 else np.zeros_like(coord)
+        _, first, idx = np.unique(keys, return_index=True, return_inverse=True)
+        vals = coord[first]
         # coordinates i * spacing: the gaps agree up to the rounding above
         gaps = np.diff(vals)
         off = np.abs(gaps - gaps[:1])
-        if off.size and off.max() > 1e-9 * gaps[0] + 3e-12:
+        if off.size and off.max() > 1e-9 * gaps[0] + 3e-12 * extent:
             j = int(off.argmax())
             raise FieldStateError(
                 f"field CSV {path}: axis {name} is not uniform: gap {gaps[j]:g} "
                 f"after {name} = {vals[j]:g}, against spacing {gaps[0]:g}")
         axes.append(vals)
         index.append(idx)
+        spacing.append(float(extent) / (len(vals) - 1) if len(vals) > 1 else 1.0)
     shape = tuple(len(a) for a in axes)
     size = int(np.prod(shape))
     if size != data.shape[0]:
@@ -914,9 +925,7 @@ def load_field_csv(path) -> FieldState:
         raise FieldStateError(
             f"field CSV {path}: cell {_cell(0, count, twice)} appears "
             f"{count.flat[twice]} times and cell {_cell(0, count, missing)} is missing")
-    spacing = tuple(
-        float(a[1] - a[0]) if len(a) > 1 else 1.0 for a in axes)
-    grid = Grid(shape=shape, spacing=spacing)
+    grid = Grid(shape=shape, spacing=tuple(spacing))
     ordered = np.empty_like(data)
     ordered[cell] = data
     rho = ordered[:, 3].reshape(shape)

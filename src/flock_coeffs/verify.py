@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import fields
-from .coeffs import check_ordering, compute_coefficients, compute_r2_coeffs, run_pipeline
+from .coeffs import check_ordering, compute_r2_coeffs, run_pipeline
 from .elliptic import MuProfile
 from .errors import DomainError
 from .fields import (
@@ -213,13 +213,15 @@ def _pipeline_checks(report, kernel, kappa, n, oracle_m, seed):
     report.add("theorem_mapping", "full", 1e-13,
                float(np.max(np.abs(qd - direct)) / (scale + 1.0)))
 
-    # determinism and self-convergence
-    hydro_again = compute_coefficients(kernel, n=n, kappa=kappa)
+    # determinism and self-convergence, both at pinned degrees: an adaptive
+    # run (compute_coefficients) could stop at the same degree for n and 2n
+    hydro_again = run_pipeline(kernel, n, kappa).hydro
     same = (hydro.zeta.tobytes() == hydro_again.zeta.tobytes()
             and hydro.beta == hydro_again.beta and hydro.c1 == hydro_again.c1)
     report.add("determinism", "full", 0.0, 0.0 if same else 1.0, passed=same)
 
-    hydro2 = compute_coefficients(kernel, n=2 * n, kappa=kappa)
+    hydro2 = run_pipeline(kernel, 2 * n, kappa).hydro
+    check_ordering(hydro2)
     vals1 = np.concatenate([[hydro.c1, hydro.c2, hydro.c3, hydro.beta, hydro.gamma],
                             hydro.zeta])
     vals2 = np.concatenate([[hydro2.c1, hydro2.c2, hydro2.c3, hydro2.beta,

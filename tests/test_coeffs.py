@@ -10,6 +10,7 @@ import flock_coeffs.coeffs as coeffs_mod
 import flock_coeffs.fields as fields_mod
 import flock_coeffs.verify as verify_mod
 from flock_coeffs.coeffs import (
+    FIRST_TRIAL_DEGREE,
     beta_quadratic_form,
     c_relation_residuals,
     compute_coefficients,
@@ -19,7 +20,7 @@ from flock_coeffs.coeffs import (
     solve_profiles,
 )
 from flock_coeffs.elliptic import elliptic_problem_data
-from flock_coeffs.errors import NumericError, PreconditionError
+from flock_coeffs.errors import NumericError, PreconditionError, SolverError
 from flock_coeffs.kernel import (
     affine_kernel,
     constant_kernel,
@@ -230,7 +231,8 @@ def test_pipeline_determinism_bitwise(even_kernel):
 
 def test_self_convergence_degree_doubling(even_kernel):
     h64 = compute_coefficients(even_kernel, n=64, kappa=0.1)
-    h128 = compute_coefficients(even_kernel, n=128, kappa=0.1)
+    # pinned at degree 128: an adaptive run could stop where the n = 64 run did
+    h128 = run_pipeline(even_kernel, 128, 0.1).hydro
     assert np.max(np.abs(all_values(h64) - all_values(h128))) < 1e-9
 
 
@@ -262,7 +264,7 @@ def test_theorem_coefficient_mapping(pipeline_even):
 
 def test_json_payload_schema(pipeline_even):
     payload = pipeline_even["hydro"].to_json_dict()
-    assert set(payload) == {"kernel", "d", "kappa", "n", "c", "beta", "gamma",
+    assert set(payload) == {"kernel", "d", "kappa", "n", "degree", "c", "beta", "gamma",
                             "zeta", "intermediates", "residuals"}
     assert len(payload["zeta"]) == 13
     assert len(payload["c"]) == 3
@@ -293,10 +295,12 @@ def test_parallel_sweep_matches_serial(const_kernel):
 def test_residuals_recorded(pipeline_even):
     res = pipeline_even["hydro"].residuals
     for key in ("c1_relation", "c2_relation", "c3_relation", "a_perp_moment",
-                "b_par_moment", "gci_solve", "b2_solve", "h_max",
+                "b_par_moment", "gci_solve", "b2_solve", "h_max", "tail",
                 "beta_dirichlet_diff"):
         assert key in res
     assert res["h_max"] <= 1e-10
+    # the six profiles' last Legendre coefficients, relative to their largest
+    assert 0.0 <= res["tail"] < 1e-15
 
 
 @pytest.mark.parametrize("kernel", [constant_kernel(1.0, d=0.5),
@@ -339,8 +343,7 @@ def test_max_principle_check_reads_the_given_kernel():
     check = report.checks[names.index("gci_max_principle")]
     assert names[names.index("gci_max_principle") - 1] == "self_convergence"
     assert check.value == max(run_pipeline(kernel, n, kappa).hydro.residuals["h_max"],
-                              compute_coefficients(kernel, n=2 * n,
-                                                   kappa=kappa).residuals["h_max"])
+                              run_pipeline(kernel, 2 * n, kappa).hydro.residuals["h_max"])
     assert check.passed and check.tolerance == 1e-10
     assert f"n={n}" in check.detail and f"{2 * n}" in check.detail
 
@@ -381,3 +384,103 @@ def test_structure_sum_check_reads_the_r2_terms(monkeypatch):
 
     monkeypatch.setattr(verify_mod, "r2_terms", doubled_slot_5)
     assert not check().passed
+
+
+# --- adaptive degree: compute_coefficients treats n as a cap ---------------------
+
+
+def test_plateau_test_on_known_series():
+    j = np.arange(80)
+    assert coeffs_mod._plateau(0.5 ** j)  # falls below eps with room to spare
+    assert not coeffs_mod._plateau(0.5 ** j[:40])  # still decaying at 1e-12
+    # decay to 1e-13, then a flat stretch of rounding noise
+    noisy = np.where(j < 40, 10.0 ** (-j / 3.0), 1e-13 * (1.0 + 0.1 * np.cos(j)))
+    assert coeffs_mod._plateau(noisy)
+    assert not coeffs_mod._plateau(np.ones(80))
+    assert coeffs_mod._plateau(np.zeros(40))
+    assert not coeffs_mod._plateau(0.5 ** j[:16])  # too short to judge
+
+
+@pytest.mark.parametrize("d", [0.5, 0.1, 0.02, 0.005])
+def test_adaptive_degree_matches_the_cap(d):
+    for kernel in registry_kernels(d=d):
+        hydro = compute_coefficients(kernel, n=256, kappa=0.1)
+        cap = run_pipeline(kernel, 256, 0.1).hydro
+        assert hydro.n == 256 and FIRST_TRIAL_DEGREE <= hydro.degree <= 256
+        ref = all_values(cap)
+        gap = np.max(np.abs(all_values(hydro) - ref)) / np.max(np.abs(ref))
+        assert gap < 1e-12, (kernel.model, d, hydro.degree, gap)
+        assert hydro.to_json_dict()["degree"] == hydro.degree
+
+
+@pytest.mark.parametrize("kernel, n", [
+    *((k, n) for k in registry_kernels(d=0.1) for n in (32, 64)),
+    (constant_kernel(1.0, d=0.02), 64)],
+    ids=lambda v: f"{v.model}-{v.d:g}" if hasattr(v, "model") else str(v))
+def test_adaptive_degree_at_most_first_trial_is_the_pinned_run(kernel, n):
+    hydro = compute_coefficients(kernel, n=n, kappa=0.1)
+    pinned = run_pipeline(kernel, n, 0.1).hydro
+    assert hydro.n == hydro.degree == n
+    assert all_values(hydro).tobytes() == all_values(pinned).tobytes()
+    assert json.dumps(hydro.to_json_dict()) == json.dumps(pinned.to_json_dict())
+
+
+def test_adaptive_degree_at_first_trial_raises_as_the_pinned_run():
+    # degree 64 cannot resolve d = 0.005: b2's data miss their zero mean
+    kernel = constant_kernel(1.0, d=0.005)
+    for run in (lambda: run_pipeline(kernel, 64, 0.1), lambda: compute_coefficients(kernel, 64)):
+        with pytest.raises(PreconditionError, match="b2 solve: type-2 data must have zero mean"):
+            run()
+
+
+def test_adaptive_degree_unresolved_below_cap_is_the_cap_run():
+    # at d = 0.001 no degree below 256 plateaus: the run is the cap's, bit for bit
+    kernel = constant_kernel(1.0, d=0.001)
+    hydro = compute_coefficients(kernel, n=256, kappa=0.1)
+    cap = run_pipeline(kernel, 256, 0.1).hydro
+    assert hydro.n == hydro.degree == 256
+    assert all_values(hydro).tobytes() == all_values(cap).tobytes()
+    assert json.dumps(hydro.to_json_dict()) == json.dumps(cap.to_json_dict())
+
+
+def test_adaptive_degree_h_gates_each_trial(monkeypatch):
+    # h does not plateau at degree 64 for d = 0.005, so that trial stops
+    # before the other five solves (whose b2 data would miss their zero mean)
+    original = coeffs_mod.solve_profiles
+    degrees = []
+
+    def counted(*args, **kwargs):
+        degrees.append(args[2])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(coeffs_mod, "solve_profiles", counted)
+    hydro = compute_coefficients(constant_kernel(1.0, d=0.005), n=256, kappa=0.1)
+    assert degrees == [hydro.degree] and FIRST_TRIAL_DEGREE < hydro.degree < 256
+
+
+def test_adaptive_degree_trial_error_falls_through_to_the_cap(monkeypatch):
+    kernel = even_poly_kernel([1.0, 0.5], d=0.1)
+    cap = run_pipeline(kernel, 128, 0.1).hydro
+    assert compute_coefficients(kernel, n=128, kappa=0.1).degree < 128
+    original = coeffs_mod.solve_profiles
+    degrees = []
+
+    def failing_below_cap(kernel, c, n, eq):
+        degrees.append(n)
+        if n < 128:
+            raise SolverError("injected failure below the cap")
+        return original(kernel, c, n, eq)
+
+    monkeypatch.setattr(coeffs_mod, "solve_profiles", failing_below_cap)
+    hydro = compute_coefficients(kernel, n=128, kappa=0.1)
+    assert degrees == [FIRST_TRIAL_DEGREE, 128]
+    assert hydro.degree == 128
+    assert all_values(hydro).tobytes() == all_values(cap).tobytes()
+
+    # at the cap, the error propagates as it does from run_pipeline
+    def failing(kernel, c, n, eq):
+        raise SolverError("injected failure")
+
+    monkeypatch.setattr(coeffs_mod, "solve_profiles", failing)
+    with pytest.raises(SolverError, match="injected failure"):
+        compute_coefficients(kernel, n=128, kappa=0.1)

@@ -274,6 +274,39 @@ def test_csv_roundtrip_exact(tmp_path):
     assert np.array_equal(back.omega, state.omega)
 
 
+def test_csv_load_reads_spacing_from_the_extent(tmp_path):
+    # the spacing is the axis's extent / (n - 1), not a rounded first gap
+    state = make_field("random-smooth", (12, 10, 8), seed=12)
+    path = tmp_path / "state.csv"
+    save_field_csv(state, path)
+    back = load_field_csv(path)
+    assert back.grid.shape == (12, 10, 8)
+    for got, want in zip(back.grid.spacing, state.grid.spacing):
+        assert abs(got - want) <= 4 * np.spacing(want)
+    assert abs(back.grid.spacing[0] - np.pi / 6) <= 4 * np.spacing(np.pi / 6)
+
+
+def test_csv_load_keeps_tiny_spacings(tmp_path):
+    # a lattice of spacing 1e-13 is resolved relative to its own extent
+    state = make_field("tilt-sine", (3, 2, 2), lengths=(3e-13, 2e-13, 2e-13))
+    path = tmp_path / "tiny.csv"
+    save_field_csv(state, path)
+    back = load_field_csv(path)
+    assert back.grid.shape == (3, 2, 2)
+    assert np.allclose(back.grid.spacing, 1e-13, rtol=1e-12, atol=0)
+    assert np.array_equal(back.rho, state.rho)
+    assert np.array_equal(back.omega, state.omega)
+
+
+def test_csv_load_rejects_non_finite_coordinate(tmp_path):
+    path = tmp_path / "inf.csv"
+    path.write_text(f"{FIELD_CSV_HEADER}\n0,0,0,1,0,0,1\ninf,0,0,1,0,0,1\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FieldStateError, match="coordinate x is not finite in data row 2"):
+            load_field_csv(path)
+
+
 def test_csv_load_rejects_bad_norm(tmp_path):
     state = make_field("uniform", (3, 3, 3))
     state.omega[2, 1, 0] *= 1.01
