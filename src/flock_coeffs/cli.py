@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .coeffs import compute_coefficients, run_pipeline
+from .coeffs import _first_stages, _profiles, compute_coefficients
 from .errors import ConfigError, FlockError
 from .fields import evaluate_corrections, load_field_csv, make_field, save_field_csv
 from .kernel import kernel_from_config, parse_config
@@ -183,7 +183,10 @@ def cmd_profiles(args) -> int:
     outdir = Path(args.output or "profiles-out")
     outdir.mkdir(parents=True, exist_ok=True)
 
-    profiles = run_pipeline(kernel, n, kappa).profiles
+    # only the stages the dump writes: h, c and the five response profiles,
+    # the profiles of run_pipeline(kernel, n, kappa)
+    eq, h = _first_stages(kernel, n, kappa)
+    profiles = _profiles(kernel, h, n, eq)[1]
 
     def dump(name, prof, values=None, sing_order=0):
         values = prof.values if values is None else values

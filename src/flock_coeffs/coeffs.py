@@ -13,11 +13,10 @@ velocity correction.  Each zeta combines three routes:
 `run_pipeline` chains these stages at one degree n and returns them all as a
 `Pipeline`, the six solved profiles as one dict keyed like
 `elliptic_problem_data` ("gci" is h).  `compute_coefficients` treats n as a
-cap: it runs the same stages at trial degrees from FIRST_TRIAL_DEGREE up, on
-the one rule sized for n, and keeps the coefficient set of the first trial
-whose profiles' Legendre tails plateau (`_plateau`).  Every intermediate
-table is retained on the coefficient set, so every line of the assembly is
-independently checkable.
+cap: it runs the same stages at trial degrees from FIRST_TRIAL_DEGREE up and
+keeps the coefficient set of the first trial whose profiles' Legendre tails
+plateau (`_plateau`).  Every intermediate table is retained on the
+coefficient set, so every line of the assembly is independently checkable.
 """
 
 from __future__ import annotations
@@ -26,7 +25,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .elliptic import MuProfile, elliptic_problem_data, solve_gci, solve_problem
+from .elliptic import (
+    MuProfile,
+    _share_values,
+    elliptic_problem_data,
+    operator_rule,
+    solve_gci,
+    solve_problem,
+)
 from .errors import DomainError, FlockError, InvariantError, NumericError
 from .kernel import CollisionKernel
 from .quad import (
@@ -94,31 +100,35 @@ def c_relation_residuals(kernel: CollisionKernel, h: MuProfile, c,
     }
 
 
-def solve_profiles(kernel: CollisionKernel, c, n: int,
-                   eq: VonMisesEquilibrium) -> dict:
-    """Solve the five response problems on eq's rule and apply the gauges.
+def solve_profiles(kernel: CollisionKernel, c, n: int, eq: VonMisesEquilibrium,
+                   rule=None) -> dict:
+    """Solve the five response problems on the operator rule `rule` (by
+    default elliptic.operator_rule(kernel, n)) and apply the gauges.
 
-    Returns name -> reduced profile for the rows of elliptic_problem_data
-    after gci, in order: a_perp and b_par multiply sqrt(1-mu^2) in the full
-    kinetic correction, b1 multiplies (1-mu^2), a_par and b2 appear as-is.
-    Gauges: <a_par> = 0 and <b1 sin^2/2 + b2> = 0.
+    Returns name -> reduced profile on eq's rule for the rows of
+    elliptic_problem_data after gci, in order: a_perp and b_par multiply
+    sqrt(1-mu^2) in the full kinetic correction, b1 multiplies (1-mu^2),
+    a_par and b2 appear as-is.  Gauges: <a_par> = 0 and <b1 sin^2/2 + b2> = 0.
 
     The two conservative problems are solvable only when the c constants are
     self-consistent (zero-mean data); an inconsistent c surfaces as a
     PreconditionError carrying the offending integral.
     """
-    rule = eq.rule
-    x = rule.nodes
+    if rule is None:
+        rule = operator_rule(kernel, n)
+    x = eq.rule.nodes
     rows = elliptic_problem_data(kernel, c)
-    solved = {name: solve_problem(kernel, name, row, n, rule)
+    solved = {name: solve_problem(kernel, name, row, n, rule, eq)
               for name, row in rows.items() if name != "gci"}
-    b1 = solved["b1"]
-    rows = elliptic_problem_data(kernel, c, b1=b1)
-    b2 = solve_problem(kernel, "b2", rows["b2"], n, rule)
-    a_par = solved["a_par"]
-    solved["a_par"] = a_par.shifted(-eq.average(a_par.values))
-    solved["b2"] = b2.shifted(-eq.average(0.5 * b1.values * (1.0 - x * x) + b2.values))
-    return {name: solved[name] for name in rows if name != "gci"}
+    on_eq = {name: MuProfile.from_coef(eq.rule, p.coef, p.meta) for name, p in solved.items()}
+    b1 = on_eq["b1"]
+    rows = elliptic_problem_data(kernel, c, b1=(solved["b1"], b1))
+    b2 = solve_problem(kernel, "b2", rows["b2"], n, rule, eq)
+    b2 = MuProfile.from_coef(eq.rule, b2.coef, b2.meta)
+    a_par = on_eq["a_par"]
+    on_eq["a_par"] = a_par.shifted(-eq.average(a_par.values))
+    on_eq["b2"] = b2.shifted(-eq.average(0.5 * b1.values * (1.0 - x * x) + b2.values))
+    return {name: on_eq[name] for name in rows if name != "gci"}
 
 
 def profile_moment_residuals(profiles: dict, eq: VonMisesEquilibrium) -> dict:
@@ -404,11 +414,27 @@ def _tail(coef) -> float:
     return abs(float(coef[-1])) / scale if scale > 0 else 0.0
 
 
+def _profiles(kernel: CollisionKernel, h: MuProfile, n: int, eq: VonMisesEquilibrium):
+    """(c, the six profiles on eq's rule) from h solved on its operator rule."""
+    h_eq = MuProfile.from_coef(eq.rule, h.coef, h.meta)
+    c = compute_c123(kernel, h_eq, eq)
+    return c, {"gci": h_eq, **solve_profiles(kernel, c, n, eq, h.rule)}
+
+
+def _first_stages(kernel: CollisionKernel, n: int, kappa: float):
+    """(eq, h) of run_pipeline: the equilibrium and h at degree n, solved on
+    the operator rule, with the two rules' Legendre values from one call."""
+    eq = _equilibrium(kernel, n, kappa)
+    rule = operator_rule(kernel, n)
+    _share_values(n, rule, eq.rule)
+    return eq, solve_gci(kernel, n, rule)
+
+
 def _stages(kernel: CollisionKernel, h: MuProfile, n: int, kappa: float,
             eq: VonMisesEquilibrium) -> Pipeline:
-    """Every stage after the invariant profile h, solved at degree n on eq's rule."""
-    c = compute_c123(kernel, h, eq)
-    profiles = {"gci": h, **solve_profiles(kernel, c, n, eq)}
+    """Every stage after h, solved at degree n on h's rule; brackets on eq's."""
+    c, profiles = _profiles(kernel, h, n, eq)
+    h = profiles["gci"]
 
     residuals = {**c_relation_residuals(kernel, h, c, eq),
                  **profile_moment_residuals(profiles, eq)}
@@ -428,15 +454,16 @@ def _stages(kernel: CollisionKernel, h: MuProfile, n: int, kappa: float,
 def run_pipeline(kernel: CollisionKernel, n: int, kappa: float) -> Pipeline:
     """Invariant profile, constants, profiles and coefficient set at degree n.
 
-    One shared quadrature rule (sized for the kernel's weight) is used for
-    the solves and every bracket, so the consistency residuals recorded on
-    the coefficient set sit at rounding level; `residuals["tail"]` is the
-    largest |last Legendre coefficient| / max |coefficient| of the six
-    profiles.  The ordering of the constants is not checked here (see
-    check_ordering); the range checks are those of _equilibrium.
+    The profiles are solved on the weight-free operator rule of degree n
+    (elliptic.operator_rule); one rule sized for the kernel's weight takes
+    every bracket, so the consistency residuals recorded on the coefficient
+    set sit at rounding level.  `residuals["tail"]` is the largest |last
+    Legendre coefficient| / max |coefficient| of the six profiles.  The
+    ordering of the constants is not checked here (see check_ordering); the
+    range checks are those of _equilibrium.
     """
-    eq = _equilibrium(kernel, n, kappa)
-    return _stages(kernel, solve_gci(kernel, n, rule=eq.rule), n, kappa, eq)
+    eq, h = _first_stages(kernel, n, kappa)
+    return _stages(kernel, h, n, kappa, eq)
 
 
 def check_ordering(hydro: HydroCoefficients) -> None:
@@ -514,48 +541,38 @@ def _next_degree(degree: int, cap: int, profiles) -> int:
     return int(np.ceil(estimate)) if degree < estimate < cap else cap
 
 
-def _trial(kernel: CollisionKernel, degree: int, kappa: float, eq: VonMisesEquilibrium):
-    """(coefficient set, []) at `degree` when all six profiles plateau, else
-    (None, the profiles that did not).
-
-    h is solved first and gates the trial: unless it plateaus, the other
-    five solves are skipped.
-    """
-    h = solve_gci(kernel, degree, rule=eq.rule)
-    if not _plateau(h.coef):
-        return None, [h]
-    pipe = _stages(kernel, h, degree, kappa, eq)
-    check_ordering(pipe.hydro)
-    rough = [p for p in pipe.profiles.values() if not _plateau(p.coef)]
-    return (None if rough else pipe.hydro), rough
-
-
 def compute_coefficients(kernel: CollisionKernel, n: int = 64,
                          kappa: float = 0.0) -> HydroCoefficients:
     """The coefficient set of the first trial degree, at most n, at which all
     six profiles plateau (_plateau).
 
-    Trials start at FIRST_TRIAL_DEGREE and run the stages of run_pipeline on
-    one rule, sized for degree n as run_pipeline sizes it; each next degree
-    comes from the envelopes of the profiles that did not plateau
-    (_next_degree).  A trial below n that raises a FlockError counts as
-    unresolved.  The last resort is the run at degree n, which is
-    run_pipeline's to the bit and raises as it does.  The result's `n` is
-    the n asked for, its `degree` the one used.
+    Trials start at FIRST_TRIAL_DEGREE.  Each solves h on its own operator
+    rule and stops there unless h plateaus; otherwise it builds its
+    equilibrium and runs the other stages, so a set kept below n is
+    run_pipeline(kernel, degree, kappa).hydro to the bit, apart from `n`.
+    Each next degree comes from the envelopes of the profiles that did not
+    plateau (_next_degree).  A trial below n that raises a FlockError counts
+    as unresolved.  The last resort is run_pipeline at degree n, which
+    raises as it does.  The result's `n` is the n asked for, its `degree`
+    the one used.
 
     The ordering 0 < c2 < c1 < 1 and c3 > 0 is checked (check_ordering), as
     is beta > 0 (compute_r1_coeffs).
     """
-    eq = _equilibrium(kernel, n, kappa)
     degree = min(n, FIRST_TRIAL_DEGREE)
     while degree < n:
         try:
-            hydro, rough = _trial(kernel, degree, kappa, eq)
+            h = solve_gci(kernel, degree)
+            rough = [h]
+            if _plateau(h.coef):
+                pipe = _stages(kernel, h, degree, kappa, _equilibrium(kernel, degree, kappa))
+                check_ordering(pipe.hydro)
+                rough = [p for p in pipe.profiles.values() if not _plateau(p.coef)]
+                if not rough:
+                    return replace(pipe.hydro, n=int(n))
         except FlockError:
             break  # the run at n decides
-        if hydro is not None:
-            return replace(hydro, n=int(n))
         degree = _next_degree(degree, n, rough)
-    hydro = _stages(kernel, solve_gci(kernel, n, rule=eq.rule), n, kappa, eq).hydro
+    hydro = run_pipeline(kernel, n, kappa).hydro
     check_ordering(hydro)
     return hydro

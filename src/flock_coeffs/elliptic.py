@@ -16,14 +16,17 @@ annihilates the Legendre P0 term, so the unknown in that slot is replaced by
 a Lagrange multiplier and the system stays square.
 
 Both problems are solved in one formulation: the strong equation divided
-through by the weight w (for type 1 also by (1-mu^2)^(k/2+1)), tested against
-unweighted Legendre polynomials.  The divided equation has smooth
-coefficients and bounded data alpha/w and f/w, which the solvers take as
-given (the six problems of the pipeline are stated once, in that form, by
-`elliptic_problem_data`), so no unshifted exp(sigma/d) is formed and the
-system stays well conditioned however sharply the equilibrium weight peaks.
-The symmetric weighted Galerkin form lives in `tests/test_elliptic.py` as an
-independent discretization.
+through by the weight w (for type 1 also by (1-mu^2)^(k/2)), tested against
+unweighted Legendre polynomials.  Its data are the bounded ratios alpha/w
+and f/w (the six problems of the pipeline are stated once, in that form, by
+`elliptic_problem_data`), so no unshifted exp(sigma/d) is formed.  With nu
+a polynomial of degree p, the coefficients and the pipeline's data are
+polynomials: the scheme is Lanczos's tau method (J. Math. Phys. 17, 1938),
+assembled exactly on a weight-free rule of n + ceil(p/2) + 3 nodes
+(operator_rule).  Only the type-2 gauge column and solvability integral
+need the weight's rule.  The weighted Galerkin form and the scheme
+assembled on the weight's rule live in `tests/test_elliptic.py` as
+references.
 """
 
 from __future__ import annotations
@@ -36,10 +39,12 @@ from scipy.linalg.lapack import dgetrf, dgetrs
 
 from .errors import InvariantError, PreconditionError, SolverError
 from .kernel import CollisionKernel
-from .quad import QuadratureRule, build_rule, quadrature_size
+from .quad import (QuadratureRule, VonMisesEquilibrium, build_equilibrium, build_rule,
+                   quadrature_size)
 
 __all__ = [
     "MuProfile",
+    "operator_rule",
     "solve_type1",
     "solve_type2",
     "solve_gci",
@@ -65,7 +70,7 @@ class MuProfile:
     @classmethod
     def from_coef(cls, rule, coef, meta=None):
         coef = np.asarray(coef, dtype=float)
-        return cls(rule, coef, _basis(rule, len(coef) - 1)[0] @ coef, meta or {})
+        return cls(rule, coef, _basis(rule, len(coef) - 1, 0)[0] @ coef, meta or {})
 
     def __call__(self, mu):
         return npleg.legval(np.asarray(mu, dtype=float), self.coef)
@@ -75,8 +80,9 @@ class MuProfile:
         return len(self.coef) - 1
 
     def derivative(self) -> "MuProfile":
-        Vd = _basis(self.rule, self.degree)[1]
-        return MuProfile(self.rule, npleg.legder(self.coef), Vd @ self.coef)
+        dcoef = npleg.legder(self.coef)
+        V = _basis(self.rule, self.degree, 0)[0]  # no derivative basis is built
+        return MuProfile(self.rule, dcoef, V[:, :len(dcoef)] @ dcoef)
 
     def antiderivative(self, anchor: float = 0.0) -> "MuProfile":
         return MuProfile.from_coef(self.rule, npleg.legint(self.coef, lbnd=anchor))
@@ -88,29 +94,42 @@ class MuProfile:
         return MuProfile.from_coef(self.rule, coef, dict(self.meta))
 
 
-def _basis(rule: QuadratureRule, degree: int):
-    """Legendre values, first and second derivatives at the rule nodes.
-
-    Three read-only arrays of shape (n_nodes, degree+1), built once per rule
-    and degree and kept on the rule.  The derivative columns come from the
-    recurrences P'_{j+1} = P'_{j-1} + (2j+1) P_j and
-    P''_{j+1} = P''_{j-1} + (2j+1) P'_j, so the build is O(n_nodes * degree).
+def _basis(rule: QuadratureRule, degree: int, order: int = 2):
+    """Legendre values at the rule nodes, (V,) for order 0, with their first
+    and second derivatives for order 2: read-only (n_nodes, degree+1) arrays
+    kept on the rule.  The recurrences P'_{j+1} = P'_{j-1} + (2j+1) P_j and
+    P''_{j+1} = P''_{j-1} + (2j+1) P'_j are running sums over every other
+    column: one cumsum per parity, adding in the recurrences' order.
     """
-    basis = rule.bases.get(degree)
+    basis = rule.bases.get((degree, order))
     if basis is not None:
         return basis
-    V = npleg.legvander(rule.nodes, degree)
-    Vd = np.zeros_like(V)
-    Vdd = np.zeros_like(V)
-    if degree >= 1:
-        Vd[:, 1] = 1.0
-    for j in range(1, degree):
-        Vd[:, j + 1] = Vd[:, j - 1] + (2 * j + 1) * V[:, j]
-        Vdd[:, j + 1] = Vdd[:, j - 1] + (2 * j + 1) * Vd[:, j]
-    for a in (V, Vd, Vdd):
+    if order == 0:
+        basis = (npleg.legvander(rule.nodes, degree),)
+    else:
+        basis = _basis(rule, degree, 0)
+        odd = 2.0 * np.arange(degree) + 1.0
+        for _ in range(2):
+            terms = basis[-1][:, :-1] * odd
+            deriv = np.empty_like(basis[0])
+            deriv[:, 0] = 0.0  # every other column is written by a cumsum
+            np.cumsum(terms[:, 0::2], axis=1, out=deriv[:, 1::2])
+            np.cumsum(terms[:, 1::2], axis=1, out=deriv[:, 2::2])
+            basis += (deriv,)
+    for a in basis:
         a.flags.writeable = False
     # a concurrent build of the same basis loses to the one stored first
-    return rule.bases.setdefault(degree, (V, Vd, Vdd))
+    return rule.bases.setdefault((degree, order), basis)
+
+
+def _share_values(degree: int, *rules: QuadratureRule) -> None:
+    """Store _basis(rule, degree, 0) of each rule from one legvander call:
+    bitwise a call per rule, at about the cost of one, which the degree sets."""
+    V = npleg.legvander(np.concatenate([rule.nodes for rule in rules]), degree)
+    for rule, part in zip(rules, np.split(V, np.cumsum([rule.n for rule in rules[:-1]]))):
+        part = np.asfortranarray(part)
+        part.flags.writeable = False
+        rule.bases.setdefault((degree, 0), (part,))
 
 
 def _sampled(fn, x):
@@ -119,16 +138,47 @@ def _sampled(fn, x):
     return np.full(len(x), float(vals)) if vals.ndim == 0 else vals
 
 
+def operator_rule(kernel: CollisionKernel, n: int, rule: QuadratureRule | None = None):
+    """The rule a degree-n solve is assembled on: `rule`, checked, or the
+    Gauss rule of n + ceil(p/2) + 3 nodes, p = kernel.nu_degree.  The
+    coefficients have degree at most p + 4 (_operator_coefs), the pipeline's
+    data p + 3 (n for b2), so every integral against P_j, j <= n, is of a
+    polynomial of degree at most 2n + p + 3, which it computes exactly."""
+    if n < 1:
+        raise PreconditionError(f"degree must be >= 1, got {n}")
+    size = n + (kernel.nu_degree + 1) // 2 + 3
+    if rule is None:
+        return build_rule(size)
+    if rule.n < size:
+        raise PreconditionError(f"quadrature rule with {rule.n} nodes cannot assemble "
+                                f"degree {n} exactly; it needs {size}")
+    return rule
+
+
+def _operator_coefs(kernel, x, k, alpha_ratio=None):
+    """Nodal coefficients (c2, c1, c0) of the divided operator
+    c2 u'' + c1 u' + c0 u: type 1 of mode k with alpha/w sampled as
+    `alpha_ratio`, or type 2 (no alpha, no zero-order term: c0 None)."""
+    s2 = 1.0 - x * x
+    nu_over_d = np.asarray(kernel.nu(x), dtype=float) / kernel.d
+    if alpha_ratio is None:
+        return -s2, 2.0 * x - nu_over_d * s2, None
+    return (-s2 * s2,
+            -s2 * (nu_over_d * s2 - 2.0 * (k + 1) * x),
+            k * (nu_over_d * x * s2 + 1.0 - (k + 1) * x * x) + alpha_ratio)
+
+
 @dataclass(frozen=True)
 class _Factors:
-    """LU factors of one discrete operator, kept on the rule (rule.factors).
+    """LU factors of one discrete operator, kept on its rule (rule.factors).
 
-    `nodal` maps the unknowns to the operator's values at the rule nodes
-    (for type 2 its column 0 is the gauge column, see _factor); `condition`
-    is the 1-norm estimate of the factored system's condition number.
+    `nodal` maps the unknowns to the operator's values at the rule nodes;
+    `gauge` is the type-2 column 0 (_factor); `condition` is the 1-norm
+    estimate of the factored system's condition number.
     """
 
     nodal: np.ndarray
+    gauge: np.ndarray | None
     lu: np.ndarray
     piv: np.ndarray
     condition: float
@@ -170,49 +220,49 @@ def _inverse_norm1(lu, piv) -> float:
     return max(est, 2.0 * float(np.abs(dgetrs(lu, piv, alt)[0]).sum()) / (3 * n))
 
 
-def _factor(rule, key, basis, coefs, what, d, gauge=None) -> _Factors:
-    """Factors of the operator c2 u'' + c1 u' + c0 u tested against the
-    Legendre basis, for the nodal coefficients `coefs` = (c2, c1, c0); c0 is
-    None when the operator has no zero-order term.
+def _factor(rule, key, n, coefs, what, d, gauge=None) -> _Factors:
+    """Factors of the degree-n operator with nodal coefficients `coefs()`
+    tested against the Legendre basis, once per rule and `key`.
 
-    Assembled and factored once per rule and `key`; the key is built from
-    the sampled coefficients, so only identical discrete systems share
-    factors.  With nodal weights `gauge` (type 2, no zero-order term), the
-    operator's column 0 is identically zero, since P0' = P0'' = 0; it is
-    replaced by `gauge`, whose moments int gauge P_j dmu then fill the
-    system's column 0.  The unknown in slot 0 becomes a Lagrange multiplier
-    and the P0 coefficient is fixed at zero, which is the zero-mean gauge
-    int g dmu = 0 (the column must have a component outside the range of
-    the operator; the multiplier absorbs any truncation-level inconsistency
-    of the data).  The nodal operator matrix is kept with the factors: the
-    solves form their images and defects from it (_defect).
+    With moments `gauge` (type 2, no zero-order term), the operator's
+    column 0 is identically zero, since P0' = P0'' = 0; the moments
+    int w P_j dmu fill the system's column 0 instead.  The unknown in slot 0
+    becomes a Lagrange multiplier and the P0 coefficient is fixed at zero,
+    which is the zero-mean gauge int g dmu = 0 (the column must have a
+    component outside the range of the operator; the multiplier absorbs any
+    truncation-level inconsistency of the data).  The nodal operator matrix
+    is kept with the factors: the solves form their images and defects from
+    it (_defect).
     """
     factors = rule.factors.get(key)
     if factors is not None:
         return factors
-    V, Vd, Vdd = basis
-    c2, c1, c0 = coefs
-    ops = Vdd * c2[:, None] + Vd * c1[:, None]
+    V, Vd, Vdd = _basis(rule, n)
+    c2, c1, c0 = coefs()
+    nodal = Vdd * c2[:, None] + Vd * c1[:, None]
     if c0 is not None:
-        ops += V * c0[:, None]
+        nodal += V * c0[:, None]
+    A = V.T @ (nodal * rule.weights[:, None])
     if gauge is not None:
-        ops[:, 0] = gauge
-    A = V.T @ (ops * rule.weights[:, None])
+        A[:, 0] = gauge
     anorm = float(np.linalg.norm(A, 1))
     lu, piv, info = dgetrf(A, overwrite_a=True)
     if info > 0:  # exactly zero pivot
         raise SolverError(f"{what}: singular discrete system at d = {d:g}", np.inf)
-    factors = _Factors(ops, lu, piv, anorm * _inverse_norm1(lu, piv))
+    factors = _Factors(nodal, gauge, lu, piv, anorm * _inverse_norm1(lu, piv))
     # a concurrent factorization of the same operator loses to the one stored first
     return rule.factors.setdefault(key, factors)
 
 
 def _defect(factors, V, qw, F, sol):
-    """Nodal image of `sol` under the operator of _factor, and its defect
-    in the Galerkin system, formed from that image rather than from the
-    assembled matrix, which is not kept."""
+    """Nodal image of `sol` under the operator of _factor (gauge column left
+    out) and its defect in the system, formed from that image rather than
+    from the assembled matrix, which is not kept."""
     image = factors.nodal @ sol
-    return image, V.T @ (qw * image) - F
+    defect = V.T @ (qw * image) - F
+    if factors.gauge is not None:
+        defect += sol[0] * factors.gauge
+    return image, defect
 
 
 def _solve(factors, V, qw, F, d, what):
@@ -220,10 +270,11 @@ def _solve(factors, V, qw, F, d, what):
 
     Returns the solution (for type 2 its slot 0 holds the multiplier), its
     nodal image and the linear residual (_defect).  One step of iterative
-    refinement back-substitutes the defect of the first solution.  The defect, formed from nodal values, is more accurate than
-    the rounded Galerkin sums of the assembled matrix: at the small-d end of
-    the range the refinement takes b2's solvability integral from rounding
-    noise of 1e-10 to 1e-9 down to 1e-12.
+    refinement back-substitutes the defect of the first solution.  The
+    defect, formed from nodal values, is more accurate than the rounded
+    Galerkin sums of the assembled matrix: at the small-d end of the range
+    the refinement takes b2's solvability integral from rounding noise of
+    1e-10 to 1e-9 down to 1e-12.
     """
     # scipy's getrs shifts the pivots in place around the LAPACK call, with
     # the GIL released: solves sharing the cached factors each take a copy
@@ -240,57 +291,43 @@ def _solve(factors, V, qw, F, d, what):
     return sol, image, linres
 
 
-def _sampled_rule(kernel, n, k, rule):
-    """The checked rule of a degree-n solve whose solution vanishes like
-    (1-mu^2)^(k/2) (by default one sized for the kernel's weight), with
-    1-mu^2, nu/d and the log weight sampled at its nodes."""
-    if n < 1:
-        raise PreconditionError(f"degree must be >= 1, got {n}")
-    if rule is None:
-        rule = build_rule(quadrature_size(kernel, n + k + 2))
-    if rule.n < n + 2:
-        raise PreconditionError(
-            f"quadrature rule with {rule.n} nodes cannot assemble degree {n}")
-    x = rule.nodes
-    nu_over_d = np.asarray(kernel.nu(x), dtype=float) / kernel.d
-    return rule, 1.0 - x * x, nu_over_d, kernel.log_weight(x)
-
-
-def _checked_solve(kernel, rule, n, k, key, coefs, rhs, shift, name, gauge=None,
-                   divisor=1.0) -> MuProfile:
+def _checked_solve(kernel, rule, n, k, key, coefs, rhs, name, divisor=1.0,
+                   gauge=None) -> MuProfile:
     """The solve both problem types share, on the divided equation with
-    nodal coefficients `coefs` and nodal data `rhs`.
+    nodal data `rhs` at the nodes of the operator rule `rule`.
 
     The operator is factored once per rule under `key`, whose first entry
     ("type1" or "type2") is recorded as `meta["problem"]`, and the data
-    tested against the Legendre basis are back-substituted.  The pointwise defect at the nodes,
-    divided by `divisor` like the data, is recorded relative to the data in
-    `meta["residual"]`; a non-finite value means the data overflowed or
-    underflowed at the nodes, which no degree can repair, so it is raised.
-    With a gauge column the defect is that of the equation the system
-    solves, L u + multiplier * gauge = data, so data whose mean is not
-    exactly zero (rounding in the constants they are built from) count
-    against the solve only through what the multiplier does not absorb; the
-    multiplier is taken out of slot 0, whose Legendre coefficient is zero.
-    `meta` also carries the linear residual, the 1-norm condition estimate
-    of the factored system (_inverse_norm1, reproducible to the bit) and,
-    with a gauge column, the multiplier.
+    tested against the Legendre basis are back-substituted.  The strong
+    residual, the pointwise defect at the rule's nodes divided by `divisor`
+    like the data, is recorded relative to the data in `meta["residual"]`;
+    a non-finite value means the data overflowed or underflowed at the
+    nodes, which no degree can repair, so it is raised.  A type-2 `gauge`,
+    (moments int w P_j dmu, w at the nodes), makes it the defect of
+    L u + multiplier * w = data, so data whose mean is not exactly zero
+    (rounding in the constants they are built from) count against the solve
+    only through what the multiplier does not absorb; the multiplier is
+    taken out of slot 0, whose Legendre coefficient is zero.  `meta` also
+    carries the node count, the linear residual, the 1-norm condition
+    estimate (_inverse_norm1, reproducible to the bit) and the multiplier.
     """
     what, d, qw = f"{name} solve", kernel.d, rule.weights
-    basis = _basis(rule, n)
-    factors = _factor(rule, key, basis, coefs, what, d, gauge)
-    V = basis[0]
+    factors = _factor(rule, key, n, coefs, what, d, None if gauge is None else gauge[0])
+    V = _basis(rule, n, 0)[0]
     sol, image, linres = _solve(factors, V, qw, V.T @ (qw * rhs), d, what)
+    if gauge is not None:
+        image += sol[0] * gauge[1]
     scale = float(np.max(np.abs(rhs / divisor))) or 1.0
     residual = float(np.max(np.abs((image - rhs) / divisor)) / scale)
     if not np.isfinite(residual):
         raise SolverError(f"{what}: non-finite strong residual at d = {d:g}")
-    meta = {"problem": key[0], "sing_order": k, "degree": n, "residual": residual,
-            "linear_residual": linres, "condition": factors.condition}
+    meta = {"problem": key[0], "sing_order": k, "degree": n, "nodes": rule.n,
+            "residual": residual, "linear_residual": linres,
+            "condition": factors.condition}
     if gauge is not None:
         meta["multiplier"] = float(sol[0])
         sol[0] = 0.0
-    meta.update(weight_shift=shift, formulation="divided")
+    meta["formulation"] = "divided"
     return MuProfile.from_coef(rule, sol, meta)
 
 
@@ -307,19 +344,15 @@ def solve_type1(kernel: CollisionKernel, alpha, f, n: int, *, sing_order: int = 
     one-signed f gives a one-signed solution.  `name` labels the problem in
     error messages.
 
-    The equation is divided through by w (1-mu^2)^(k/2+1), which leaves an
-    ODE with smooth coefficients and exactly those ratios as data; no weight
-    is formed.  It is tested against unweighted Legendre polynomials
-    (Petrov-Galerkin), and the pointwise residual of the divided equation,
-    with one more factor 1/(1-mu^2) so that the endpoint degeneracy does not
-    flatter it, is recorded in `meta["residual"]`.  The symmetric weighted
-    Galerkin form is kept in `tests/test_elliptic.py` as an independent check.
-
-    The operator depends only on (n, k, alpha/w, nu/d), so it is assembled
-    and LU-factored once per rule and kept in `rule.factors`, keyed by those
-    sampled values: every later solve with the same operator on the same
-    rule (gci, a_perp and b_par share one) only back-substitutes.  The other
-    `meta` entries are those of _checked_solve.
+    The equation is divided through by w (1-mu^2)^(k/2), which leaves an ODE
+    with polynomial coefficients and exactly those ratios as data.  It is
+    tested against unweighted Legendre polynomials on operator_rule(kernel,
+    n, rule), where u is returned, and the pointwise residual of the divided
+    equation at its nodes, with one more factor 1/(1-mu^2) so that the
+    endpoint degeneracy does not flatter it, is recorded in
+    `meta["residual"]`.  The operator is LU-factored once per rule, keyed by
+    n, k, the rate callable, d and alpha/w at the nodes: gci, a_perp and
+    b_par share one.  The other `meta` entries are those of _checked_solve.
     """
     k = int(sing_order)
     if k < 1:
@@ -327,55 +360,59 @@ def solve_type1(kernel: CollisionKernel, alpha, f, n: int, *, sing_order: int = 
             "sing_order must be >= 1: the admissible space forces the solution "
             "to vanish at the endpoints"
         )
-    rule, s2, nu_over_d, lw = _sampled_rule(kernel, n, k, rule)
+    rule = operator_rule(kernel, n, rule)
     x = rule.nodes
+    s2 = 1.0 - x * x
     alpha_ratio = _sampled(alpha, x)
     a0 = float(alpha_ratio.min())
     if not a0 > 0:
         raise PreconditionError(f"{name} solve: alpha must be positive on [-1, 1]; "
                                 f"min sampled {a0:.3e} at d = {kernel.d:g}")
-    coefs = (-s2 * s2,
-             -s2 * (nu_over_d * s2 - 2.0 * (k + 1) * x),
-             k * (nu_over_d * x * s2 + 1.0 - (k + 1) * x * x) + alpha_ratio)
     return _checked_solve(kernel, rule, n, k,
-                          ("type1", n, k, alpha_ratio.tobytes(), nu_over_d.tobytes()),
-                          coefs, _sampled(f, x) / s2 ** (k / 2.0), float(lw.max()), name,
-                          divisor=s2)
+                          ("type1", n, k, kernel.nu, kernel.d, alpha_ratio.tobytes()),
+                          lambda: _operator_coefs(kernel, x, k, alpha_ratio),
+                          _sampled(f, x) / s2 ** (k / 2.0), name, divisor=s2)
 
 
 def solve_type2(kernel: CollisionKernel, f, n: int, *,
-                rule: QuadratureRule | None = None, name: str = "type-2") -> MuProfile:
+                rule: QuadratureRule | None = None, eq: VonMisesEquilibrium | None = None,
+                name: str = "type-2") -> MuProfile:
     """Solve the conservative degenerate problem in the zero-mean gauge.
 
     `f` is the weight-free ratio f/w (see elliptic_problem_data).
     Solvability requires int f dmu = 0, checked to 1e-10 as int (f/w) w dmu
-    with the weight rescaled to O(1); the returned representative has
-    int g dmu = 0, imposed by the system itself rather than by
+    on the rule of the equilibrium `eq` (by default one sized for degree
+    n + 2), whose weight is rescaled to O(1).  The returned representative
+    has int g dmu = 0, imposed by the system itself rather than by
     post-shifting: its Legendre P0 coefficient is exactly zero.  Callers
     re-gauge as needed.  `name` labels the problem in error messages.
 
-    As for solve_type1, the equation divided through by w has f/w as its
-    data and smooth coefficients, and is tested against unweighted Legendre
-    polynomials.  The rescaled weight enters only the solvability integral
-    and the gauge column, which takes the place of the operator's null P0
-    column (_factor).  The system depends only on (n, nu/d, w), so it is
-    factored once per rule (a_par and b2 share it); its multiplier and the
-    other `meta` entries are those of _checked_solve.
+    As for solve_type1, the divided equation, with f/w as its data, is
+    tested against unweighted Legendre polynomials on operator_rule(kernel,
+    n, rule), where the profile is returned.  The weight enters only the
+    solvability integral and the gauge column, its moments int w P_j dmu on
+    eq's rule in place of the operator's null P0 column (_factor).  The
+    system is factored once per rule, keyed by n, the rate callable, d and
+    those moments (a_par and b2 share it); the multiplier and the other
+    `meta` entries are those of _checked_solve.
     """
-    rule, s2, nu_over_d, lw = _sampled_rule(kernel, n, 0, rule)
-    x, qw = rule.nodes, rule.weights
-    shift = float(lw.max())
-    w = np.exp(lw - shift)
-    rhs = _sampled(f, x)
-    fmean = float(qw @ (rhs * w))
+    rule = operator_rule(kernel, n, rule)
+    if eq is None:
+        eq = build_equilibrium(kernel, quadrature_size(kernel, n + 2))
+    qw = eq.rule.weights
+    fmean = float(qw @ (_sampled(f, eq.rule.nodes) * eq.weight))
     if not abs(fmean) < 1e-10:  # also rejects non-finite data
         raise PreconditionError(
             f"{name} solve: type-2 data must have zero mean; "
             f"int f dmu = {fmean:.6e} at d = {kernel.d:g}"
         )
+    x = rule.nodes
     # the moments of w span the left-null complement of the operator
-    return _checked_solve(kernel, rule, n, 0, ("type2", n, nu_over_d.tobytes(), w.tobytes()),
-                          (-s2, 2.0 * x - nu_over_d * s2, None), rhs, shift, name, gauge=w)
+    moments = _basis(eq.rule, n, 0)[0].T @ (qw * eq.weight)
+    return _checked_solve(kernel, rule, n, 0,
+                          ("type2", n, kernel.nu, kernel.d, moments.tobytes()),
+                          lambda: _operator_coefs(kernel, x, 0), _sampled(f, x), name,
+                          gauge=(moments, np.exp(kernel.log_weight(x) - eq.shift)))
 
 
 def elliptic_problem_data(kernel: CollisionKernel, c=None, b1=None) -> dict:
@@ -393,9 +430,10 @@ def elliptic_problem_data(kernel: CollisionKernel, c=None, b1=None) -> dict:
       b_par   type 1, k=1:  1,          (nu/d^2)(mu - c2)(1-mu^2)^(3/2)
 
     Problems that need the leading-order constants appear once `c` is given;
-    the b2 problem needs the solved b1 profile as data, read from its stored
-    values at b1's own rule nodes and evaluated anywhere else.  The rows
-    come in the order listed, which is the order of the pipeline's profiles.
+    the b2 problem needs the solved b1 (a profile, or a tuple of it on
+    several rules) as data, read from its stored values at its rules' nodes
+    and evaluated anywhere else.  The rows come in the order listed, which
+    is the order of the pipeline's profiles.
     """
     nu = kernel.nu
     d = kernel.d
@@ -419,9 +457,17 @@ def elliptic_problem_data(kernel: CollisionKernel, c=None, b1=None) -> dict:
             f=lambda mu: (np.asarray(nu(mu)) / d**2) * (1.0 - mu * mu) ** 2,
         )
         if b1 is not None:
+            stored = b1 if isinstance(b1, tuple) else (b1,)
+
+            def b1_at(mu):
+                for p in stored:
+                    if mu is p.rule.nodes:
+                        return p.values
+                return stored[0](mu)
+
             problems["b2"] = dict(
                 ptype=2, sing_order=0, alpha=None,
-                f=lambda mu: 2.0 * (b1.values if mu is b1.rule.nodes else b1(mu)) - c1 / d,
+                f=lambda mu: 2.0 * b1_at(mu) - c1 / d,
             )
         problems["b_par"] = dict(
             ptype=1, sing_order=1, alpha=lambda mu: 1.0,
@@ -432,12 +478,13 @@ def elliptic_problem_data(kernel: CollisionKernel, c=None, b1=None) -> dict:
 
 
 def solve_problem(kernel: CollisionKernel, name: str, problem: dict, n: int,
-                  rule: QuadratureRule | None = None) -> MuProfile:
+                  rule: QuadratureRule | None = None,
+                  eq: VonMisesEquilibrium | None = None) -> MuProfile:
     """Solve one row of elliptic_problem_data with the solver its type names."""
     if problem["ptype"] == 1:
         return solve_type1(kernel, problem["alpha"], problem["f"], n,
                            sing_order=problem["sing_order"], rule=rule, name=name)
-    return solve_type2(kernel, problem["f"], n, rule=rule, name=name)
+    return solve_type2(kernel, problem["f"], n, rule=rule, eq=eq, name=name)
 
 
 def solve_gci(kernel: CollisionKernel, n: int,

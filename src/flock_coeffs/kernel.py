@@ -46,7 +46,9 @@ class CollisionKernel:
     Immutable after construction; safe to share between concurrent solves.
     `sigma` is the antiderivative of `nu` with sigma(0) = 0.  The additive
     constant of sigma is free (it cancels in every normalized average); the
-    zero anchor is a convention.
+    zero anchor is a convention.  `nu_degree` is the degree of nu as a
+    polynomial: the elliptic solvers size the rule that computes their
+    integrals exactly by it (elliptic.operator_rule).
     """
 
     nu: Callable[[np.ndarray], np.ndarray]
@@ -54,6 +56,7 @@ class CollisionKernel:
     sigma: Callable[[np.ndarray], np.ndarray]
     d: float
     nu_min: float
+    nu_degree: int
     model: str = "custom"
     params: tuple = ()
 
@@ -92,9 +95,9 @@ def evaluate_kernel(kernel: CollisionKernel, mu):
 
 def _series_kernel(series, d, model, params):
     """Kernel whose rate nu is a numpy series on the default domain [-1, 1]
-    (a power series or a Legendre fit): nu' is its derivative and sigma its
-    antiderivative with sigma(0) = 0.  The kernel keeps the series' bound
-    methods, so it hashes and compares by identity."""
+    (a power series or a Legendre fit) of degree nu_degree: nu' is its
+    derivative and sigma its antiderivative with sigma(0) = 0.  The kernel
+    keeps the series' bound methods, so it hashes and compares by identity."""
     nu_min = float(series(np.linspace(-1, 1, 4001)).min())
     if nu_min <= 0:
         raise ConfigError(
@@ -107,6 +110,7 @@ def _series_kernel(series, d, model, params):
         sigma=series.integ(lbnd=0).__call__,
         d=float(d),
         nu_min=nu_min,
+        nu_degree=series.degree(),
         model=model,
         params=tuple(float(p) for p in params),
     )

@@ -181,7 +181,7 @@ def mode_apply(kernel: CollisionKernel, k: int, profile: MuProfile) -> MuProfile
 
 
 def _project_values(rule, values, degree):
-    V = _basis(rule, degree)[0]  # the basis from_coef evaluates the result with
+    V = _basis(rule, degree, 0)[0]  # the values from_coef evaluates the result with
     scale = (2 * np.arange(degree + 1) + 1) / 2.0
     coef = scale * (V.T @ (rule.weights * values))
     return MuProfile.from_coef(rule, coef)

@@ -35,10 +35,10 @@ class QuadratureRule:
 
     nodes: np.ndarray
     weights: np.ndarray
-    # Legendre bases at the nodes by degree (elliptic._basis), and LU factors
-    # of the elliptic operators by a key of their sampled coefficients
-    # (elliptic._factor); they live and die with the rule, so no cache
-    # outlives a computation
+    # Legendre bases at the nodes by degree and order (elliptic._basis), and,
+    # on an operator rule, LU factors of the elliptic operators by a key of
+    # degree, kernel and coefficients (elliptic._factor); they live and die
+    # with the rule, so no cache outlives a computation
     bases: dict = field(default_factory=dict, init=False, compare=False, repr=False)
     factors: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 

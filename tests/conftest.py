@@ -26,7 +26,7 @@ def even_kernel():
 def legendre_kernel():
     """Weightless kernel (sigma = 0) for operator-level solver tests."""
     return CollisionKernel(nu=_zeros, nu_prime=_zeros, sigma=_zeros,
-                           d=1.0, nu_min=0.0, model="legendre-test")
+                           d=1.0, nu_min=0.0, nu_degree=0, model="legendre-test")
 
 
 @pytest.fixture(scope="session")

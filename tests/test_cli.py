@@ -4,8 +4,11 @@ import time
 import numpy as np
 import pytest
 
+import flock_coeffs.coeffs as coeffs_mod
 from flock_coeffs.cli import main
+from flock_coeffs.coeffs import run_pipeline
 from flock_coeffs.fields import make_field, save_field_csv
+from flock_coeffs.kernel import make_kernel
 
 
 def run(argv):
@@ -102,6 +105,35 @@ def test_profiles_dump_nonpositive_invariant(tmp_path):
     g_rows = np.loadtxt(outdir / "g.csv", delimiter=",", skiprows=1)
     assert np.array_equal(g_rows[:, 0], h_rows[:, 0])
     assert np.array_equal(g_rows[:, 1], (1.0 - h_rows[:, 0] ** 2) ** 0.5 * h_rows[:, 1])
+
+
+def test_profiles_dump_is_the_pipelines_profiles(tmp_path, monkeypatch):
+    # the command runs only the stages it writes (no assembly), and its files
+    # are those of run_pipeline's profiles, byte for byte
+    outdir = tmp_path / "out"
+
+    def no_assembly(*args, **kwargs):
+        raise AssertionError("the profile dump assembled the coefficient set")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(coeffs_mod, "compute_r2_coeffs", no_assembly)
+        assert run(["profiles", "--nu", "evenpoly:1,0.5", "--d", "0.1", "--n", "48",
+                    "--kappa", "0.1", "-o", str(outdir)]) == 0
+    profiles = run_pipeline(make_kernel("evenpoly", (1.0, 0.5), 0.1), 48, 0.1).profiles
+    h = profiles["gci"]
+    files = {"g": (h, (1.0 - h.rule.nodes**2) ** 0.5 * h.values, 1),
+             "h_prime": (h.derivative(), None, 0),
+             **{"h" if name == "gci" else name: (prof, None, 0)
+                for name, prof in profiles.items()}}
+    assert sorted(p.name for p in outdir.iterdir()) == sorted(
+        f"{name}.{ext}" for name in files for ext in ("csv", "json"))
+    for name, (prof, values, sing_order) in files.items():
+        values = prof.values if values is None else values
+        rows = "".join(f"{m:.17g},{v:.17g}\n" for m, v in zip(prof.rule.nodes, values))
+        assert (outdir / f"{name}.csv").read_text() == "mu,value\n" + rows, name
+        sidecar = {"coefficients": list(prof.coef), "sing_order": sing_order,
+                   "meta": prof.meta}
+        assert (outdir / f"{name}.json").read_text() == json.dumps(sidecar, indent=2) + "\n"
 
 
 def test_profiles_self_convergence_across_degrees(tmp_path):

@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 import flock_coeffs.coeffs as coeffs_mod
+import flock_coeffs.elliptic as elliptic_mod
 import flock_coeffs.fields as fields_mod
+import flock_coeffs.quad as quad_mod
 import flock_coeffs.verify as verify_mod
 from flock_coeffs.coeffs import (
     FIRST_TRIAL_DEGREE,
@@ -27,7 +29,7 @@ from flock_coeffs.kernel import (
     even_poly_kernel,
     registry_kernels,
 )
-from flock_coeffs.quad import build_rule
+from flock_coeffs.quad import build_rule, quadrature_size
 
 
 def langevin(kappa):
@@ -425,6 +427,38 @@ def test_adaptive_degree_at_most_first_trial_is_the_pinned_run(kernel, n):
     assert json.dumps(hydro.to_json_dict()) == json.dumps(pinned.to_json_dict())
 
 
+@pytest.mark.parametrize("kernel", [*registry_kernels(d=0.1), constant_kernel(1.0, d=0.02)],
+                         ids=lambda k: f"{k.model}-{k.d:g}")
+def test_adaptive_degree_is_run_pipeline_at_its_degree(kernel):
+    # each trial solves on its own degree's rules, so a set kept below the
+    # cap is run_pipeline's at that degree to the bit, apart from n (the
+    # degree-64 gate fails for const:1 at d = 0.02)
+    hydro = compute_coefficients(kernel, n=256, kappa=0.1)
+    assert hydro.n == 256 and FIRST_TRIAL_DEGREE <= hydro.degree < 256
+    ref = run_pipeline(kernel, hydro.degree, 0.1).hydro
+    assert all_values(hydro).tobytes() == all_values(ref).tobytes()
+    assert list(hydro.residuals.items()) == list(ref.residuals.items())
+    assert json.dumps({**hydro.to_json_dict(), "n": ref.n}) == json.dumps(ref.to_json_dict())
+
+
+def test_adaptive_degree_gate_builds_only_its_operator_rule(monkeypatch):
+    # h does not plateau at degree 64 for d = 0.001: that trial builds its
+    # 67-node operator rule and nothing sized for the weight (2314 nodes);
+    # the run at the cap then builds its weight rule and operator rule
+    kernel = constant_kernel(1.0, d=0.001)
+    sizes = []
+    build_rule_once = quad_mod.build_rule
+
+    def counted(n):
+        sizes.append(n)
+        return build_rule_once(n)
+
+    monkeypatch.setattr(quad_mod, "build_rule", counted)
+    monkeypatch.setattr(elliptic_mod, "build_rule", counted)
+    assert compute_coefficients(kernel, n=256, kappa=0.1).degree == 256
+    assert sizes == [64 + 3, quadrature_size(kernel, 256 + 10), 256 + 3]
+
+
 def test_adaptive_degree_at_first_trial_raises_as_the_pinned_run():
     # degree 64 cannot resolve d = 0.005: b2's data miss their zero mean
     kernel = constant_kernel(1.0, d=0.005)
@@ -465,11 +499,11 @@ def test_adaptive_degree_trial_error_falls_through_to_the_cap(monkeypatch):
     original = coeffs_mod.solve_profiles
     degrees = []
 
-    def failing_below_cap(kernel, c, n, eq):
+    def failing_below_cap(kernel, c, n, eq, rule):
         degrees.append(n)
         if n < 128:
             raise SolverError("injected failure below the cap")
-        return original(kernel, c, n, eq)
+        return original(kernel, c, n, eq, rule)
 
     monkeypatch.setattr(coeffs_mod, "solve_profiles", failing_below_cap)
     hydro = compute_coefficients(kernel, n=128, kappa=0.1)
@@ -478,7 +512,7 @@ def test_adaptive_degree_trial_error_falls_through_to_the_cap(monkeypatch):
     assert all_values(hydro).tobytes() == all_values(cap).tobytes()
 
     # at the cap, the error propagates as it does from run_pipeline
-    def failing(kernel, c, n, eq):
+    def failing(kernel, c, n, eq, rule):
         raise SolverError("injected failure")
 
     monkeypatch.setattr(coeffs_mod, "solve_profiles", failing)

@@ -19,7 +19,7 @@ from flock_coeffs.elliptic import (
     solve_type2,
 )
 from flock_coeffs.errors import PreconditionError, SolverError
-from flock_coeffs.kernel import constant_kernel, registry_kernels
+from flock_coeffs.kernel import constant_kernel, registry_kernels, tabulated_kernel
 from flock_coeffs.quad import QuadratureRule, build_rule, quadrature_size
 
 
@@ -148,6 +148,46 @@ def solve_type2_bordered(kernel, f, n, rule):
     sol -= np.linalg.solve(K, defect(sol))
     assert np.all(np.isfinite(sol)), "bordered type-2 solve produced non-finite values"
     return MuProfile.from_coef(rule, sol[:-1])
+
+
+# --- the divided scheme assembled on the weight's rule ---------------------------
+# The production system with every integral summed over the equilibrium's
+# rule, sized for the weight, instead of the weight-free operator rule; the
+# gauge column is the weight sampled at those nodes.
+
+def solve_on_weight_rule(kernel, problem, n, eq):
+    """One row of elliptic_problem_data solved by the divided Petrov-Galerkin
+    scheme assembled on eq's rule, with one refinement step from the nodal
+    defect; returns the profile on eq's rule, for type 2 with its P0
+    coefficient (the multiplier's slot) set to zero."""
+    x, qw = eq.rule.nodes, eq.rule.weights
+    s2 = 1.0 - x * x
+    k = problem["sing_order"]
+    nu_over_d = np.asarray(kernel.nu(x), dtype=float) / kernel.d
+    # derivative columns through legder's differentiation matrices, not the
+    # solvers' recurrence
+    eye = np.eye(n + 1)
+    V = npleg.legvander(x, n)
+    Vd, Vdd = (V[:, :n + 1 - m] @ npleg.legder(eye, m, axis=0) for m in (1, 2))
+    f = np.broadcast_to(np.asarray(problem["f"](x), dtype=float), x.shape)
+    if problem["ptype"] == 1:
+        alpha = np.broadcast_to(np.asarray(problem["alpha"](x), dtype=float), x.shape)
+        ops = (-(s2 * s2)[:, None] * Vdd
+               - (s2 * (nu_over_d * s2 - 2.0 * (k + 1) * x))[:, None] * Vd
+               + (k * (nu_over_d * x * s2 + 1.0 - (k + 1) * x * x) + alpha)[:, None] * V)
+        rhs = f / s2 ** (k / 2.0)
+    else:
+        ops = -s2[:, None] * Vdd + (2.0 * x - nu_over_d * s2)[:, None] * Vd
+        ops[:, 0] = eq.weight
+        rhs = f
+    A = V.T @ (ops * qw[:, None])
+    F = V.T @ (qw * rhs)
+    sol = np.linalg.solve(A, F)
+    sol -= np.linalg.solve(A, V.T @ (qw * (ops @ sol)) - F)
+    assert np.all(np.isfinite(sol)), "weight-rule solve produced non-finite values"
+    if problem["ptype"] == 2:
+        sol[0] = 0.0
+    return MuProfile.from_coef(eq.rule, sol)
 
 
 def test_type1_zero_data_gives_zero(legendre_kernel):
@@ -294,6 +334,62 @@ def test_type2_square_system_matches_bordered(kernels, n):
             assert got.coef[0] == 0.0
 
 
+@pytest.mark.parametrize("kernels,n,rtol", [
+    pytest.param(lambda: registry_kernels(d=0.02), 64, 1e-13, id="registry-d0.02"),
+    pytest.param(lambda: registry_kernels(d=0.5), 64, 1e-13, id="registry-d0.5"),
+    pytest.param(lambda: registry_kernels(d=25.0), 64, 1e-13, id="registry-d25"),
+    pytest.param(lambda: [constant_kernel(1.0, d=1e-3)], 256, 1e-12, id="const-d0.001-n256"),
+])
+def test_operator_rule_matches_weight_rule_assembly(kernels, n, rtol):
+    # every problem of the pipeline, solved on its operator rule and by the
+    # same scheme assembled on the pipeline's weight rule (reference above);
+    # at d = 1e-3 the systems' condition estimates reach 1e5 (for const:1,
+    # a_perp's data, and so both solutions, are exactly zero)
+    for kernel in kernels():
+        p = run_pipeline(kernel, n, 0.1)
+        rows = elliptic_problem_data(kernel, c=p.c, b1=p.profiles["b1"])
+        rule = elliptic.operator_rule(kernel, n)
+        for name, row in rows.items():
+            got = elliptic.solve_problem(kernel, name, row, n, rule, p.eq)
+            assert got.rule is rule and got.meta["nodes"] == n + (kernel.nu_degree + 1) // 2 + 3
+            ref = solve_on_weight_rule(kernel, row, n, p.eq)
+            scale = np.max(np.abs(ref.coef))
+            gap = np.max(np.abs(got.coef - ref.coef))
+            assert gap <= rtol * scale, (name, kernel.model, kernel.d)
+
+
+@pytest.mark.parametrize("kernel", [
+    *registry_kernels(d=0.1),
+    tabulated_kernel(np.linspace(-1, 1, 33), 1.0 + 0.25 * np.linspace(-1, 1, 33) ** 2, d=0.1),
+], ids=lambda k: f"{k.model}-p{k.nu_degree}")
+@pytest.mark.parametrize("n", [24, 64])
+def test_operator_rule_is_exact(kernel, n):
+    # the system and data of every problem on the n + ceil(p/2) + 3 rule
+    # against a rule of 2n + p + 8 nodes: both compute them exactly
+    p = run_pipeline(kernel, n, 0.1)
+    rows = elliptic_problem_data(kernel, c=p.c, b1=p.profiles["b1"])
+    small = elliptic.operator_rule(kernel, n)
+    big = build_rule(2 * n + kernel.nu_degree + 8)
+    assert small.n == n + (kernel.nu_degree + 1) // 2 + 3
+    assert {(row["ptype"], row["sing_order"]) for row in rows.values()} == {(1, 1), (1, 2), (2, 0)}
+    for name, row in rows.items():
+        k = row["sing_order"]
+        systems = []
+        for rule in (small, big):
+            x = rule.nodes
+            alpha = None if row["ptype"] == 2 else elliptic._sampled(row["alpha"], x)
+            c2, c1, c0 = elliptic._operator_coefs(kernel, x, k, alpha)
+            V, Vd, Vdd = _basis(rule, n)
+            nodal = Vdd * c2[:, None] + Vd * c1[:, None]
+            if c0 is not None:
+                nodal += V * c0[:, None]
+            data = elliptic._sampled(row["f"], x) / (1.0 - x * x) ** (k / 2.0)
+            systems.append((V.T @ (nodal * rule.weights[:, None]), V.T @ (rule.weights * data)))
+        (A, F), (A_ref, F_ref) = systems
+        assert np.max(np.abs(A - A_ref)) <= 1e-13 * np.max(np.abs(A_ref)), name
+        assert np.max(np.abs(F - F_ref)) <= 1e-13 * np.max(np.abs(F_ref)), name
+
+
 def test_solver_linear_residuals_are_small(pipeline_even):
     p = pipeline_even
     assert len(p["profiles"]) == 6
@@ -381,6 +477,31 @@ def test_basis_recurrence_matches_clenshaw(nq, degree):
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
+@pytest.mark.parametrize("nq, degree", [(3, 0), (3, 1), (5, 2), (67, 64), (259, 256)])
+def test_basis_cumsums_are_the_recurrences(nq, degree):
+    # the derivative columns, running sums per parity, equal the recurrences
+    # P'_{j+1} = P'_{j-1} + (2j+1) P_j and P''_{j+1} = P''_{j-1} + (2j+1) P'_j
+    # run column by column, to the bit
+    rule = build_rule(nq)
+    V, Vd, Vdd = _basis(rule, degree)
+    ref_d, ref_dd = np.zeros_like(V), np.zeros_like(V)
+    if degree >= 1:
+        ref_d[:, 1] = 1.0
+    for j in range(1, degree):
+        ref_d[:, j + 1] = ref_d[:, j - 1] + (2 * j + 1) * V[:, j]
+        ref_dd[:, j + 1] = ref_dd[:, j - 1] + (2 * j + 1) * ref_d[:, j]
+    assert np.array_equal(Vd, ref_d) and np.array_equal(Vdd, ref_dd)
+    assert _basis(rule, degree, 0)[0] is V
+
+
+def test_shared_values_are_those_of_a_call_per_rule():
+    rules = [build_rule(67), build_rule(150), build_rule(3)]
+    elliptic._share_values(64, *rules)
+    for rule in rules:
+        V = _basis(rule, 64, 0)[0]
+        assert np.array_equal(V, npleg.legvander(rule.nodes, 64)) and not V.flags.writeable
+
+
 @pytest.mark.parametrize("nq", [64, 414])
 @pytest.mark.parametrize("degree", [16, 256])
 def test_nodal_values_match_legval(nq, degree):
@@ -418,7 +539,7 @@ def test_basis_memo_under_concurrent_first_use():
                    [pool.submit(_basis, rule, 128) for _ in range(16)]]
     finally:
         sys.setswitchinterval(interval)
-    assert all(b is rule.bases[128] for b in got)
+    assert all(b is rule.bases[128, 2] for b in got)
 
 
 def test_divided_solver_error_propagates(monkeypatch, even_kernel):
@@ -437,10 +558,26 @@ def test_divided_solver_error_propagates(monkeypatch, even_kernel):
         solve_type2(even_kernel, lambda mu: mu - c1, 24)
 
 
+def _factored_rules(monkeypatch):
+    """The rules elliptic._factor is called with from here on, in first-use order."""
+    rules = []
+    factor = elliptic._factor
+
+    def spy(rule, *args):
+        if not any(r is rule for r in rules):
+            rules.append(rule)
+        return factor(rule, *args)
+
+    monkeypatch.setattr(elliptic, "_factor", spy)
+    return rules
+
+
 def test_pipeline_factors_one_lu_per_operator(monkeypatch, even_kernel):
     # six solves, three operators: type 1 with k=1 (gci, a_perp, b_par),
-    # type 1 with k=2 (b1) and type 2 (a_par, b2)
+    # type 1 with k=2 (b1) and type 2 (a_par, b2), all on one operator rule
+    # of n + ceil(p/2) + 3 nodes; the weight's rule keeps no factors
     calls = {"solves": 0, "lu": 0}
+    rules = _factored_rules(monkeypatch)
 
     def counted(fn, key):
         def spy(*args, **kwargs):
@@ -453,7 +590,9 @@ def test_pipeline_factors_one_lu_per_operator(monkeypatch, even_kernel):
     monkeypatch.setattr(elliptic, "dgetrf", counted(elliptic.dgetrf, "lu"))
     p = run_pipeline(even_kernel, 64, 0.0)
     assert calls == {"solves": 6, "lu": 3}
-    assert len(p.eq.rule.factors) == 3
+    assert len(rules) == 1 and rules[0].n == 64 + 1 + 3
+    assert len(rules[0].factors) == 3
+    assert p.eq.rule.factors == {}
 
 
 def test_cached_factors_match_a_fresh_rule(even_kernel):
@@ -562,11 +701,16 @@ def test_condition_estimate_is_reproducible():
 
 
 @pytest.mark.parametrize("d", [0.02, 1.0])
-def test_condition_estimate_matches_gecon(d):
+def test_condition_estimate_matches_gecon(monkeypatch, d):
     # the same Hager-Higham iteration as LAPACK's, on the cached factors:
     # gecon with unit norm returns 1 / (its estimate of ||A^-1||_1)
+    rules = _factored_rules(monkeypatch)
     for kernel in registry_kernels(d=d):
-        for factors in run_pipeline(kernel, 64, 0.1).eq.rule.factors.values():
+        run_pipeline(kernel, 64, 0.1)
+    assert len(rules) == 4
+    for rule in rules:
+        assert len(rule.factors) == 3
+        for factors in rule.factors.values():
             rcond = dgecon(factors.lu, 1.0)[0]
             estimate = elliptic._inverse_norm1(factors.lu, factors.piv)
             assert abs(estimate * rcond - 1.0) <= 1e-12
