@@ -18,6 +18,7 @@ The corrections:
 from __future__ import annotations
 
 import math
+import zipfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
@@ -142,6 +143,14 @@ class GradientBundle:
     scheme_order  : finite-difference order (2 or 4) the bundle was built
                     with; evaluate_r1, evaluate_r2 and r2_terms differentiate
                     bundle entries with the same stencil
+    rows          : the 17 packed scalar rows, shape (17,) + grid, that
+                    decompose_gradients writes: grad_perp_rho (3),
+                    par_grad_rho, omega_tilt (3), div_omega, sigma_omega's
+                    six unique entries and gamma_omega's three above the
+                    diagonal
+
+    The entries are read as properties:
+
     grad_perp_rho : transverse density gradient (3-vector per cell)
     par_grad_rho  : omega . grad rho (scalar)
     omega_tilt    : (omega . grad) omega, projected transverse (3-vector)
@@ -149,21 +158,56 @@ class GradientBundle:
     sigma_omega   : symmetric traceless shear block (3x3, transverse plane)
     gamma_omega   : antisymmetric swirl block (3x3, transverse plane)
 
-    decompose_gradients stores the vector and tensor fields component-major,
-    as contiguous (3, ...) and (3, 3, ...) arrays, and exposes them here as
-    np.moveaxis views: they have the shapes grid + (3,) and grid + (3, 3)
-    but are not C-contiguous.  evaluate_r1, evaluate_r2 and r2_terms read
-    sigma_omega on and above the diagonal and gamma_omega above it only,
-    taking the rest by symmetry and antisymmetry.
+    The vectors and scalars are views of `rows`: np.moveaxis views with the
+    shape grid + (3,), not C-contiguous, and C-contiguous grid arrays.  The
+    two tensors are not stored: each access builds a new grid + (3, 3)
+    array (a view of (3, 3, ...) storage) from the packed rows, sigma's
+    lower triangle by copy and gamma's by negation, with gamma's diagonal
+    exact zeros.  evaluate_r1, evaluate_r2 and r2_terms read the packed
+    rows themselves.
     """
 
     scheme_order: int
-    grad_perp_rho: np.ndarray
-    par_grad_rho: np.ndarray
-    omega_tilt: np.ndarray
-    div_omega: np.ndarray
-    sigma_omega: np.ndarray
-    gamma_omega: np.ndarray
+    rows: np.ndarray
+
+    @property
+    def grad_perp_rho(self) -> np.ndarray:
+        return np.moveaxis(self.rows[0:3], 0, -1)
+
+    @property
+    def par_grad_rho(self) -> np.ndarray:
+        return self.rows[3]
+
+    @property
+    def omega_tilt(self) -> np.ndarray:
+        return np.moveaxis(self.rows[4:7], 0, -1)
+
+    @property
+    def div_omega(self) -> np.ndarray:
+        return self.rows[7]
+
+    @property
+    def sigma_omega(self) -> np.ndarray:
+        return self._tensor(antisymmetric=False)
+
+    @property
+    def gamma_omega(self) -> np.ndarray:
+        return self._tensor(antisymmetric=True)
+
+    def _tensor(self, antisymmetric):
+        packed = _bundle_rows(self.rows)
+        stored = packed.gam if antisymmetric else packed.sig
+        out = np.empty((3, 3) + self.rows.shape[1:])
+        for j in range(3):
+            for k in range(3):
+                row, sign = _packed(j, k)
+                if not antisymmetric or sign > 0:
+                    out[j, k] = stored[row]
+                elif sign < 0:
+                    np.negative(stored[row], out=out[j, k])
+                else:
+                    out[j, k] = 0.0
+        return np.moveaxis(out, (0, 1), (-2, -1))
 
 
 @dataclass
@@ -301,11 +345,6 @@ def _vector_components(vec):
     return np.moveaxis(vec, -1, 0)
 
 
-def _tensor_components(tens):
-    """Component-major (3, 3, ...) view of a grid + (3, 3) field."""
-    return np.moveaxis(tens, (-2, -1), (0, 1))
-
-
 def _dot(u, v, out=None, tmp=None):
     """u[0] * v[0] + u[1] * v[1] + u[2] * v[2], written into `out` when one is
     given; `tmp`, when given, is scratch of the same shape."""
@@ -368,11 +407,6 @@ def _packed(j, k):
     gamma[j, k] = sign * gam[row], where the sign is 1 above the diagonal,
     -1 below it and 0 on it (gamma's diagonal is zero and not stored)."""
     return _UPPER.index((min(j, k), max(j, k))), (k > j) - (j > k)
-
-
-def _packed_rows(sig, gam):
-    """The packed sig and gam rows as views of (3, 3, ...) sigma and gamma."""
-    return [sig[jk] for jk in _UPPER], [gam[jk] for jk in _UPPER[:3]]
 
 
 # the 17 scalar rows of a packed bundle: gperp, dpar, tilt, divo, sig, gam
@@ -561,15 +595,6 @@ def _whole_grid(state, order):
     return _Stencil(state.grid.spacing, order, 0)
 
 
-def _stored_bundle(bundle):
-    """The _Bundle of a GradientBundle, as views: sigma and gamma are read
-    above the diagonal (and sigma on it)."""
-    return _Bundle(_vector_components(bundle.grad_perp_rho), bundle.par_grad_rho,
-                   _vector_components(bundle.omega_tilt), bundle.div_omega,
-                   *_packed_rows(_tensor_components(bundle.sigma_omega),
-                           _tensor_components(bundle.gamma_omega)))
-
-
 def decompose_gradients(state: FieldState, scheme_order: int = 2) -> GradientBundle:
     """Finite-difference gradients followed by exact tensor projections.
 
@@ -579,43 +604,23 @@ def decompose_gradients(state: FieldState, scheme_order: int = 2) -> GradientBun
 
     The bundle is formed slab by slab (_slabs, about SLAB_CELLS cells of
     whole axis-0 planes each) from rho and omega on the slab's planes plus
-    one derivative level of halo, straight into its 26-row output: sigma
-    and gamma above the diagonal (and sigma's diagonal) as _bundle_fields
-    forms them, then sigma's lower triangle by copy, gamma's by negation
-    and gamma's diagonal as zeros.  Every cell sees the same operations as
-    on the whole grid, so the result does not depend on the slab size.
+    one derivative level of halo, straight into the 17 packed rows the
+    GradientBundle holds, as _bundle_fields forms them.  Every cell sees the
+    same operations as on the whole grid, so the result does not depend on
+    the slab size.
     """
     _check_state(state, scheme_order)
-    shape = state.grid.shape
-    # gperp, dpar, tilt and divo as in a packed bundle, then sigma and gamma
-    # as whole 3 x 3 blocks: 26 rows
-    rows = np.empty((26,) + shape)
-    sig, gam = (rows[r:r + 9].reshape((3, 3) + shape) for r in (8, 17))
+    rows = np.empty((_BUNDLE_ROWS,) + state.grid.shape)
     for i0, i1, rho, om, st in _slabs(state, scheme_order, 1):
-        slab, s, g = rows[:, i0:i1], sig[:, :, i0:i1], gam[:, :, i0:i1]
-        _bundle_fields(rho, om, st, _Bundle(slab[0:3], slab[3], slab[4:7], slab[7],
-                                            *_packed_rows(s, g)))
-        for j, k in _UPPER[:3]:
-            s[k, j] = s[j, k]
-            np.negative(g[j, k], out=g[k, j])
-        for j in range(3):
-            g[j, j] = 0.0
-    return GradientBundle(
-        scheme_order=scheme_order,
-        grad_perp_rho=np.moveaxis(rows[0:3], 0, -1),
-        par_grad_rho=rows[3],
-        omega_tilt=np.moveaxis(rows[4:7], 0, -1),
-        div_omega=rows[7],
-        sigma_omega=np.moveaxis(sig, (0, 1), (-2, -1)),
-        gamma_omega=np.moveaxis(gam, (0, 1), (-2, -1)),
-    )
+        _bundle_fields(rho, om, st, _bundle_rows(rows[:, i0:i1]))
+    return GradientBundle(scheme_order=scheme_order, rows=rows)
 
 
 def evaluate_r1(state: FieldState, bundle: GradientBundle, beta: float,
                 gamma: float) -> np.ndarray:
     """Mass-equation correction field, at the bundle's scheme order."""
     _check_bundle(state, bundle)
-    return _r1_field(state.rho, _omega_components(state), _stored_bundle(bundle),
+    return _r1_field(state.rho, _omega_components(state), _bundle_rows(bundle.rows),
                      beta, gamma, _whole_grid(state, bundle.scheme_order))
 
 
@@ -641,7 +646,7 @@ def _r2_on_grid(add, state, bundle, zeta):
     _check_bundle(state, bundle)
     _check_positive_density(state.rho.min())
     out = np.zeros((3,) + state.grid.shape)
-    add(out, state.rho, _omega_components(state), _stored_bundle(bundle),
+    add(out, state.rho, _omega_components(state), _bundle_rows(bundle.rows),
         _whole_grid(state, bundle.scheme_order), zeta)
     return np.moveaxis(out, 0, -1)
 
@@ -938,8 +943,28 @@ def save_field_npz(state: FieldState, path):
              spacing=np.array(state.grid.spacing), rho=state.rho, omega=state.omega)
 
 
+# the arrays save_field_npz writes
+FIELD_NPZ_KEYS = ("shape", "spacing", "rho", "omega")
+
+
 def load_field_npz(path) -> FieldState:
-    with np.load(path) as data:
-        grid = Grid(shape=tuple(int(v) for v in data["shape"]),
-                    spacing=tuple(float(v) for v in data["spacing"]))
-        return FieldState(grid=grid, rho=data["rho"], omega=data["omega"]).validate()
+    """Read a field state written by save_field_npz.  A path that cannot be
+    read, a file that is not an npz archive and an archive without one of
+    FIELD_NPZ_KEYS raise FieldStateError naming the path."""
+    try:
+        data = np.load(path, allow_pickle=False)
+    except (OSError, ValueError, zipfile.BadZipFile) as exc:
+        raise FieldStateError(f"cannot read field npz {path}: {exc}") from None
+    if not isinstance(data, np.lib.npyio.NpzFile):
+        raise FieldStateError(f"field npz {path} is a single array, not an npz archive")
+    with data:
+        missing = [key for key in FIELD_NPZ_KEYS if key not in data.files]
+        if missing:
+            raise FieldStateError(f"field npz {path} has no {', '.join(missing)} "
+                                  f"(expected {', '.join(FIELD_NPZ_KEYS)})")
+        try:
+            shape, spacing, rho, omega = (data[key] for key in FIELD_NPZ_KEYS)
+        except (OSError, ValueError, zipfile.BadZipFile) as exc:
+            raise FieldStateError(f"cannot read field npz {path}: {exc}") from None
+    grid = Grid(shape=tuple(int(v) for v in shape), spacing=tuple(float(v) for v in spacing))
+    return FieldState(grid=grid, rho=rho, omega=omega).validate()

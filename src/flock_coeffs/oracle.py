@@ -18,6 +18,8 @@ it checks, each a plain function of the kernel and the values it checks:
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 from numpy.polynomial import legendre as npleg
 from scipy.linalg import solve_banded
@@ -37,6 +39,37 @@ __all__ = [
     "source_orthogonality",
     "compare_spectral_fd",
 ]
+
+
+class _DenseGrid:
+    """The m-cell cell-centered grid of fd_solve and what every solve on it
+    reads: the cell and face nodes, the weight at both, shifted by its
+    maximum over them, nu/d at the cells, and (built on first use) the
+    weight at the nodes of the high-order rule of the type-2 solvability
+    check."""
+
+    def __init__(self, kernel: CollisionKernel, m: int):
+        if m < 100:
+            raise DomainError(f"oracle resolution m must be >= 100, got {m}")
+        self.kernel = kernel
+        self.m = m
+        self.dx = dx = 2.0 / m
+        self.x = x = -1.0 + (np.arange(m) + 0.5) * dx
+        faces = -1.0 + np.arange(m + 1) * dx
+        self.s2_face = 1.0 - faces * faces
+        self.s2 = 1.0 - x * x
+        lw_cell = kernel.log_weight(x)
+        lw_face = kernel.log_weight(faces)
+        self.shift = float(max(lw_cell.max(), lw_face.max()))
+        self.w_face = np.exp(lw_face - self.shift)
+        self.w_cell = np.exp(lw_cell - self.shift)
+        self.nu_over_d = np.asarray(kernel.nu(x), dtype=float) / kernel.d
+
+    @cached_property
+    def solvability_rule(self):
+        """(rule, shifted weight at its nodes) of the type-2 data check."""
+        rule = build_rule(quadrature_size(self.kernel, 96))
+        return rule, np.exp(self.kernel.log_weight(rule.nodes) - self.shift)
 
 
 def fd_solve(kernel: CollisionKernel, problem_type: int, alpha, f, m: int,
@@ -69,73 +102,68 @@ def fd_solve(kernel: CollisionKernel, problem_type: int, alpha, f, m: int,
     second-order accuracy the raw one loses at the endpoints.  The returned
     values are the full solution either way.
     """
-    if m < 100:
-        raise DomainError(f"oracle resolution m must be >= 100, got {m}")
-    dx = 2.0 / m
-    x = -1.0 + (np.arange(m) + 0.5) * dx
-    faces = -1.0 + np.arange(m + 1) * dx
-    s2_face = 1.0 - faces * faces
-    s2 = 1.0 - x * x
+    grid = _DenseGrid(kernel, m)
+    return grid.x, _fd_solve_on(grid, problem_type, alpha, f, reduced_order)
 
-    lw_cell = kernel.log_weight(x)
-    lw_face = kernel.log_weight(faces)
-    shift = float(max(lw_cell.max(), lw_face.max()))
-    w_face = np.exp(lw_face - shift)
-    w_cell = np.exp(lw_cell - shift)
 
-    f_vals = np.asarray(f(x), dtype=float) * w_cell
+def _fd_solve_on(grid: _DenseGrid, problem_type, alpha, f, k, f_cells=None):
+    """fd_solve's solution on `grid`; `f_cells`, when given, is f/w at the
+    cells in place of f(grid.x), and f itself is read only by the type-2
+    solvability check."""
+    d = grid.kernel.d
+    x, dx, s2, w_cell = grid.x, grid.dx, grid.s2, grid.w_cell
+    f_vals = np.asarray(f(x) if f_cells is None else f_cells, dtype=float) * w_cell
 
     if problem_type == 1:
         alpha_vals = np.asarray(alpha(x), dtype=float) * w_cell
         if not (alpha_vals.min() > 0):
             raise PreconditionError(
                 f"alpha must be positive for the coercive problem; min on the dense "
-                f"grid {alpha_vals.min():.3e} at d = {kernel.d:g}")
+                f"grid {alpha_vals.min():.3e} at d = {d:g}")
         # substituted variable u = g / (1-mu^2)^(k/2): conservative form
         #   -d/dmu( w (1-mu^2)^(k+1) du/dmu ) + V u = f (1-mu^2)^(k/2-1)
         # with V = (1-mu^2)^(k-1) (k w [s2 + (nu/d) mu s2 - k mu^2] + alpha);
         # k = 0 is the raw variable, with the equation divided by (1-mu^2)
-        k = int(reduced_order)
-        nu_over_d = np.asarray(kernel.nu(x), dtype=float) / kernel.d
-        cvals = w_face * s2_face ** (k + 1) / dx**2
+        k = int(k)
+        nu_over_d = grid.nu_over_d
+        cvals = grid.w_face * grid.s2_face ** (k + 1) / dx**2
         V = s2 ** (k - 1) * (k * w_cell * (s2 + nu_over_d * x * s2 - k * x * x) + alpha_vals)
         diag = cvals[:-1] + cvals[1:] + V
         rhs = f_vals * s2 ** (k / 2.0 - 1.0)
-        ab = np.zeros((3, m))
+        ab = np.zeros((3, grid.m))
         ab[0, 1:] = -cvals[1:-1]
         ab[1] = diag
         ab[2, :-1] = -cvals[1:-1]
         g = s2 ** (k / 2.0) * solve_banded((1, 1), ab, rhs)
         if not np.all(np.isfinite(g)):
             raise SolverError(f"finite-difference solve produced non-finite values "
-                              f"at d = {kernel.d:g}")
-        return x, g
+                              f"at d = {d:g}")
+        return g
 
     if problem_type == 2:
         # high-order check of the solvability condition (midpoint sums are
         # only O(dx^2) and would mask genuinely admissible data)
-        rule = build_rule(quadrature_size(kernel, 96))
-        fmean = float(rule.weights @ (np.asarray(f(rule.nodes), dtype=float)
-                                      * np.exp(kernel.log_weight(rule.nodes) - shift)))
+        rule, w_rule = grid.solvability_rule
+        fmean = float(rule.weights @ (np.asarray(f(rule.nodes), dtype=float) * w_rule))
         if not abs(fmean) < 1e-10:  # also rejects non-finite data
             raise PreconditionError(
                 f"type-2 data must have zero mean; int f dmu = {fmean:.6e} "
-                f"at d = {kernel.d:g}")
-        cond = w_face[1:-1] * s2_face[1:-1] / dx**2  # interior faces
+                f"at d = {d:g}")
+        cond = grid.w_face[1:-1] * grid.s2_face[1:-1] / dx**2  # interior faces
         if not cond.min() > 0:  # also rejects NaN
             raise SolverError(
                 f"dense-grid conductance vanishes or is not finite (min {cond.min():.3e}): "
-                f"the weight underflows across the grid at d = {kernel.d:g}")
+                f"the weight underflows across the grid at d = {d:g}")
         lam = f_vals.sum() / w_cell.sum()
         flux = -np.cumsum(f_vals - lam * w_cell)
-        g = np.empty(m)
+        g = np.empty(grid.m)
         g[0] = 0.0
         np.cumsum(flux[:-1] / cond, out=g[1:])
         g -= g.mean()
         if not np.all(np.isfinite(g)):
             raise SolverError(f"finite-difference solve produced non-finite values "
-                              f"at d = {kernel.d:g}")
-        return x, g
+                              f"at d = {d:g}")
+        return g
 
     raise PreconditionError(f"problem_type must be 1 or 2, got {problem_type}")
 
@@ -377,22 +405,29 @@ def compare_spectral_fd(kernel: CollisionKernel, c, profiles: dict,
     grid from the same data, in the substituted variable where the solution
     carries an endpoint factor, and compared with the pipeline's profile of
     the same name; zero-mean gauges are aligned by subtracting the dense-grid
-    mean from both solutions before comparing.  The six spectral profiles
-    are evaluated on the dense grid together, in blocked Vandermonde products.
+    mean from both solutions before comparing.
+
+    The grid, with the weight at its cells and faces, nu/d and the type-2
+    solvability rule, is built once per call and shared by the six solves,
+    each the solver fd_solve runs, so five distances are those of six
+    fd_solve calls to the bit.  The six spectral profiles are evaluated on
+    it first, together, in blocked Vandermonde products, and b2's data
+    2 b1 - c1/d read b1's column there.
     """
+    grid = _DenseGrid(kernel, m)
+    x = grid.x
     probs = elliptic_problem_data(kernel, c, b1=profiles["b1"])
-    dense = {name: fd_solve(kernel, spec["ptype"], spec["alpha"], spec["f"], m,
-                            reduced_order=spec["sing_order"])
-             for name, spec in probs.items()}
-    x = dense["gci"][0]  # every solve returns the same grid
-    coefs = np.zeros((max(len(profiles[name].coef) for name in probs), len(probs)))
-    for j, name in enumerate(probs):
+    names = list(probs)
+    coefs = np.zeros((max(len(profiles[name].coef) for name in names), len(names)))
+    for j, name in enumerate(names):
         coefs[:len(profiles[name].coef), j] = profiles[name].coef
     reduced = _legendre_columns(x, coefs)
+    dense_data = {"b2": 2.0 * reduced[:, names.index("b1")] - c[0] / kernel.d}
     out = {}
     for j, (name, spec) in enumerate(probs.items()):
+        g_dense = _fd_solve_on(grid, spec["ptype"], spec["alpha"], spec["f"],
+                               spec["sing_order"], f_cells=dense_data.get(name))
         g_spec = (1.0 - x * x) ** (spec["sing_order"] / 2.0) * reduced[:, j]
-        g_dense = dense[name][1]
         if spec["ptype"] == 2:
             g_spec = g_spec - g_spec.mean()
             g_dense = g_dense - g_dense.mean()

@@ -247,15 +247,16 @@ def _field_checks(report, coeffs, seed):
         bundle = decompose_gradients(state)
         om = fields._omega_components(state)
         cu = curl(om, state.grid)
-        # omega_tilt - curl x omega, one component at a time into a
-        # C-contiguous grid + (3,) array
-        diff = np.empty(state.grid.shape + (3,))
+        # omega_tilt - curl x omega, squared and summed one component at a
+        # time in one grid scalar
+        total = 0.0
         for k in range(3):
             i, j = (k + 1) % 3, (k + 2) % 3
-            cross = cu[i] * om[j]
-            cross -= cu[j] * om[i]
-            np.subtract(bundle.omega_tilt[..., k], cross, out=diff[..., k])
-        return float(np.sqrt(np.mean(diff**2)))
+            diff = cu[i] * om[j]
+            diff -= cu[j] * om[i]
+            np.subtract(bundle.omega_tilt[..., k], diff, out=diff)
+            total += float(np.square(diff, out=diff).sum())
+        return float(np.sqrt(total / (3 * state.rho.size)))
 
     e_coarse, e_fine = tilt_gap(24), tilt_gap(48)
     ratio = e_coarse / e_fine

@@ -130,9 +130,11 @@ def solve_type2_bordered(kernel, f, n, rule):
     nu_over_d = np.asarray(kernel.nu(x), dtype=float) / kernel.d
     lw = kernel.log_weight(x)
     w = np.exp(lw - lw.max())
-    # derivative columns by Clenshaw from legder, not the solvers' recurrence
+    # derivative columns through legder's differentiation matrices, not the
+    # solvers' recurrence
     eye = np.eye(n + 1)
-    V, Vd, Vdd = (npleg.legval(x, npleg.legder(eye, m, axis=0)).T for m in (0, 1, 2))
+    V = npleg.legvander(x, n)
+    Vd, Vdd = (V[:, :n + 1 - m] @ npleg.legder(eye, m, axis=0) for m in (1, 2))
     ops = -s2[:, None] * Vdd + (2.0 * x - nu_over_d * s2)[:, None] * Vd
     K = np.zeros((n + 2, n + 2))
     K[:-1, :-1] = V.T @ (ops * qw[:, None])

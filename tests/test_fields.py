@@ -354,6 +354,25 @@ def test_npz_roundtrip(tmp_path):
     assert np.array_equal(back.omega, state.omega)
 
 
+def test_npz_load_rejects_unreadable_input(tmp_path):
+    # a missing path, a file that is not an npz archive, an archive without
+    # omega and a single saved array are each a FieldStateError naming the path
+    state = make_field("uniform", (3, 3, 3))
+    missing = tmp_path / "missing.npz"
+    text = tmp_path / "text.npz"
+    text.write_text(FIELD_CSV_HEADER + "\n0,0,0,1,0,0,1\n")
+    no_omega = tmp_path / "no-omega.npz"
+    np.savez(no_omega, shape=np.array(state.grid.shape),
+             spacing=np.array(state.grid.spacing), rho=state.rho)
+    single = tmp_path / "single.npy"
+    np.save(single, state.rho)
+    for path, match in ((missing, "cannot read"), (text, "cannot read"),
+                        (no_omega, "has no omega"), (single, "not an npz archive")):
+        with pytest.raises(FieldStateError, match=match) as err:
+            load_field_npz(path)
+        assert str(path) in str(err.value)
+
+
 def test_unknown_field_name():
     with pytest.raises(DomainError):
         make_field("vortex-soup", (4, 4, 4))
@@ -804,11 +823,11 @@ def traced_peak(run):
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("what,scalars", [("make_field", 4), ("decompose_gradients", 26)])
+@pytest.mark.parametrize("what,scalars", [("make_field", 4), ("decompose_gradients", 17)])
 def test_streamed_set_up_does_not_grow_with_the_grid(monkeypatch, what, scalars):
     # as for evaluate_corrections: two grids that differ only in n0 stream
     # the same slabs, so the traced peak grows by the outputs (rho and omega,
-    # or the 26 bundle rows) and by far less than a sixteenth of them more;
+    # or the 17 packed bundle rows) and by far less than a sixteenth of them more;
     # whole-grid builds, with their grid-sized temporaries, fail this
     monkeypatch.setattr(fields, "SLAB_CELLS", 4 * 16 * 16)
     states = {n0: make_field("random-smooth", (n0, 16, 16), seed=29) for n0 in (24, 48)}
@@ -837,6 +856,44 @@ def test_corrections_match_the_public_readers(monkeypatch, shape, order):
     r1 = evaluate_r1(state, bundle, SLAB_COEFFS.beta, SLAB_COEFFS.gamma)
     assert corr.r1.tobytes() == r1.tobytes()
     assert corr.r2.tobytes() == evaluate_r2(state, bundle, SLAB_COEFFS).tobytes()
+
+
+def test_bundle_holds_17_packed_rows():
+    # the bundle is its 17 rows and nothing else grid-sized: at 48^3 the
+    # traced peak of decompose_gradients is the rows plus the slab buffers
+    # (a 26-row bundle alone is 21.9 MiB); the vector and scalar entries are
+    # views of the rows, the tensors new arrays on each access
+    state = make_field("random-smooth", (48,) * 3, seed=33)
+    decompose_gradients(state)
+    peak = traced_peak(lambda: decompose_gradients(state))
+    assert peak < 18 * 2**20
+    b = decompose_gradients(state)
+    assert b.rows.shape == (17,) + state.grid.shape
+    for name in ("grad_perp_rho", "par_grad_rho", "omega_tilt", "div_omega"):
+        assert np.shares_memory(getattr(b, name), b.rows), name
+    for name in ("sigma_omega", "gamma_omega"):
+        tensor = getattr(b, name)
+        assert tensor.shape == state.grid.shape + (3, 3)
+        assert not np.shares_memory(tensor, b.rows)
+        assert getattr(b, name) is not tensor
+
+
+@pytest.mark.parametrize("order", [2, 4])
+def test_bundle_tensors_are_built_from_the_packed_rows(order):
+    # sigma is symmetric and gamma antisymmetric with a zero diagonal, to
+    # the bit, and their entries on and above the diagonal are the rows
+    state = make_field("random-smooth", (13, 12, 11), seed=34)
+    b = decompose_gradients(state, scheme_order=order)
+    sig, gam = b.sigma_omega, b.gamma_omega
+    assert np.array_equal(sig, sig.swapaxes(-1, -2))
+    assert np.array_equal(gam, -gam.swapaxes(-1, -2))
+    for j in range(3):
+        assert not gam[..., j, j].any()
+    packed = fields._bundle_rows(b.rows)
+    for row, (j, k) in enumerate(fields._UPPER):
+        assert sig[..., j, k].tobytes() == packed.sig[row].tobytes()
+        if j != k:
+            assert gam[..., j, k].tobytes() == packed.gam[row].tobytes()
 
 
 def lattice_state(shape, spacing):

@@ -7,6 +7,7 @@ from flock_coeffs.elliptic import MuProfile, _basis, elliptic_problem_data
 from flock_coeffs.errors import DomainError, PreconditionError, SolverError
 from flock_coeffs.kernel import constant_kernel, even_poly_kernel, registry_kernels
 from flock_coeffs.oracle import (
+    _legendre_columns,
     compare_spectral_fd,
     fd_solve,
     gci_orthogonality,
@@ -303,6 +304,48 @@ def test_spectral_fd_type2_at_small_d(d):
     out = compare_spectral_fd(kernel, p.c, p.profiles, m=20000)
     assert out["a_par"] <= 1e-6
     assert out["b2"] <= 1e-6
+
+
+def compare_by_public_solves(kernel, c, profiles, m):
+    """compare_spectral_fd from six public fd_solve calls, each building its
+    own grid, with b2's data read through elliptic_problem_data (b1 by its
+    Clenshaw sum) and the profiles evaluated as compare_spectral_fd does."""
+    probs = elliptic_problem_data(kernel, c, b1=profiles["b1"])
+    dense = {name: fd_solve(kernel, spec["ptype"], spec["alpha"], spec["f"], m,
+                            reduced_order=spec["sing_order"])
+             for name, spec in probs.items()}
+    x = dense["gci"][0]
+    coefs = np.zeros((max(len(profiles[name].coef) for name in probs), len(probs)))
+    for j, name in enumerate(probs):
+        coefs[:len(profiles[name].coef), j] = profiles[name].coef
+    reduced = _legendre_columns(x, coefs)
+    out = {}
+    for j, (name, spec) in enumerate(probs.items()):
+        assert dense[name][0].tobytes() == x.tobytes()
+        g_spec = (1.0 - x * x) ** (spec["sing_order"] / 2.0) * reduced[:, j]
+        g_dense = dense[name][1]
+        if spec["ptype"] == 2:
+            g_spec = g_spec - g_spec.mean()
+            g_dense = g_dense - g_dense.mean()
+        out[name] = float(np.linalg.norm(g_spec - g_dense) / (np.linalg.norm(g_spec) + 1e-300))
+    return out
+
+
+@pytest.mark.parametrize("d", [0.5, 0.1])
+def test_shared_dense_grid_matches_public_solves(d):
+    # the six solves on one shared grid are fd_solve's to the bit; b2's
+    # data read b1 from its dense column, not by Clenshaw, which may round
+    # differently
+    for kernel in registry_kernels(d=d):
+        p = run_pipeline(kernel, 64, 0.1)
+        got = compare_spectral_fd(kernel, p.c, p.profiles, m=20000)
+        ref = compare_by_public_solves(kernel, p.c, p.profiles, m=20000)
+        assert list(got) == list(ref)
+        for name in ref:
+            if name == "b2":
+                assert abs(got[name] - ref[name]) <= 1e-14, (kernel.model, got[name], ref[name])
+            else:
+                assert got[name] == ref[name], (kernel.model, name)
 
 
 def test_negative_mode_index_rejected(pipeline_even):
