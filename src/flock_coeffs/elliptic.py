@@ -13,7 +13,8 @@ type-1 solution space forces g to vanish like (1-mu^2)^(k/2) at the endpoints
 u = g / (1-mu^2)^(k/2), represented in a Legendre basis.  Type-2 solutions are
 smooth and are solved directly in the zero-mean gauge: the operator
 annihilates the Legendre P0 term, so the unknown in that slot is replaced by
-a Lagrange multiplier and the system stays square.
+a Lagrange multiplier on P0 itself, L u + lambda = f/w, and the system stays
+square.
 
 Both problems are solved in one formulation: the strong equation divided
 through by the weight w (for type 1 also by (1-mu^2)^(k/2)), tested against
@@ -23,10 +24,9 @@ and f/w (the six problems of the pipeline are stated once, in that form, by
 a polynomial of degree p, the coefficients and the pipeline's data are
 polynomials: the scheme is Lanczos's tau method (J. Math. Phys. 17, 1938),
 assembled exactly on a weight-free rule of n + ceil(p/2) + 3 nodes
-(operator_rule).  Only the type-2 gauge column and solvability integral
-need the weight's rule.  The weighted Galerkin form and the scheme
-assembled on the weight's rule live in `tests/test_elliptic.py` as
-references.
+(operator_rule).  Only the type-2 solvability integral needs the weight's
+rule.  The weighted Galerkin form and the scheme assembled on the weight's
+rule live in `tests/test_elliptic.py` as references.
 """
 
 from __future__ import annotations
@@ -173,12 +173,11 @@ class _Factors:
     """LU factors of one discrete operator, kept on its rule (rule.factors).
 
     `nodal` maps the unknowns to the operator's values at the rule nodes;
-    `gauge` is the type-2 column 0 (_factor); `condition` is the 1-norm
-    estimate of the factored system's condition number.
+    `condition` is the 1-norm estimate of the factored system's condition
+    number.
     """
 
     nodal: np.ndarray
-    gauge: np.ndarray | None
     lu: np.ndarray
     piv: np.ndarray
     condition: float
@@ -220,19 +219,19 @@ def _inverse_norm1(lu, piv) -> float:
     return max(est, 2.0 * float(np.abs(dgetrs(lu, piv, alt)[0]).sum()) / (3 * n))
 
 
-def _factor(rule, key, n, coefs, what, d, gauge=None) -> _Factors:
+def _factor(rule, key, n, coefs, what, d) -> _Factors:
     """Factors of the degree-n operator with nodal coefficients `coefs()`
     tested against the Legendre basis, once per rule and `key`.
 
-    With moments `gauge` (type 2, no zero-order term), the operator's
-    column 0 is identically zero, since P0' = P0'' = 0; the moments
-    int w P_j dmu fill the system's column 0 instead.  The unknown in slot 0
-    becomes a Lagrange multiplier and the P0 coefficient is fixed at zero,
-    which is the zero-mean gauge int g dmu = 0 (the column must have a
-    component outside the range of the operator; the multiplier absorbs any
-    truncation-level inconsistency of the data).  The nodal operator matrix
-    is kept with the factors: the solves form their images and defects from
-    it (_defect).
+    Without a zero-order term (type 2) the operator's column 0 is
+    identically zero, since P0' = P0'' = 0; P0's own values fill it instead.
+    The unknown in slot 0 becomes a Lagrange multiplier lambda, the system
+    is L u + lambda = f/w, and the P0 coefficient is fixed at zero, which is
+    the zero-mean gauge int g dmu = 0 (the constant is outside the range of
+    the divided operator, whose left null vector is w > 0; the multiplier
+    absorbs any truncation-level inconsistency of the data).  The nodal
+    matrix, multiplier column included, is kept with the factors: the
+    solves form their images and defects from it (_defect).
     """
     factors = rule.factors.get(key)
     if factors is not None:
@@ -240,29 +239,26 @@ def _factor(rule, key, n, coefs, what, d, gauge=None) -> _Factors:
     V, Vd, Vdd = _basis(rule, n)
     c2, c1, c0 = coefs()
     nodal = Vdd * c2[:, None] + Vd * c1[:, None]
-    if c0 is not None:
+    if c0 is None:
+        nodal[:, 0] = 1.0
+    else:
         nodal += V * c0[:, None]
     A = V.T @ (nodal * rule.weights[:, None])
-    if gauge is not None:
-        A[:, 0] = gauge
     anorm = float(np.linalg.norm(A, 1))
     lu, piv, info = dgetrf(A, overwrite_a=True)
     if info > 0:  # exactly zero pivot
         raise SolverError(f"{what}: singular discrete system at d = {d:g}", np.inf)
-    factors = _Factors(nodal, gauge, lu, piv, anorm * _inverse_norm1(lu, piv))
+    factors = _Factors(nodal, lu, piv, anorm * _inverse_norm1(lu, piv))
     # a concurrent factorization of the same operator loses to the one stored first
     return rule.factors.setdefault(key, factors)
 
 
 def _defect(factors, V, qw, F, sol):
-    """Nodal image of `sol` under the operator of _factor (gauge column left
-    out) and its defect in the system, formed from that image rather than
-    from the assembled matrix, which is not kept."""
+    """Nodal image of `sol` under the operator of _factor and its defect in
+    the system, formed from that image rather than from the assembled
+    matrix, which is not kept."""
     image = factors.nodal @ sol
-    defect = V.T @ (qw * image) - F
-    if factors.gauge is not None:
-        defect += sol[0] * factors.gauge
-    return image, defect
+    return image, V.T @ (qw * image) - F
 
 
 def _solve(factors, V, qw, F, d, what):
@@ -274,7 +270,7 @@ def _solve(factors, V, qw, F, d, what):
     defect, formed from nodal values, is more accurate than the rounded
     Galerkin sums of the assembled matrix: at the small-d end of the range
     the refinement takes b2's solvability integral from rounding noise of
-    1e-10 to 1e-9 down to 1e-12.
+    1e-10 to 1e-9, on either side of its 1e-10 bound, down to 1e-13.
     """
     # scipy's getrs shifts the pivots in place around the LAPACK call, with
     # the GIL released: solves sharing the cached factors each take a copy
@@ -291,8 +287,7 @@ def _solve(factors, V, qw, F, d, what):
     return sol, image, linres
 
 
-def _checked_solve(kernel, rule, n, k, key, coefs, rhs, name, divisor=1.0,
-                   gauge=None) -> MuProfile:
+def _checked_solve(kernel, rule, n, k, key, coefs, rhs, name, divisor=1.0) -> MuProfile:
     """The solve both problem types share, on the divided equation with
     nodal data `rhs` at the nodes of the operator rule `rule`.
 
@@ -302,21 +297,19 @@ def _checked_solve(kernel, rule, n, k, key, coefs, rhs, name, divisor=1.0,
     residual, the pointwise defect at the rule's nodes divided by `divisor`
     like the data, is recorded relative to the data in `meta["residual"]`;
     a non-finite value means the data overflowed or underflowed at the
-    nodes, which no degree can repair, so it is raised.  A type-2 `gauge`,
-    (moments int w P_j dmu, w at the nodes), makes it the defect of
-    L u + multiplier * w = data, so data whose mean is not exactly zero
-    (rounding in the constants they are built from) count against the solve
-    only through what the multiplier does not absorb; the multiplier is
-    taken out of slot 0, whose Legendre coefficient is zero.  `meta` also
-    carries the node count, the linear residual, the 1-norm condition
-    estimate (_inverse_norm1, reproducible to the bit) and the multiplier.
+    nodes, which no degree can repair, so it is raised.  For type 2 (k = 0)
+    it is the defect of L u + multiplier = data, so data whose mean is not
+    exactly zero (rounding in the constants they are built from) count
+    against the solve only through what the multiplier does not absorb; the
+    multiplier is taken out of slot 0, whose Legendre coefficient is zero.
+    `meta` also carries the node count, the linear residual, the 1-norm
+    condition estimate (_inverse_norm1, reproducible to the bit) and the
+    multiplier.
     """
     what, d, qw = f"{name} solve", kernel.d, rule.weights
-    factors = _factor(rule, key, n, coefs, what, d, None if gauge is None else gauge[0])
+    factors = _factor(rule, key, n, coefs, what, d)
     V = _basis(rule, n, 0)[0]
     sol, image, linres = _solve(factors, V, qw, V.T @ (qw * rhs), d, what)
-    if gauge is not None:
-        image += sol[0] * gauge[1]
     scale = float(np.max(np.abs(rhs / divisor))) or 1.0
     residual = float(np.max(np.abs((image - rhs) / divisor)) / scale)
     if not np.isfinite(residual):
@@ -324,7 +317,7 @@ def _checked_solve(kernel, rule, n, k, key, coefs, rhs, name, divisor=1.0,
     meta = {"problem": key[0], "sing_order": k, "degree": n, "nodes": rule.n,
             "residual": residual, "linear_residual": linres,
             "condition": factors.condition}
-    if gauge is not None:
+    if k == 0:
         meta["multiplier"] = float(sol[0])
         sol[0] = 0.0
     meta["formulation"] = "divided"
@@ -389,11 +382,11 @@ def solve_type2(kernel: CollisionKernel, f, n: int, *,
 
     As for solve_type1, the divided equation, with f/w as its data, is
     tested against unweighted Legendre polynomials on operator_rule(kernel,
-    n, rule), where the profile is returned.  The weight enters only the
-    solvability integral and the gauge column, its moments int w P_j dmu on
-    eq's rule in place of the operator's null P0 column (_factor).  The
-    system is factored once per rule, keyed by n, the rate callable, d and
-    those moments (a_par and b2 share it); the multiplier and the other
+    n, rule), where the profile is returned; a multiplier on P0 takes the
+    operator's null P0 column (_factor), so the system is
+    L u + multiplier = f/w.  The weight enters only the solvability integral.
+    The system is factored once per rule, keyed by n, the rate callable and
+    d (a_par and b2 share it, whatever `eq`); the multiplier and the other
     `meta` entries are those of _checked_solve.
     """
     rule = operator_rule(kernel, n, rule)
@@ -407,12 +400,8 @@ def solve_type2(kernel: CollisionKernel, f, n: int, *,
             f"int f dmu = {fmean:.6e} at d = {kernel.d:g}"
         )
     x = rule.nodes
-    # the moments of w span the left-null complement of the operator
-    moments = _basis(eq.rule, n, 0)[0].T @ (qw * eq.weight)
-    return _checked_solve(kernel, rule, n, 0,
-                          ("type2", n, kernel.nu, kernel.d, moments.tobytes()),
-                          lambda: _operator_coefs(kernel, x, 0), _sampled(f, x), name,
-                          gauge=(moments, np.exp(kernel.log_weight(x) - eq.shift)))
+    return _checked_solve(kernel, rule, n, 0, ("type2", n, kernel.nu, kernel.d),
+                          lambda: _operator_coefs(kernel, x, 0), _sampled(f, x), name)
 
 
 def elliptic_problem_data(kernel: CollisionKernel, c=None, b1=None) -> dict:

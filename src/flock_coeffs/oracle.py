@@ -89,10 +89,11 @@ def fd_solve(kernel: CollisionKernel, problem_type: int, alpha, f, m: int,
 
     Type 2 solves the bordered system [A, w dx; dx 1^T, 0] exactly by its
     flux recursion, in O(m): the multiplier spreads the data's residual mean
-    over the cells by their weight moments w dx, the same choice as the
-    spectral solver; the face fluxes are the running sums of the balanced
-    data (both end faces close), the cell differences are the fluxes over
-    the conductances, and the last row is the zero-mean gauge.
+    over the cells by their weight moments w dx, which divided through by w
+    is the spectral solver's gauge, L g + lambda = f/w; the face fluxes are
+    the running sums of the balanced data (both end faces close), the cell
+    differences are the fluxes over the conductances, and the last row is
+    the zero-mean gauge.
 
     Type 1 runs one conservative flux-form scheme in the substituted variable
     u = g / (1-mu^2)^(k/2), k = reduced_order (flux coefficient
@@ -382,21 +383,6 @@ def source_orthogonality(kernel: CollisionKernel, h: MuProfile, c,
 
 # --- dense-vs-spectral comparison ------------------------------------------------
 
-# nodes per Legendre-Vandermonde block: a 4096 x 65 block is 2 MB, where the
-# whole 20000-node grid would take a 10 MB matrix
-_BLOCK_NODES = 4096
-
-
-def _legendre_columns(x, coefs) -> np.ndarray:
-    """Values at x of the Legendre series whose coefficients are the columns
-    of `coefs`, one Vandermonde product per block of nodes."""
-    out = np.empty((len(x), coefs.shape[1]))
-    for lo in range(0, len(x), _BLOCK_NODES):
-        block = x[lo:lo + _BLOCK_NODES]
-        out[lo:lo + len(block)] = npleg.legvander(block, coefs.shape[0] - 1) @ coefs
-    return out
-
-
 def compare_spectral_fd(kernel: CollisionKernel, c, profiles: dict,
                         m: int = 20000) -> dict:
     """Relative L2 distance between spectral and dense FD solutions.
@@ -411,7 +397,7 @@ def compare_spectral_fd(kernel: CollisionKernel, c, profiles: dict,
     solvability rule, is built once per call and shared by the six solves,
     each the solver fd_solve runs, so five distances are those of six
     fd_solve calls to the bit.  The six spectral profiles are evaluated on
-    it first, together, in blocked Vandermonde products, and b2's data
+    it first, together, in one Legendre-Vandermonde product, and b2's data
     2 b1 - c1/d read b1's column there.
     """
     grid = _DenseGrid(kernel, m)
@@ -421,7 +407,7 @@ def compare_spectral_fd(kernel: CollisionKernel, c, profiles: dict,
     coefs = np.zeros((max(len(profiles[name].coef) for name in names), len(names)))
     for j, name in enumerate(names):
         coefs[:len(profiles[name].coef), j] = profiles[name].coef
-    reduced = _legendre_columns(x, coefs)
+    reduced = npleg.legvander(x, coefs.shape[0] - 1) @ coefs
     dense_data = {"b2": 2.0 * reduced[:, names.index("b1")] - c[0] / kernel.d}
     out = {}
     for j, (name, spec) in enumerate(probs.items()):

@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import flock_coeffs
 import flock_coeffs.coeffs as coeffs_mod
 from flock_coeffs.cli import main
 from flock_coeffs.coeffs import run_pipeline
@@ -51,6 +56,29 @@ def test_coeffs_sweep_deterministic_output(tmp_path):
     assert run(args + ["-o", str(a)]) == 0
     assert run(args + ["-o", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_coeffs_sweep_agrees_across_blas_thread_counts():
+    # the assembly's gemm sums in an order that depends on the BLAS thread
+    # count, so results at 1 and 2 threads need not be bitwise equal; they
+    # must end alike, at the same degree, and agree to 1e-12 of each set,
+    # down to the small-d edge of the range (d = 0.0007 is 2.9e-13 apart)
+    argv = [sys.executable, "-m", "flock_coeffs.cli", "coeffs", "--nu", "const:1",
+            "--d-min", "0.0007", "--d-max", "0.02", "--steps", "6", "--n", "384",
+            "--format", "json"]
+    src = str(Path(flock_coeffs.__file__).parents[1])
+    runs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   MKL_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        runs.append(subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120))
+    assert [r.returncode for r in runs] == [0, 0], [r.stderr for r in runs]
+    one, two = (json.loads(r.stdout)["sweep"] for r in runs)
+    assert [p["degree"] for p in one] == [p["degree"] for p in two]
+    for a, b in zip(one, two):
+        va, vb = (np.array(p["c"] + [p["beta"], p["gamma"]] + p["zeta"]) for p in (a, b))
+        assert np.max(np.abs(va - vb)) <= 1e-12 * np.max(np.abs(va)), a["d"]
 
 
 def test_coeffs_zero_steps_is_usage_error(capsys):

@@ -20,7 +20,7 @@ from flock_coeffs.elliptic import (
 )
 from flock_coeffs.errors import PreconditionError, SolverError
 from flock_coeffs.kernel import constant_kernel, registry_kernels, tabulated_kernel
-from flock_coeffs.quad import QuadratureRule, build_rule, quadrature_size
+from flock_coeffs.quad import QuadratureRule, build_equilibrium, build_rule, quadrature_size
 
 
 def apply_type1_operator(kernel, alpha, u_coefs, k):
@@ -112,8 +112,11 @@ def solve_type1_weighted(kernel, alpha, f, n, rule, sing_order=1):
 
 # --- bordered form of the conservative problem -----------------------------------
 # The zero-mean gauge imposed by an extra Lagrange row and column, beside the
-# square system the solver builds by putting the gauge column in place of the
-# operator's null P0 column.
+# square system the solver builds by putting the multiplier on P0 in place of
+# the operator's null P0 column.  The border keeps the weight-moment column,
+# a different gauge from the solver's constant one: the two solutions differ
+# only through what the multiplier absorbs, the data's rounding-level mean,
+# and the comparison's bound holds that gap.
 
 def solve_type2_bordered(kernel, f, n, rule):
     """Zero-mean solution of the conservative problem from a bordered system.
@@ -154,8 +157,10 @@ def solve_type2_bordered(kernel, f, n, rule):
 
 # --- the divided scheme assembled on the weight's rule ---------------------------
 # The production system with every integral summed over the equilibrium's
-# rule, sized for the weight, instead of the weight-free operator rule; the
-# gauge column is the weight sampled at those nodes.
+# rule, sized for the weight, instead of the weight-free operator rule.  Its
+# type-2 multiplier column keeps the weight sampled at those nodes, a
+# different gauge from the solver's constant one, which the comparison's
+# bounds (1e-13, 1e-12 at d = 1e-3) include.
 
 def solve_on_weight_rule(kernel, problem, n, eq):
     """One row of elliptic_problem_data solved by the divided Petrov-Galerkin
@@ -310,7 +315,8 @@ def test_type2_annihilates_constants(even_kernel):
     # restricted to nonconstant modes the operator is definite
     assert np.linalg.eigvalsh(A[1:, 1:]).min() > 0
     # the solver's own basis carries the constant mode's derivatives as
-    # exact zeros, so the operator's P0 column is free for the gauge column
+    # exact zeros, so the operator's P0 column is free for the multiplier,
+    # whose column is P0's own values
     for degree in (1, 16, 64):
         _, Vd, Vdd = _basis(rule, degree)
         assert not Vd[:, 0].any() and not Vdd[:, 0].any()
@@ -324,7 +330,9 @@ def test_type2_annihilates_constants(even_kernel):
 ])
 def test_type2_square_system_matches_bordered(kernels, n):
     # a_par and b2 on the pipeline's rule, from the square system with the
-    # gauge column in slot 0 and from the bordered reference above
+    # multiplier on P0 in slot 0 and from the bordered reference above, whose
+    # multiplier column is the weight's moments: a different gauge, which
+    # the 1e-13 bound compares against
     for kernel in kernels():
         p = run_pipeline(kernel, n, 0.1)
         rows = elliptic_problem_data(kernel, c=p.c, b1=p.profiles["b1"])
@@ -344,7 +352,8 @@ def test_type2_square_system_matches_bordered(kernels, n):
 ])
 def test_operator_rule_matches_weight_rule_assembly(kernels, n, rtol):
     # every problem of the pipeline, solved on its operator rule and by the
-    # same scheme assembled on the pipeline's weight rule (reference above);
+    # same scheme assembled on the pipeline's weight rule (reference above,
+    # with the weight-moment multiplier column for type 2);
     # at d = 1e-3 the systems' condition estimates reach 1e5 (for const:1,
     # a_perp's data, and so both solutions, are exactly zero)
     for kernel in kernels():
@@ -407,8 +416,8 @@ def test_gci_residual_small(pipeline_const):
 def test_type2_residual_counts_the_multiplier(d, bound):
     # at large d, b2's data 2 b1 - c1/d cancel, so c1's rounding leaves them
     # a mean of order 1e-5 of their size (0.23 at d = 6e7), which the
-    # gauge column's multiplier absorbs; the strong residual is that of
-    # L u + multiplier * w = data and so measures the solve, not the rounding
+    # multiplier on P0 absorbs; the strong residual is that of
+    # L u + multiplier = data and so measures the solve, not the rounding
     p = run_pipeline(constant_kernel(1.0, d=d), 64, 0.1)
     assert p.hydro.residuals["b2_solve"] <= bound
     assert p.profiles["b2"].meta["multiplier"] != 0.0
@@ -622,6 +631,22 @@ def test_kernels_on_one_rule_keep_their_own_factors():
         own = solve_gci(k, n, rule=build_rule(120))
         assert np.max(np.abs(h.coef - own.coef)) <= 1e-13 * np.max(np.abs(own.coef))
     assert np.max(np.abs(shared[0].coef - shared[1].coef)) > 1e-3
+
+
+def test_type2_factors_do_not_depend_on_the_weight_rule(pipeline_even):
+    # the multiplier's column is P0, so the type-2 system reads no weight:
+    # a_par with its data checked on two equilibria of different sizes is
+    # one factorization on the shared operator rule, and the same solve
+    kernel, n = pipeline_even["kernel"], pipeline_even["n"]
+    row = elliptic_problem_data(kernel, c=pipeline_even["c"])["a_par"]
+    rule = elliptic.operator_rule(kernel, n)
+    sizes = (quadrature_size(kernel, n + 2), n + 40)
+    assert sizes[0] != sizes[1]
+    got = [solve_type2(kernel, row["f"], n, rule=rule, eq=build_equilibrium(kernel, size),
+                       name="a_par") for size in sizes]
+    assert got[0].coef.tobytes() == got[1].coef.tobytes()
+    assert got[0].meta == got[1].meta
+    assert [key[0] for key in rule.factors] == ["type2"]
 
 
 def test_singular_operator_raises_without_warning(even_kernel):

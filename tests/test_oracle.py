@@ -7,7 +7,6 @@ from flock_coeffs.elliptic import MuProfile, _basis, elliptic_problem_data
 from flock_coeffs.errors import DomainError, PreconditionError, SolverError
 from flock_coeffs.kernel import constant_kernel, even_poly_kernel, registry_kernels
 from flock_coeffs.oracle import (
-    _legendre_columns,
     compare_spectral_fd,
     fd_solve,
     gci_orthogonality,
@@ -318,7 +317,7 @@ def compare_by_public_solves(kernel, c, profiles, m):
     coefs = np.zeros((max(len(profiles[name].coef) for name in probs), len(probs)))
     for j, name in enumerate(probs):
         coefs[:len(profiles[name].coef), j] = profiles[name].coef
-    reduced = _legendre_columns(x, coefs)
+    reduced = npleg.legvander(x, coefs.shape[0] - 1) @ coefs
     out = {}
     for j, (name, spec) in enumerate(probs.items()):
         assert dense[name][0].tobytes() == x.tobytes()
