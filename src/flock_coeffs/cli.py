@@ -18,7 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .coeffs import _first_stages, _profiles, compute_coefficients
+from .coeffs import _equilibrium, _profiles, compute_coefficients
+from .elliptic import solve_gci
 from .errors import ConfigError, FlockError
 from .fields import evaluate_corrections, load_field_csv, make_field, save_field_csv
 from .kernel import kernel_from_config, parse_config
@@ -185,8 +186,8 @@ def cmd_profiles(args) -> int:
 
     # only the stages the dump writes: h, c and the five response profiles,
     # the profiles of run_pipeline(kernel, n, kappa)
-    eq, h = _first_stages(kernel, n, kappa)
-    profiles = _profiles(kernel, h, n, eq)[1]
+    eq = _equilibrium(kernel, n, kappa)
+    profiles = _profiles(kernel, solve_gci(kernel, n), n, eq)[1]
 
     def dump(name, prof, values=None, sing_order=0):
         values = prof.values if values is None else values

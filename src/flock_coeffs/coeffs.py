@@ -27,7 +27,6 @@ import numpy as np
 
 from .elliptic import (
     MuProfile,
-    _share_values,
     elliptic_problem_data,
     operator_rule,
     solve_gci,
@@ -88,7 +87,7 @@ def c_relation_residuals(kernel: CollisionKernel, h: MuProfile, c,
     hv = h.values
     nu = np.asarray(kernel.nu(x), dtype=float)
     d = kernel.d
-    qw = eq.rule.weights * eq.weight
+    qw = eq.measure
 
     def _ratio(num_vals, scale_vals):
         return float(abs(qw @ num_vals) / ((qw @ np.abs(scale_vals)) + 1e-300))
@@ -421,13 +420,11 @@ def _profiles(kernel: CollisionKernel, h: MuProfile, n: int, eq: VonMisesEquilib
     return c, {"gci": h_eq, **solve_profiles(kernel, c, n, eq, h.rule)}
 
 
-def _first_stages(kernel: CollisionKernel, n: int, kappa: float):
-    """(eq, h) of run_pipeline: the equilibrium and h at degree n, solved on
-    the operator rule, with the two rules' Legendre values from one call."""
-    eq = _equilibrium(kernel, n, kappa)
-    rule = operator_rule(kernel, n)
-    _share_values(n, rule, eq.rule)
-    return eq, solve_gci(kernel, n, rule)
+def _degree(n) -> int:
+    """The degree n as an int; a DomainError naming n unless it is whole."""
+    if not float(n).is_integer():
+        raise DomainError(f"degree n must be an integer, got {n}")
+    return int(n)
 
 
 def _stages(kernel: CollisionKernel, h: MuProfile, n: int, kappa: float,
@@ -462,8 +459,9 @@ def run_pipeline(kernel: CollisionKernel, n: int, kappa: float) -> Pipeline:
     ordering of the constants is not checked here (see check_ordering); the
     range checks are those of _equilibrium.
     """
-    eq, h = _first_stages(kernel, n, kappa)
-    return _stages(kernel, h, n, kappa, eq)
+    n = _degree(n)
+    eq = _equilibrium(kernel, n, kappa)
+    return _stages(kernel, solve_gci(kernel, n), n, kappa, eq)
 
 
 def check_ordering(hydro: HydroCoefficients) -> None:
@@ -559,6 +557,7 @@ def compute_coefficients(kernel: CollisionKernel, n: int = 64,
     The ordering 0 < c2 < c1 < 1 and c3 > 0 is checked (check_ordering), as
     is beta > 0 (compute_r1_coeffs).
     """
+    n = _degree(n)
     degree = min(n, FIRST_TRIAL_DEGREE)
     while degree < n:
         try:
@@ -569,7 +568,7 @@ def compute_coefficients(kernel: CollisionKernel, n: int = 64,
                 check_ordering(pipe.hydro)
                 rough = [p for p in pipe.profiles.values() if not _plateau(p.coef)]
                 if not rough:
-                    return replace(pipe.hydro, n=int(n))
+                    return replace(pipe.hydro, n=n)
         except FlockError:
             break  # the run at n decides
         degree = _next_degree(degree, n, rough)

@@ -36,6 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial import legendre as npleg
 from scipy.linalg.lapack import dgetrf, dgetrs
+from scipy.special import legendre_p_all
 
 from .errors import InvariantError, PreconditionError, SolverError
 from .kernel import CollisionKernel
@@ -80,7 +81,7 @@ class MuProfile:
         return len(self.coef) - 1
 
     def derivative(self) -> "MuProfile":
-        dcoef = npleg.legder(self.coef)
+        dcoef = _legder(self.coef)
         V = _basis(self.rule, self.degree, 0)[0]  # no derivative basis is built
         return MuProfile(self.rule, dcoef, V[:, :len(dcoef)] @ dcoef)
 
@@ -94,18 +95,32 @@ class MuProfile:
         return MuProfile.from_coef(self.rule, coef, dict(self.meta))
 
 
+def _legder(coef):
+    """npleg.legder(coef) to the bit without its loop: legder adds each
+    coefficient into the one two below it, top down, and scales the sums
+    by 2j+1, which is one reversed cumsum per parity."""
+    if len(coef) == 1:
+        return coef * 0  # legder's degree-0 case, signed zero included
+    sums = np.empty(len(coef) - 1)
+    for p in (0, 1):
+        sums[p::2] = np.cumsum(coef[1 + p::2][::-1])[::-1]
+    return sums * (2.0 * np.arange(len(sums)) + 1.0)
+
+
 def _basis(rule: QuadratureRule, degree: int, order: int = 2):
-    """Legendre values at the rule nodes, (V,) for order 0, with their first
-    and second derivatives for order 2: read-only (n_nodes, degree+1) arrays
-    kept on the rule.  The recurrences P'_{j+1} = P'_{j-1} + (2j+1) P_j and
-    P''_{j+1} = P''_{j-1} + (2j+1) P'_j are running sums over every other
-    column: one cumsum per parity, adding in the recurrences' order.
+    """Legendre values at the rule nodes (legendre_p_all's compiled
+    recurrence), (V,) for order 0, with their first and second derivatives
+    for order 2: read-only (n_nodes, degree+1) arrays in legvander's
+    column-major layout, kept on the rule.  The recurrences P'_{j+1} =
+    P'_{j-1} + (2j+1) P_j and P''_{j+1} = P''_{j-1} + (2j+1) P'_j are
+    running sums over every other column: one cumsum per parity, adding in
+    the recurrences' order.
     """
     basis = rule.bases.get((degree, order))
     if basis is not None:
         return basis
     if order == 0:
-        basis = (npleg.legvander(rule.nodes, degree),)
+        basis = (legendre_p_all(degree, rule.nodes)[0].T,)
     else:
         basis = _basis(rule, degree, 0)
         odd = 2.0 * np.arange(degree) + 1.0
@@ -120,16 +135,6 @@ def _basis(rule: QuadratureRule, degree: int, order: int = 2):
         a.flags.writeable = False
     # a concurrent build of the same basis loses to the one stored first
     return rule.bases.setdefault((degree, order), basis)
-
-
-def _share_values(degree: int, *rules: QuadratureRule) -> None:
-    """Store _basis(rule, degree, 0) of each rule from one legvander call:
-    bitwise a call per rule, at about the cost of one, which the degree sets."""
-    V = npleg.legvander(np.concatenate([rule.nodes for rule in rules]), degree)
-    for rule, part in zip(rules, np.split(V, np.cumsum([rule.n for rule in rules[:-1]]))):
-        part = np.asfortranarray(part)
-        part.flags.writeable = False
-        rule.bases.setdefault((degree, 0), (part,))
 
 
 def _sampled(fn, x):

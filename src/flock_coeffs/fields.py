@@ -949,8 +949,9 @@ FIELD_NPZ_KEYS = ("shape", "spacing", "rho", "omega")
 
 def load_field_npz(path) -> FieldState:
     """Read a field state written by save_field_npz.  A path that cannot be
-    read, a file that is not an npz archive and an archive without one of
-    FIELD_NPZ_KEYS raise FieldStateError naming the path."""
+    read, a file that is not an npz archive, an archive without one of
+    FIELD_NPZ_KEYS and one whose arrays are not real numbers (the shape
+    integers) raise FieldStateError naming the path."""
     try:
         data = np.load(path, allow_pickle=False)
     except (OSError, ValueError, zipfile.BadZipFile) as exc:
@@ -966,5 +967,9 @@ def load_field_npz(path) -> FieldState:
             shape, spacing, rho, omega = (data[key] for key in FIELD_NPZ_KEYS)
         except (OSError, ValueError, zipfile.BadZipFile) as exc:
             raise FieldStateError(f"cannot read field npz {path}: {exc}") from None
+    for key, value in zip(FIELD_NPZ_KEYS, (shape, spacing, rho, omega)):
+        if value.dtype.kind not in ("iu" if key == "shape" else "iuf"):
+            raise FieldStateError(f"field npz {path}: {key} holds {value.dtype} values, "
+                                  f"not {'integers' if key == 'shape' else 'real numbers'}")
     grid = Grid(shape=tuple(int(v) for v in shape), spacing=tuple(float(v) for v in spacing))
     return FieldState(grid=grid, rho=rho, omega=omega).validate()

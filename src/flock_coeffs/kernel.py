@@ -12,11 +12,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
 import numpy as np
 from numpy.polynomial import Legendre, Polynomial
 from numpy.polynomial import legendre as npleg
+from numpy.polynomial.polynomial import polyval
 
 from .errors import ConfigError, DomainError
 
@@ -43,7 +45,9 @@ __all__ = [
 class CollisionKernel:
     """Alignment rate nu(mu), its derivative and antiderivative, and noise d.
 
-    Immutable after construction; safe to share between concurrent solves.
+    Immutable after construction; safe to share between concurrent solves,
+    and hashed and compared by the identity of its callables (for registry
+    kernels, polyval or legval with a series' coefficients bound).
     `sigma` is the antiderivative of `nu` with sigma(0) = 0.  The additive
     constant of sigma is free (it cancels in every normalized average); the
     zero anchor is a convention.  `nu_degree` is the degree of nu as a
@@ -71,7 +75,7 @@ class CollisionKernel:
 
 def _check_mu(mu):
     arr = np.asarray(mu, dtype=float)
-    if np.any(arr < -1.0) or np.any(arr > 1.0):
+    if not np.all((arr >= -1.0) & (arr <= 1.0)):  # also rejects NaN
         raise DomainError(f"mu must lie in [-1, 1], got {mu!r}")
     return arr
 
@@ -96,18 +100,25 @@ def evaluate_kernel(kernel: CollisionKernel, mu):
 def _series_kernel(series, d, model, params):
     """Kernel whose rate nu is a numpy series on the default domain [-1, 1]
     (a power series or a Legendre fit) of degree nu_degree: nu' is its
-    derivative and sigma its antiderivative with sigma(0) = 0.  The kernel
-    keeps the series' bound methods, so it hashes and compares by identity."""
-    nu_min = float(series(np.linspace(-1, 1, 4001)).min())
-    if nu_min <= 0:
+    derivative and sigma its antiderivative with sigma(0) = 0, each held as
+    polyval or legval with its coefficients bound: the series' own
+    evaluation to the bit, without its domain map.  Non-finite coefficients
+    or a nu not positive and finite on [-1, 1] raise ConfigError."""
+    if not np.all(np.isfinite(series.coef)):
+        raise ConfigError(f"nu must have finite coefficients; model {model}{params} "
+                          f"has non-finite ones")
+    val = npleg.legval if isinstance(series, Legendre) else polyval
+    nu = partial(val, c=series.coef)
+    nu_min = float(nu(np.linspace(-1, 1, 4001)).min())
+    if not 0 < nu_min < math.inf:
         raise ConfigError(
-            f"nu must be strictly positive on [-1, 1]; model {model}{params} "
+            f"nu must be positive and finite on [-1, 1]; model {model}{params} "
             f"attains {nu_min:.3e}"
         )
     return CollisionKernel(
-        nu=series.__call__,
-        nu_prime=series.deriv().__call__,
-        sigma=series.integ(lbnd=0).__call__,
+        nu=nu,
+        nu_prime=partial(val, c=series.deriv().coef),
+        sigma=partial(val, c=series.integ(lbnd=0).coef),
         d=float(d),
         nu_min=nu_min,
         nu_degree=series.degree(),

@@ -139,6 +139,7 @@ class VonMisesEquilibrium:
     shift = max sigma/d, so averages are overflow-safe and independent of the
     free additive constant in sigma.  `mass` is int exp(sigma/d - shift) dmu;
     the sphere normalization constant is exp(-shift) / (2 pi mass).
+    `measure` is rule.weights * weight, the product every average takes.
     """
 
     kernel: CollisionKernel
@@ -146,6 +147,7 @@ class VonMisesEquilibrium:
     weight: np.ndarray
     shift: float
     mass: float
+    measure: np.ndarray
 
     @property
     def normalization_constant(self) -> float:
@@ -157,8 +159,7 @@ class VonMisesEquilibrium:
 
     def average(self, g) -> float:
         """Probability average of g(cos theta) against the equilibrium."""
-        values = _values_on(self.rule, g)
-        return float((self.rule.weights * self.weight) @ values / self.mass)
+        return float(self.measure @ _values_on(self.rule, g) / self.mass)
 
 
 def weight_spread(kernel: CollisionKernel) -> float:
@@ -192,7 +193,8 @@ def build_equilibrium(kernel: CollisionKernel, n_quad: int | None = None) -> Von
     shift = float(lw.max())
     weight = np.exp(lw - shift)
     mass = float(rule.weights @ weight)
-    return VonMisesEquilibrium(kernel=kernel, rule=rule, weight=weight, shift=shift, mass=mass)
+    return VonMisesEquilibrium(kernel=kernel, rule=rule, weight=weight, shift=shift, mass=mass,
+                               measure=rule.weights * weight)
 
 
 # a weight whose integral is at most this fraction of its absolute mass is

@@ -286,8 +286,15 @@ def test_fields_domain_errors_are_usage_errors(tmp_path, capsys, argv, message):
     (["verify", "--seed", "-1"], "error: seed must be non-negative, got -1"),
     (["coeffs", "--d-min", "0.1", "--d-max", "inf", "--steps", "3"],
      "error: --d-max must be finite, got inf"),
+    (["coeffs", "--nu", "const:nan", "--d", "0.5"],
+     "error: nu must have finite coefficients; model const(nan,)"),
+    (["coeffs", "--nu", "affine:1,nan"],
+     "error: nu must have finite coefficients; model affine(1.0, nan)"),
+    (["coeffs", "--nu", "evenpoly:1,inf"],
+     "error: nu must have finite coefficients; model evenpoly(1.0, inf)"),
 ], ids=["non-numeric-radius", "nan-radius", "infinite-scale", "extra-nu-parameter",
-        "small-oracle-m", "negative-verify-seed", "infinite-d-max"])
+        "small-oracle-m", "negative-verify-seed", "infinite-d-max", "nan-const-rate",
+        "nan-affine-slope", "infinite-evenpoly-term"])
 def test_bad_numbers_are_usage_errors(tmp_path, capsys, argv, message):
     assert run([*argv, "-o", str(tmp_path / "out")]) == 1
     assert message in capsys.readouterr().err

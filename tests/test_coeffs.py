@@ -22,7 +22,7 @@ from flock_coeffs.coeffs import (
     solve_profiles,
 )
 from flock_coeffs.elliptic import elliptic_problem_data
-from flock_coeffs.errors import NumericError, PreconditionError, SolverError
+from flock_coeffs.errors import DomainError, NumericError, PreconditionError, SolverError
 from flock_coeffs.kernel import (
     affine_kernel,
     constant_kernel,
@@ -69,6 +69,22 @@ def test_small_noise_closed_forms(d, n):
     solves = {k: v for k, v in hydro.residuals.items() if k.endswith("_solve")}
     assert len(solves) == 6
     assert all(np.isfinite(v) for v in solves.values()), solves
+
+
+@pytest.mark.parametrize("n", [2.5, 64.5, float("nan"), float("inf")])
+def test_fractional_degree_is_a_domain_error_naming_n(n):
+    kernel = constant_kernel(1.0, d=0.5)
+    with pytest.raises(DomainError, match=r"degree n must be an integer, got"):
+        compute_coefficients(kernel, n=n)
+    with pytest.raises(DomainError, match=r"degree n must be an integer, got"):
+        run_pipeline(kernel, n, 0.0)
+
+
+def test_whole_float_degree_is_that_degree():
+    kernel = constant_kernel(1.0, d=0.5)
+    hydro = compute_coefficients(kernel, n=64.0)
+    assert type(hydro.n) is int and hydro.n == hydro.degree == 64
+    assert all_values(hydro).tobytes() == all_values(compute_coefficients(kernel, n=64)).tobytes()
 
 
 @pytest.mark.parametrize("d", [25.0, 50.0, 1e3, 1e6])

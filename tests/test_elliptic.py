@@ -484,7 +484,7 @@ def test_basis_recurrence_matches_clenshaw(nq, degree):
     eye = np.eye(degree + 1)
     refs = [npleg.legval(rule.nodes, npleg.legder(eye, m, axis=0)).T for m in (0, 1, 2)]
     for got, ref in zip(_basis(rule, degree), refs):
-        assert got.shape == (nq, degree + 1)
+        assert got.shape == (nq, degree + 1) and got.flags.f_contiguous  # legvander's layout
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
@@ -505,12 +505,19 @@ def test_basis_cumsums_are_the_recurrences(nq, degree):
     assert _basis(rule, degree, 0)[0] is V
 
 
-def test_shared_values_are_those_of_a_call_per_rule():
-    rules = [build_rule(67), build_rule(150), build_rule(3)]
-    elliptic._share_values(64, *rules)
-    for rule in rules:
-        V = _basis(rule, 64, 0)[0]
-        assert np.array_equal(V, npleg.legvander(rule.nodes, 64)) and not V.flags.writeable
+def test_legder_is_numpys_to_the_bit():
+    # the cumsum form of MuProfile.derivative's coefficient map against
+    # numpy's loop at every degree to 300, signed zeros of degree 0 included
+    rng = np.random.default_rng(5)
+    for degree in range(301):
+        for coef in (rng.standard_normal(degree + 1),
+                     -1e3 * rng.standard_normal(degree + 1) * 0.8 ** np.arange(degree + 1),
+                     np.zeros(degree + 1), -np.ones(degree + 1)):
+            got, ref = elliptic._legder(coef), npleg.legder(coef)
+            assert got.shape == ref.shape and got.tobytes() == ref.tobytes(), degree
+    for degree in (0, 1, 2, 64):
+        prof = MuProfile.from_coef(build_rule(degree + 3), rng.standard_normal(degree + 1))
+        assert prof.derivative().coef.tobytes() == npleg.legder(prof.coef).tobytes()
 
 
 @pytest.mark.parametrize("nq", [64, 414])

@@ -356,18 +356,29 @@ def test_npz_roundtrip(tmp_path):
 
 def test_npz_load_rejects_unreadable_input(tmp_path):
     # a missing path, a file that is not an npz archive, an archive without
-    # omega and a single saved array are each a FieldStateError naming the path
+    # omega, a single saved array, a string or complex rho and a fractional
+    # shape are each a FieldStateError naming the path (and the key)
     state = make_field("uniform", (3, 3, 3))
     missing = tmp_path / "missing.npz"
     text = tmp_path / "text.npz"
     text.write_text(FIELD_CSV_HEADER + "\n0,0,0,1,0,0,1\n")
+    arrays = dict(shape=np.array(state.grid.shape), spacing=np.array(state.grid.spacing),
+                  rho=state.rho, omega=state.omega)
     no_omega = tmp_path / "no-omega.npz"
-    np.savez(no_omega, shape=np.array(state.grid.shape),
-             spacing=np.array(state.grid.spacing), rho=state.rho)
+    np.savez(no_omega, **{k: v for k, v in arrays.items() if k != "omega"})
     single = tmp_path / "single.npy"
     np.save(single, state.rho)
+    string_rho = tmp_path / "string-rho.npz"
+    np.savez(string_rho, **{**arrays, "rho": np.full(state.rho.shape, "1")})
+    complex_rho = tmp_path / "complex-rho.npz"
+    np.savez(complex_rho, **{**arrays, "rho": state.rho + 1j})
+    fractional = tmp_path / "fractional-shape.npz"
+    np.savez(fractional, **{**arrays, "shape": np.array([2.5, 3, 3])})
     for path, match in ((missing, "cannot read"), (text, "cannot read"),
-                        (no_omega, "has no omega"), (single, "not an npz archive")):
+                        (no_omega, "has no omega"), (single, "not an npz archive"),
+                        (string_rho, "rho holds <U1 values"),
+                        (complex_rho, "rho holds complex128 values"),
+                        (fractional, "shape holds float64 values, not integers")):
         with pytest.raises(FieldStateError, match=match) as err:
             load_field_npz(path)
         assert str(path) in str(err.value)

@@ -1,5 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
+from numpy.polynomial import Legendre, Polynomial
+from numpy.polynomial import legendre as npleg
 
 from flock_coeffs.errors import ConfigError, DomainError
 from flock_coeffs.kernel import (
@@ -50,6 +54,12 @@ def test_out_of_range_mu_rejected():
         evaluate_kernel(k, 1.0 + 1e-9)
     with pytest.raises(DomainError):
         evaluate_kernel(k, np.array([0.0, -1.5]))
+    for mu in (np.nan, np.inf, np.array([0.0, np.nan])):
+        with pytest.raises(DomainError):
+            evaluate_kernel(k, mu)
+    # a NaN sample point is rejected before the Legendre fit reaches LAPACK
+    with pytest.raises(DomainError):
+        tabulated_kernel(np.array([-1.0, np.nan, 1.0]), np.ones(3))
 
 
 def test_sigma_is_antiderivative_of_nu():
@@ -85,6 +95,45 @@ def test_nonpositive_nu_rejected():
         affine_kernel(1.0, 1.5)
     with pytest.raises(ConfigError):
         constant_kernel(0.0)
+
+
+def test_kernel_evaluations_are_the_series_own():
+    # nu, nu' and sigma evaluate the series' coefficients without its domain
+    # map: to the bit its bound __call__, on random points, both ends, a
+    # signed zero and two Gauss rules, for arrays and scalars alike
+    mu33 = np.linspace(-1, 1, 33)
+    mu21 = np.linspace(-1, 1, 21)
+    cases = [(constant_kernel(1.0), Polynomial([1.0])),
+             (affine_kernel(1.0, 0.3), Polynomial([1.0, 0.3])),
+             (even_poly_kernel([1.0, 0.5]), Polynomial([1.0, 0.0, 0.5])),
+             (registry_kernels()[3], Legendre(npleg.legfit(
+                 mu33, 1.0 + 0.25 * mu33**2 + 0.1 * mu33**4, 8))),
+             (tabulated_kernel(mu21, 2.0 + np.sin(3 * mu21)),
+              Legendre(npleg.legfit(mu21, 2.0 + np.sin(3 * mu21), 20)))]
+    points = [np.random.default_rng(3).uniform(-1, 1, 10_000),
+              np.array([-1.0, -0.0, 0.0, 1.0]), build_rule(67).nodes, build_rule(2314).nodes]
+    for kernel, series in cases:
+        refs = (series, series.deriv(), series.integ(lbnd=0))
+        for fn, ref in zip((kernel.nu, kernel.nu_prime, kernel.sigma), refs):
+            for x in points:
+                assert fn(x).tobytes() == ref(x).tobytes(), kernel.model
+            for x in (-1.0, -0.0, 0.3, 1.0):
+                assert np.float64(fn(x)).tobytes() == np.float64(ref(x)).tobytes()
+
+
+@pytest.mark.parametrize("build", [
+    lambda: constant_kernel(np.nan),
+    lambda: constant_kernel(np.inf),
+    lambda: affine_kernel(1.0, np.nan),
+    lambda: even_poly_kernel([1.0, np.inf]),
+    lambda: tabulated_kernel(np.linspace(-1, 1, 9), [1.0] * 4 + [np.nan] + [1.0] * 4),
+], ids=["nan-const", "inf-const", "nan-affine", "inf-evenpoly", "nan-tabulated-value"])
+def test_non_finite_rate_parameters_are_config_errors(build):
+    # rejected before the rate is sampled: no numpy warning, no NaN nu_min
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError, match="model .*non-finite"):
+            build()
 
 
 def test_tabulated_kernel_reproduces_samples():
