@@ -193,8 +193,8 @@ def cmd_profiles(args) -> int:
         values = prof.values if values is None else values
         rows = "\n".join(f"{m:.17g},{v:.17g}" for m, v in zip(prof.rule.nodes, values))
         (outdir / f"{name}.csv").write_text("mu,value\n" + rows + "\n")
-        sidecar = {"coefficients": list(prof.coef), "sing_order": sing_order,
-                   "meta": prof.meta}
+        meta = prof.meta if prof.condition is None else {**prof.meta, "condition": prof.condition}
+        sidecar = {"coefficients": list(prof.coef), "sing_order": sing_order, "meta": meta}
         (outdir / f"{name}.json").write_text(json.dumps(sidecar, indent=2) + "\n")
 
     # the invariant profile is written as h, next to its derivative h' and

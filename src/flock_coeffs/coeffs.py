@@ -37,8 +37,8 @@ from .kernel import CollisionKernel
 from .quad import (
     VonMisesEquilibrium,
     average_weighted,
+    _spread_size,
     build_equilibrium,
-    quadrature_size,
     weight_spread,
 )
 
@@ -119,11 +119,11 @@ def solve_profiles(kernel: CollisionKernel, c, n: int, eq: VonMisesEquilibrium,
     rows = elliptic_problem_data(kernel, c)
     solved = {name: solve_problem(kernel, name, row, n, rule, eq)
               for name, row in rows.items() if name != "gci"}
-    on_eq = {name: MuProfile.from_coef(eq.rule, p.coef, p.meta) for name, p in solved.items()}
+    on_eq = {name: p.on(eq.rule) for name, p in solved.items()}
     b1 = on_eq["b1"]
     rows = elliptic_problem_data(kernel, c, b1=(solved["b1"], b1))
     b2 = solve_problem(kernel, "b2", rows["b2"], n, rule, eq)
-    b2 = MuProfile.from_coef(eq.rule, b2.coef, b2.meta)
+    b2 = b2.on(eq.rule)
     a_par = on_eq["a_par"]
     on_eq["a_par"] = a_par.shifted(-eq.average(a_par.values))
     on_eq["b2"] = b2.shifted(-eq.average(0.5 * b1.values * (1.0 - x * x) + b2.values))
@@ -404,7 +404,7 @@ def _equilibrium(kernel: CollisionKernel, n: int, kappa: float) -> VonMisesEquil
             f"equilibrium weight spread {spread:.3g} is below {MIN_WEIGHT_SPREAD:.3g}, "
             f"where c1 keeps a relative accuracy of {C1_RTOL:g}; noise constant "
             f"d = {kernel.d:g} is above the supported range")
-    return build_equilibrium(kernel, quadrature_size(kernel, n + 10))
+    return build_equilibrium(kernel, _spread_size(kernel, spread, n + 10))
 
 
 def _tail(coef) -> float:
@@ -415,7 +415,7 @@ def _tail(coef) -> float:
 
 def _profiles(kernel: CollisionKernel, h: MuProfile, n: int, eq: VonMisesEquilibrium):
     """(c, the six profiles on eq's rule) from h solved on its operator rule."""
-    h_eq = MuProfile.from_coef(eq.rule, h.coef, h.meta)
+    h_eq = h.on(eq.rule)
     c = compute_c123(kernel, h_eq, eq)
     return c, {"gci": h_eq, **solve_profiles(kernel, c, n, eq, h.rule)}
 

@@ -32,6 +32,7 @@ rule live in `tests/test_elliptic.py` as references.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from numpy.polynomial import legendre as npleg
@@ -60,18 +61,24 @@ class MuProfile:
 
     The nodal values are the polynomial evaluated at the rule nodes, so the
     modal and nodal views agree to rounding.  `meta` carries solver
-    diagnostics (residuals, condition estimates) for report sidecars.
+    diagnostics for report sidecars; a solved profile keeps its factors.
     """
 
     rule: QuadratureRule
     coef: np.ndarray
     values: np.ndarray
     meta: dict = field(default_factory=dict)
+    _factors: "_Factors | None" = field(default=None, repr=False, compare=False)
 
     @classmethod
-    def from_coef(cls, rule, coef, meta=None):
+    def from_coef(cls, rule, coef, meta=None, factors=None):
         coef = np.asarray(coef, dtype=float)
-        return cls(rule, coef, _basis(rule, len(coef) - 1, 0)[0] @ coef, meta or {})
+        return cls(rule, coef, _basis(rule, len(coef) - 1, 0)[0] @ coef, meta or {}, factors)
+
+    @property
+    def condition(self) -> float | None:
+        """Its solve's _Factors.condition, formed on first read; None if unsolved."""
+        return None if self._factors is None else self._factors.condition
 
     def __call__(self, mu):
         return npleg.legval(np.asarray(mu, dtype=float), self.coef)
@@ -92,7 +99,11 @@ class MuProfile:
         """Profile plus a constant (Legendre P0 term)."""
         coef = self.coef.copy()
         coef[0] += constant
-        return MuProfile.from_coef(self.rule, coef, dict(self.meta))
+        return MuProfile.from_coef(self.rule, coef, dict(self.meta), self._factors)
+
+    def on(self, rule: QuadratureRule) -> "MuProfile":
+        """The same polynomial, meta and factors at the nodes of `rule`."""
+        return MuProfile.from_coef(rule, self.coef, self.meta, self._factors)
 
 
 def _legder(coef):
@@ -178,14 +189,18 @@ class _Factors:
     """LU factors of one discrete operator, kept on its rule (rule.factors).
 
     `nodal` maps the unknowns to the operator's values at the rule nodes;
-    `condition` is the 1-norm estimate of the factored system's condition
-    number.
+    `anorm` is the 1-norm of the assembled matrix.
     """
 
     nodal: np.ndarray
     lu: np.ndarray
     piv: np.ndarray
-    condition: float
+    anorm: float
+
+    @cached_property
+    def condition(self) -> float:
+        """1-norm condition estimate, formed on first read; getrs gets its own pivots."""
+        return self.anorm * _inverse_norm1(self.lu, self.piv.copy())
 
 
 def _inverse_norm1(lu, piv) -> float:
@@ -253,7 +268,7 @@ def _factor(rule, key, n, coefs, what, d) -> _Factors:
     lu, piv, info = dgetrf(A, overwrite_a=True)
     if info > 0:  # exactly zero pivot
         raise SolverError(f"{what}: singular discrete system at d = {d:g}", np.inf)
-    factors = _Factors(nodal, lu, piv, anorm * _inverse_norm1(lu, piv))
+    factors = _Factors(nodal, lu, piv, anorm)
     # a concurrent factorization of the same operator loses to the one stored first
     return rule.factors.setdefault(key, factors)
 
@@ -307,9 +322,10 @@ def _checked_solve(kernel, rule, n, k, key, coefs, rhs, name, divisor=1.0) -> Mu
     exactly zero (rounding in the constants they are built from) count
     against the solve only through what the multiplier does not absorb; the
     multiplier is taken out of slot 0, whose Legendre coefficient is zero.
-    `meta` also carries the node count, the linear residual, the 1-norm
-    condition estimate (_inverse_norm1, reproducible to the bit) and the
-    multiplier.
+    `meta` also carries the node count, the linear residual and the
+    multiplier; the profile keeps the factors, whose 1-norm condition
+    estimate (_inverse_norm1, reproducible to the bit) is formed only when
+    read.
     """
     what, d, qw = f"{name} solve", kernel.d, rule.weights
     factors = _factor(rule, key, n, coefs, what, d)
@@ -320,13 +336,12 @@ def _checked_solve(kernel, rule, n, k, key, coefs, rhs, name, divisor=1.0) -> Mu
     if not np.isfinite(residual):
         raise SolverError(f"{what}: non-finite strong residual at d = {d:g}")
     meta = {"problem": key[0], "sing_order": k, "degree": n, "nodes": rule.n,
-            "residual": residual, "linear_residual": linres,
-            "condition": factors.condition}
+            "residual": residual, "linear_residual": linres}
     if k == 0:
         meta["multiplier"] = float(sol[0])
         sol[0] = 0.0
     meta["formulation"] = "divided"
-    return MuProfile.from_coef(rule, sol, meta)
+    return MuProfile.from_coef(rule, sol, meta, factors)
 
 
 def solve_type1(kernel: CollisionKernel, alpha, f, n: int, *, sing_order: int = 1,

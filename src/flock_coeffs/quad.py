@@ -10,6 +10,7 @@ the averages invariant under additive shifts of sigma and safe for small d.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import eval_legendre
@@ -35,10 +36,11 @@ class QuadratureRule:
 
     nodes: np.ndarray
     weights: np.ndarray
+    # nodes and weights are shared, read-only, by the rules of one size;
     # Legendre bases at the nodes by degree and order (elliptic._basis), and,
     # on an operator rule, LU factors of the elliptic operators by a key of
-    # degree, kernel and coefficients (elliptic._factor); they live and die
-    # with the rule, so no cache outlives a computation
+    # degree, kernel and coefficients (elliptic._factor) live and die with
+    # the rule, so no cache of them outlives a computation
     bases: dict = field(default_factory=dict, init=False, compare=False, repr=False)
     factors: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
@@ -68,7 +70,8 @@ def build_rule(n: int) -> QuadratureRule:
     half rule is mirrored, so the nodes are exactly
     antisymmetric, the weights exactly symmetric, and the middle node of an
     odd rule is exactly 0.0.  O(n^2) in compiled loops, with no LAPACK call,
-    so the bits do not depend on the BLAS build or its thread count.
+    so the bits do not depend on the BLAS build or its thread count.  Each
+    call returns a fresh rule on the read-only arrays its size keeps (_gauss).
     """
     if not float(n).is_integer():
         raise DomainError(f"rule size must be an integer, got {n}")
@@ -77,6 +80,12 @@ def build_rule(n: int) -> QuadratureRule:
     n = int(n)
     if n < 1:
         raise DomainError(f"rule size must be >= 1, got {n}")
+    return QuadratureRule(*_gauss(n))
+
+
+@lru_cache(maxsize=64)  # the 64 sizes used last: at most 4 MB at 4000 nodes each
+def _gauss(n: int):
+    """Read-only nodes and weights of build_rule's n-point rule (n >= 1)."""
     # Tricomi's estimate of the nodes x_1 > x_2 > ... >= 0
     theta = np.pi * (4.0 * np.arange(1, (n + 1) // 2 + 1) - 1.0) / (4.0 * n + 2.0)
     x = (1.0 - (n - 1) / (8.0 * n**3)
@@ -102,7 +111,8 @@ def build_rule(n: int) -> QuadratureRule:
     nodes = np.concatenate((-x[:half], x[::-1]))
     weights = np.concatenate((w[:half], w[::-1]))
     weights *= 2.0 / weights.sum()
-    return QuadratureRule(nodes=nodes, weights=weights)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
 
 
 def _values_on(rule: QuadratureRule, g):
@@ -176,7 +186,11 @@ def quadrature_size(kernel: CollisionKernel, degree: int) -> int:
     spread beyond ~4000 (noise constants below ~1e-3 for order-one rates) is
     not resolvable in double precision and is rejected.
     """
-    spread = weight_spread(kernel)
+    return _spread_size(kernel, weight_spread(kernel), degree)
+
+
+def _spread_size(kernel: CollisionKernel, spread: float, degree: int) -> int:
+    """quadrature_size(kernel, degree) from the kernel's weight_spread."""
     if not np.isfinite(spread) or spread > 4000.0:
         raise NumericError(
             f"equilibrium weight spread {spread:.3g} is too large to resolve; "

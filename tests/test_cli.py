@@ -10,6 +10,7 @@ import pytest
 
 import flock_coeffs
 import flock_coeffs.coeffs as coeffs_mod
+from flock_coeffs import elliptic
 from flock_coeffs.cli import main
 from flock_coeffs.coeffs import run_pipeline
 from flock_coeffs.fields import make_field, save_field_csv
@@ -159,9 +160,31 @@ def test_profiles_dump_is_the_pipelines_profiles(tmp_path, monkeypatch):
         values = prof.values if values is None else values
         rows = "".join(f"{m:.17g},{v:.17g}\n" for m, v in zip(prof.rule.nodes, values))
         assert (outdir / f"{name}.csv").read_text() == "mu,value\n" + rows, name
-        sidecar = {"coefficients": list(prof.coef), "sing_order": sing_order,
-                   "meta": prof.meta}
+        # the estimate, formed on demand, is the last key of a solve's meta
+        meta = prof.meta if prof.condition is None else {**prof.meta, "condition": prof.condition}
+        assert ("condition" in meta) == (name != "h_prime"), name
+        sidecar = {"coefficients": list(prof.coef), "sing_order": sing_order, "meta": meta}
         assert (outdir / f"{name}.json").read_text() == json.dumps(sidecar, indent=2) + "\n"
+
+
+def test_condition_estimates_are_formed_for_the_profile_dump_alone(tmp_path, monkeypatch):
+    # a coefficient sweep reads no condition estimate; the profile dump forms
+    # one per factorization (type 1 at k = 1 and 2, type 2) for its sidecars
+    sizes, estimate = [], elliptic._inverse_norm1
+    monkeypatch.setattr(elliptic, "_inverse_norm1",
+                        lambda lu, piv: sizes.append(len(lu)) or estimate(lu, piv))
+    assert run(["coeffs", "--nu", "affine:1,0.3", "--d-min", "0.02", "--d-max", "2",
+                "--steps", "5", "--n", "64", "-o", str(tmp_path / "sweep.csv")]) == 0
+    assert sizes == []
+    assert run(["profiles", "--nu", "const:1", "--d", "1", "--n", "64",
+                "-o", str(tmp_path / "p")]) == 0
+    assert len(sizes) == 3
+    for path in (tmp_path / "p").glob("*.json"):
+        meta = json.loads(path.read_text())["meta"]
+        if path.name == "h_prime.json":
+            assert meta == {}
+        else:
+            assert 1.0 < meta["condition"] < np.inf, path.name
 
 
 def test_profiles_self_convergence_across_degrees(tmp_path):

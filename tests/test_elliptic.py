@@ -9,7 +9,7 @@ from numpy.polynomial import polynomial as nppoly
 from scipy.linalg.lapack import dgecon
 
 from flock_coeffs import elliptic
-from flock_coeffs.coeffs import run_pipeline
+from flock_coeffs.coeffs import compute_coefficients, run_pipeline
 from flock_coeffs.elliptic import (
     MuProfile,
     _basis,
@@ -624,8 +624,8 @@ def test_cached_factors_match_a_fresh_rule(even_kernel):
     assert len(rule.factors) == 1
     scale = np.max(np.abs(fresh.coef))
     assert np.max(np.abs(hit.coef - fresh.coef)) <= 1e-13 * scale
-    assert hit.meta["condition"] == fresh.meta["condition"]
-    assert 1.0 < hit.meta["condition"] < 1e12
+    assert hit.condition == fresh.condition
+    assert 1.0 < hit.condition < 1e12
     assert hit.meta["linear_residual"] < 1e-12
 
 
@@ -653,6 +653,7 @@ def test_type2_factors_do_not_depend_on_the_weight_rule(pipeline_even):
                        name="a_par") for size in sizes]
     assert got[0].coef.tobytes() == got[1].coef.tobytes()
     assert got[0].meta == got[1].meta
+    assert got[0].condition == got[1].condition
     assert [key[0] for key in rule.factors] == ["type2"]
 
 
@@ -702,8 +703,11 @@ def test_solves_pass_getrs_their_own_pivots(monkeypatch, even_kernel):
         return getrs(lu, piv, b, **kwargs)
 
     monkeypatch.setattr(elliptic, "dgetrs", spy)
-    solve_gci(even_kernel, 64, rule=rule)
+    profile = solve_gci(even_kernel, 64, rule=rule)
     assert len(passed) == 2
+    # the estimate is formed on factors already published on the rule
+    assert 1.0 < profile.condition < np.inf
+    assert len(passed) > 2
     assert not any(np.shares_memory(p, c) for p in passed for c in cached)
 
 
@@ -728,10 +732,51 @@ def test_condition_estimate_is_reproducible():
     seen, junk = set(), []
     for i in range(12):
         rule.factors.clear()
-        seen.add(solve_gci(kernel, 256, rule=rule).meta["condition"])
+        seen.add(solve_gci(kernel, 256, rule=rule).condition)
         junk.append(np.ones(1000 * (i % 5) + 7))
         junk.extend(np.ones(13 * i + 1) for _ in range(i))
     assert len(seen) == 1
+
+
+def _estimates(monkeypatch):
+    """Sizes of the systems elliptic._inverse_norm1 estimates from here on."""
+    sizes, estimate = [], elliptic._inverse_norm1
+
+    def spy(lu, piv):
+        sizes.append(len(lu))
+        return estimate(lu, piv)
+
+    monkeypatch.setattr(elliptic, "_inverse_norm1", spy)
+    return sizes
+
+
+def test_condition_estimate_is_formed_only_when_read(monkeypatch):
+    sizes = _estimates(monkeypatch)
+    for kernel in registry_kernels(d=0.1):
+        compute_coefficients(kernel, n=64, kappa=0.1)
+    compute_coefficients(constant_kernel(1.0, d=0.02), n=256)  # past the degree-64 gate
+    assert sizes == []
+    # the six profiles of a pipeline share three factorizations, each
+    # estimated once, and the gauge shift and carry to the weight rule keep them
+    profiles = run_pipeline(registry_kernels(d=0.5)[0], 64, 0.1).profiles
+    assert sizes == []
+    got = {name: p.condition for name, p in profiles.items()}
+    assert len(sizes) == 3 and len(set(got.values())) == 3
+    assert got["gci"] == got["a_perp"] == got["b_par"] and got["a_par"] == got["b2"]
+    assert all(1.0 < c < 1e12 for c in got.values())
+    assert [p.condition for p in profiles.values()] == list(got.values())
+    assert len(sizes) == 3  # read again, not formed again
+    assert "condition" not in profiles["gci"].meta
+    assert profiles["gci"].derivative().condition is None
+
+
+def test_solver_error_carries_the_estimate(monkeypatch, legendre_kernel):
+    sizes = _estimates(monkeypatch)
+    bad = lambda mu: np.where(np.asarray(mu) > 0.5, np.nan, 0.0)
+    with pytest.raises(SolverError, match=r"probe solve: non-finite solution .*"
+                                          r"\(condition estimate \d\.\d{3}e[+-]\d+\)") as err:
+        solve_type1(legendre_kernel, ones, bad, 8, name="probe")
+    assert sizes == [9] and 1.0 < err.value.condition < np.inf
 
 
 @pytest.mark.parametrize("d", [0.02, 1.0])

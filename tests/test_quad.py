@@ -107,9 +107,52 @@ def test_rule_size_must_be_integral():
 
 
 def test_rule_reports_newton_failure(monkeypatch):
+    quad._gauss.cache_clear()  # a memoised size would skip Newton's method
     monkeypatch.setattr(quad, "_NEWTON_ITERATIONS", 1)
     with pytest.raises(NumericError, match="size 64"):
         build_rule(64)
+
+
+def test_memoised_rules_are_cold_builds():
+    # sizes of the coefficient pipeline (1 to 300) and the 2314 nodes of the
+    # small-d edge of the range: the memo's nodes and weights are, to the
+    # bit, those of a build with an empty memo
+    for n in [*range(1, 301), 2314]:
+        build_rule(n)
+        memo = build_rule(n)
+        quad._gauss.cache_clear()
+        cold = build_rule(n)
+        assert cold.nodes is not memo.nodes
+        assert cold.nodes.tobytes() == memo.nodes.tobytes()
+        assert cold.weights.tobytes() == memo.weights.tobytes()
+
+
+def test_memoised_rule_arrays_are_read_only():
+    rule = build_rule(68)
+    assert build_rule(68).nodes is rule.nodes
+    for a in (rule.nodes, rule.weights):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0.0
+
+
+def test_each_rule_has_its_own_bases_and_factors():
+    a, b = build_rule(68), build_rule(68)
+    assert a.nodes is b.nodes and a.weights is b.weights
+    assert a.bases is not b.bases and a.factors is not b.factors
+    a.bases["probe"] = a.factors["probe"] = None
+    assert b.bases == {} and b.factors == {}
+
+
+def test_rule_memo_stays_within_its_bound():
+    quad._gauss.cache_clear()
+    for n in range(1, 3 * 64):
+        build_rule(n)
+    info = quad._gauss.cache_info()
+    assert info.maxsize == info.currsize == 64
+    # the oldest sizes were dropped: a rebuild of size 1 is a miss
+    build_rule(1)
+    assert quad._gauss.cache_info().misses == info.misses + 1
 
 
 def test_average_of_one_is_one(const_kernel):
