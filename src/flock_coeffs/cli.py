@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +22,7 @@ import numpy as np
 from .coeffs import _equilibrium, _profiles, compute_coefficients
 from .elliptic import solve_gci
 from .errors import ConfigError, FlockError
-from .fields import evaluate_corrections, load_field_csv, make_field, save_field_csv
+from .fields import _save_csv, evaluate_corrections, load_field_csv, make_field, save_field_csv
 from .kernel import kernel_from_config, parse_config
 from .verify import run_verification
 
@@ -159,8 +160,6 @@ def cmd_coeffs(args) -> int:
     sweep = _sweep_values(args)
 
     def run(d):
-        from dataclasses import replace
-
         k = kernel if d is None else replace(kernel, d=float(d))
         return compute_coefficients(k, n=n, kappa=kappa)
 
@@ -191,8 +190,7 @@ def cmd_profiles(args) -> int:
 
     def dump(name, prof, values=None, sing_order=0):
         values = prof.values if values is None else values
-        rows = "\n".join(f"{m:.17g},{v:.17g}" for m, v in zip(prof.rule.nodes, values))
-        (outdir / f"{name}.csv").write_text("mu,value\n" + rows + "\n")
+        _save_csv(outdir / f"{name}.csv", "mu,value", (prof.rule.nodes, values))
         meta = prof.meta if prof.condition is None else {**prof.meta, "condition": prof.condition}
         sidecar = {"coefficients": list(prof.coef), "sing_order": sing_order, "meta": meta}
         (outdir / f"{name}.json").write_text(json.dumps(sidecar, indent=2) + "\n")
@@ -242,16 +240,9 @@ def cmd_fields(args) -> int:
 
     outdir = Path(args.output or "fields-out")
     outdir.mkdir(parents=True, exist_ok=True)
-    x, y, z = state.grid.coordinates()
-    flat = lambda a: a.ravel()
-    r1_rows = np.column_stack([flat(x), flat(y), flat(z), flat(corr.r1)])
-    np.savetxt(outdir / "r1.csv", r1_rows, delimiter=",", comments="",
-               header="x,y,z,r1", fmt="%.17g")
-    r2_rows = np.column_stack([flat(x), flat(y), flat(z),
-                               flat(corr.r2[..., 0]), flat(corr.r2[..., 1]),
-                               flat(corr.r2[..., 2])])
-    np.savetxt(outdir / "r2.csv", r2_rows, delimiter=",", comments="",
-               header="x,y,z,r2x,r2y,r2z", fmt="%.17g")
+    xyz = state.grid.coordinates()
+    _save_csv(outdir / "r1.csv", "x,y,z,r1", (*xyz, corr.r1))
+    _save_csv(outdir / "r2.csv", "x,y,z,r2x,r2y,r2z", (*xyz, *np.moveaxis(corr.r2, -1, 0)))
     if not args.input:
         save_field_csv(state, outdir / "state.csv")
     sys.stdout.write(f"wrote corrections for {state.grid.shape} grid to {outdir}\n")

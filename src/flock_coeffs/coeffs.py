@@ -38,6 +38,7 @@ from .quad import (
     VonMisesEquilibrium,
     average_weighted,
     _spread_size,
+    _whole,
     build_equilibrium,
     weight_spread,
 )
@@ -407,24 +408,11 @@ def _equilibrium(kernel: CollisionKernel, n: int, kappa: float) -> VonMisesEquil
     return build_equilibrium(kernel, _spread_size(kernel, spread, n + 10))
 
 
-def _tail(coef) -> float:
-    """|last Legendre coefficient| / max |coefficient| (0 for a zero series)."""
-    scale = float(np.max(np.abs(coef)))
-    return abs(float(coef[-1])) / scale if scale > 0 else 0.0
-
-
 def _profiles(kernel: CollisionKernel, h: MuProfile, n: int, eq: VonMisesEquilibrium):
     """(c, the six profiles on eq's rule) from h solved on its operator rule."""
     h_eq = h.on(eq.rule)
     c = compute_c123(kernel, h_eq, eq)
     return c, {"gci": h_eq, **solve_profiles(kernel, c, n, eq, h.rule)}
-
-
-def _degree(n) -> int:
-    """The degree n as an int; a DomainError naming n unless it is whole."""
-    if not float(n).is_integer():
-        raise DomainError(f"degree n must be an integer, got {n}")
-    return int(n)
 
 
 def _stages(kernel: CollisionKernel, h: MuProfile, n: int, kappa: float,
@@ -438,7 +426,7 @@ def _stages(kernel: CollisionKernel, h: MuProfile, n: int, kappa: float,
     for name, profile in profiles.items():
         residuals[f"{name}_solve"] = profile.meta["residual"]
     residuals["h_max"] = float(h.values.max())
-    residuals["tail"] = max(_tail(p.coef) for p in profiles.values())
+    residuals["tail"] = max(float(_envelope(p.coef)[-1]) for p in profiles.values())
     hydro = compute_r2_coeffs(kernel, profiles, c, kappa, eq, n, residuals)
     # the Dirichlet route is compared with the assembled beta, so this entry
     # goes into hydro's residuals dict after assembly
@@ -459,7 +447,7 @@ def run_pipeline(kernel: CollisionKernel, n: int, kappa: float) -> Pipeline:
     ordering of the constants is not checked here (see check_ordering); the
     range checks are those of _equilibrium.
     """
-    n = _degree(n)
+    n = _whole(n, "degree n")
     eq = _equilibrium(kernel, n, kappa)
     return _stages(kernel, solve_gci(kernel, n), n, kappa, eq)
 
@@ -557,7 +545,7 @@ def compute_coefficients(kernel: CollisionKernel, n: int = 64,
     The ordering 0 < c2 < c1 < 1 and c3 > 0 is checked (check_ordering), as
     is beta > 0 (compute_r1_coeffs).
     """
-    n = _degree(n)
+    n = _whole(n, "degree n")
     degree = min(n, FIRST_TRIAL_DEGREE)
     while degree < n:
         try:

@@ -387,6 +387,18 @@ def solve_type1(kernel: CollisionKernel, alpha, f, n: int, *, sing_order: int = 
                           _sampled(f, x) / s2 ** (k / 2.0), name, divisor=s2)
 
 
+def _check_zero_mean(f, rule: QuadratureRule, weight, d: float, name: str) -> None:
+    """PreconditionError, naming the stage `name` and d, unless the type-2
+    data f/w (a callable) satisfy |int (f/w) w dmu| < 1e-10 on `rule`, with
+    `weight` the weight w at its nodes."""
+    fmean = float(rule.weights @ (_sampled(f, rule.nodes) * weight))
+    if not abs(fmean) < 1e-10:  # also rejects non-finite data
+        raise PreconditionError(
+            f"{name} solve: type-2 data must have zero mean; "
+            f"int f dmu = {fmean:.6e} at d = {d:g}"
+        )
+
+
 def solve_type2(kernel: CollisionKernel, f, n: int, *,
                 rule: QuadratureRule | None = None, eq: VonMisesEquilibrium | None = None,
                 name: str = "type-2") -> MuProfile:
@@ -412,13 +424,7 @@ def solve_type2(kernel: CollisionKernel, f, n: int, *,
     rule = operator_rule(kernel, n, rule)
     if eq is None:
         eq = build_equilibrium(kernel, quadrature_size(kernel, n + 2))
-    qw = eq.rule.weights
-    fmean = float(qw @ (_sampled(f, eq.rule.nodes) * eq.weight))
-    if not abs(fmean) < 1e-10:  # also rejects non-finite data
-        raise PreconditionError(
-            f"{name} solve: type-2 data must have zero mean; "
-            f"int f dmu = {fmean:.6e} at d = {kernel.d:g}"
-        )
+    _check_zero_mean(f, eq.rule, eq.weight, kernel.d, name)
     x = rule.nodes
     return _checked_solve(kernel, rule, n, 0, ("type2", n, kernel.nu, kernel.d),
                           lambda: _operator_coefs(kernel, x, 0), _sampled(f, x), name)

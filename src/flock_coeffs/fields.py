@@ -869,15 +869,16 @@ def make_field(name: str, shape=(16, 16, 16), lengths=None, params=None,
 FIELD_CSV_HEADER = "x,y,z,rho,ox,oy,oz"
 
 
+def _save_csv(path, header: str, columns):
+    """Write the arrays `columns`, each raveled to one column, as a CSV table
+    of %.17g numbers under the one-line `header`."""
+    np.savetxt(path, np.column_stack([np.ravel(c) for c in columns]), delimiter=",",
+               header=header, comments="", fmt="%.17g")
+
+
 def save_field_csv(state: FieldState, path):
-    x, y, z = state.grid.coordinates()
-    cols = np.column_stack([
-        x.ravel(), y.ravel(), z.ravel(), state.rho.ravel(),
-        state.omega[..., 0].ravel(), state.omega[..., 1].ravel(),
-        state.omega[..., 2].ravel(),
-    ])
-    np.savetxt(path, cols, delimiter=",", header=FIELD_CSV_HEADER, comments="",
-               fmt="%.17g")
+    _save_csv(path, FIELD_CSV_HEADER,
+              (*state.grid.coordinates(), state.rho, *np.moveaxis(state.omega, -1, 0)))
 
 
 def load_field_csv(path) -> FieldState:

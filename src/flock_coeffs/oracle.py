@@ -24,7 +24,7 @@ import numpy as np
 from numpy.polynomial import legendre as npleg
 from scipy.linalg import solve_banded
 
-from .elliptic import MuProfile, _basis, elliptic_problem_data
+from .elliptic import MuProfile, _basis, _check_zero_mean, elliptic_problem_data
 from .errors import DomainError, PreconditionError, SolverError
 from .kernel import CollisionKernel
 from .quad import VonMisesEquilibrium, build_rule, quadrature_size
@@ -144,12 +144,7 @@ def _fd_solve_on(grid: _DenseGrid, problem_type, alpha, f, k, f_cells=None):
     if problem_type == 2:
         # high-order check of the solvability condition (midpoint sums are
         # only O(dx^2) and would mask genuinely admissible data)
-        rule, w_rule = grid.solvability_rule
-        fmean = float(rule.weights @ (np.asarray(f(rule.nodes), dtype=float) * w_rule))
-        if not abs(fmean) < 1e-10:  # also rejects non-finite data
-            raise PreconditionError(
-                f"type-2 data must have zero mean; int f dmu = {fmean:.6e} "
-                f"at d = {d:g}")
+        _check_zero_mean(f, *grid.solvability_rule, d, "finite-difference")
         cond = grid.w_face[1:-1] * grid.s2_face[1:-1] / dx**2  # interior faces
         if not cond.min() > 0:  # also rejects NaN
             raise SolverError(

@@ -73,14 +73,19 @@ def build_rule(n: int) -> QuadratureRule:
     so the bits do not depend on the BLAS build or its thread count.  Each
     call returns a fresh rule on the read-only arrays its size keeps (_gauss).
     """
-    if not float(n).is_integer():
-        raise DomainError(f"rule size must be an integer, got {n}")
     # an integer degree keeps eval_legendre on its recurrence; a float one
     # would send it down its hypergeometric path
-    n = int(n)
+    n = _whole(n, "rule size")
     if n < 1:
         raise DomainError(f"rule size must be >= 1, got {n}")
     return QuadratureRule(*_gauss(n))
+
+
+def _whole(value, what: str) -> int:
+    """`value` as an int; a DomainError naming `what` unless it is whole."""
+    if not float(value).is_integer():
+        raise DomainError(f"{what} must be an integer, got {value}")
+    return int(value)
 
 
 @lru_cache(maxsize=64)  # the 64 sizes used last: at most 4 MB at 4000 nodes each
@@ -116,19 +121,15 @@ def _gauss(n: int):
 
 
 def _values_on(rule: QuadratureRule, g):
-    """Evaluate g (callable, profile-like, array, or scalar) at the rule nodes."""
-    if callable(g):
-        values = np.asarray(g(rule.nodes), dtype=float)
-        if values.ndim == 0:
-            values = np.full(rule.n, float(values))
-    else:
-        values = np.asarray(g, dtype=float)
-        if values.ndim == 0:
-            values = np.full(rule.n, float(values))
-        elif values.shape != rule.nodes.shape:
-            raise DomainError(
-                f"integrand array has shape {values.shape}, rule has {rule.n} nodes"
-            )
+    """Values of g (callable, profile-like, array, or scalar) at the rule nodes:
+    a scalar value is broadcast, any other must have the nodes' shape."""
+    values = np.asarray(g(rule.nodes) if callable(g) else g, dtype=float)
+    if values.ndim == 0:
+        values = np.full(rule.n, float(values))
+    elif values.shape != rule.nodes.shape:
+        raise DomainError(
+            f"integrand array has shape {values.shape}, rule has {rule.n} nodes"
+        )
     bad = ~np.isfinite(values)
     if bad.any():
         where = rule.nodes[bad][0]

@@ -3,7 +3,7 @@ import pytest
 from numpy.polynomial import legendre as npleg
 
 from flock_coeffs.coeffs import run_pipeline
-from flock_coeffs.elliptic import MuProfile, _basis, elliptic_problem_data
+from flock_coeffs.elliptic import MuProfile, _basis, elliptic_problem_data, solve_type2
 from flock_coeffs.errors import DomainError, PreconditionError, SolverError
 from flock_coeffs.kernel import constant_kernel, even_poly_kernel, registry_kernels
 from flock_coeffs.oracle import (
@@ -130,6 +130,17 @@ def test_fd_type2_rejects_non_finite_data(legendre_kernel):
     bad = lambda mu: np.where(np.asarray(mu) > 0.5, np.nan, 0.0)
     with pytest.raises(PreconditionError, match="zero mean"):
         fd_solve(legendre_kernel, 2, None, bad, 200)
+
+
+@pytest.mark.parametrize("solve", [
+    lambda kernel, f: solve_type2(kernel, f, 12),
+    lambda kernel, f: fd_solve(kernel, 2, None, f, 200),
+], ids=["solve_type2", "fd_solve"])
+def test_both_type2_solvers_reject_the_same_data(legendre_kernel, solve):
+    # the spectral and the dense solver share one solvability check
+    with pytest.raises(PreconditionError, match=r"solve: type-2 data must have zero mean; "
+                                                r"int f dmu = \S+ at d = 1$"):
+        solve(legendre_kernel, lambda mu: 1.0 + mu)
 
 
 def test_mode_null_space(pipeline_even):

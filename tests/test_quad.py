@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from numpy.polynomial import legendre as npleg
@@ -211,6 +213,17 @@ def test_nonfinite_integrand_reports_location():
     bad[eq.rule.n // 2] = np.nan
     with pytest.raises(NumericError, match="mu="):
         eq.average(bad)
+
+
+def test_wrong_shaped_integrand_is_a_domain_error():
+    # arrays and the values of callables go through one shape check
+    eq = build_equilibrium(constant_kernel(1.0))
+    n = eq.rule.n
+    for shape, bad in (((3,), np.ones(3)),
+                       ((3,), lambda mu: np.ones(3)),
+                       ((n, 1), lambda mu: mu[:, None])):
+        with pytest.raises(DomainError, match=re.escape(f"shape {shape}, rule has {n} nodes")):
+            eq.average(bad)
 
 
 def test_bracket_self_convergence_on_doubling(even_kernel):
