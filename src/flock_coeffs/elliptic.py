@@ -122,10 +122,10 @@ def _basis(rule: QuadratureRule, degree: int, order: int = 2):
     """Legendre values at the rule nodes (legendre_p_all's compiled
     recurrence), (V,) for order 0, with their first and second derivatives
     for order 2: read-only (n_nodes, degree+1) arrays in legvander's
-    column-major layout, kept on the rule.  The recurrences P'_{j+1} =
-    P'_{j-1} + (2j+1) P_j and P''_{j+1} = P''_{j-1} + (2j+1) P'_j are
-    running sums over every other column: one cumsum per parity, adding in
-    the recurrences' order.
+    column-major layout, kept in rule.bases, which build_rule's rules of a
+    size share (quad._SizeBases).  The recurrences P'_{j+1} = P'_{j-1} +
+    (2j+1) P_j and P''_{j+1} = P''_{j-1} + (2j+1) P'_j are running sums
+    over every other column: one cumsum per parity, in the recurrences' order.
     """
     basis = rule.bases.get((degree, order))
     if basis is not None:

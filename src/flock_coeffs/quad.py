@@ -9,6 +9,8 @@ the averages invariant under additive shifts of sigma and safe for small d.
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict, abc
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -36,11 +38,11 @@ class QuadratureRule:
 
     nodes: np.ndarray
     weights: np.ndarray
-    # nodes and weights are shared, read-only, by the rules of one size;
-    # Legendre bases at the nodes by degree and order (elliptic._basis), and,
-    # on an operator rule, LU factors of the elliptic operators by a key of
-    # degree, kernel and coefficients (elliptic._factor) live and die with
-    # the rule, so no cache of them outlives a computation
+    # nodes and weights are shared, read-only, by the rules of one size, and
+    # so are build_rule's Legendre bases by degree and order (elliptic._basis,
+    # _SizeBases; a rule built from its own arrays keeps its own); on an
+    # operator rule, LU factors of the elliptic operators by a key of degree,
+    # kernel and coefficients (elliptic._factor) live and die with the rule
     bases: dict = field(default_factory=dict, init=False, compare=False, repr=False)
     factors: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
@@ -58,6 +60,8 @@ class QuadratureRule:
 _NEWTON_STEP_TOL = 4e-16
 _NEWTON_ITERATIONS = 10
 
+_BASES, _BASES_LOCK, _BASES_BUDGET = OrderedDict(), threading.Lock(), 16 << 20  # see _SizeBases
+
 
 def build_rule(n: int) -> QuadratureRule:
     """n-point Gauss-Legendre rule on [-1, 1], nodes ascending.
@@ -71,14 +75,16 @@ def build_rule(n: int) -> QuadratureRule:
     antisymmetric, the weights exactly symmetric, and the middle node of an
     odd rule is exactly 0.0.  O(n^2) in compiled loops, with no LAPACK call,
     so the bits do not depend on the BLAS build or its thread count.  Each
-    call returns a fresh rule on the read-only arrays its size keeps (_gauss).
+    call returns a fresh rule on its size's arrays (_gauss) and bases (_SizeBases).
     """
     # an integer degree keeps eval_legendre on its recurrence; a float one
     # would send it down its hypergeometric path
     n = _whole(n, "rule size")
     if n < 1:
         raise DomainError(f"rule size must be >= 1, got {n}")
-    return QuadratureRule(*_gauss(n))
+    rule = QuadratureRule(*_gauss(n))
+    object.__setattr__(rule, "bases", _SizeBases(n))
+    return rule
 
 
 def _whole(value, what: str) -> int:
@@ -118,6 +124,30 @@ def _gauss(n: int):
     weights *= 2.0 / weights.sum()
     nodes.flags.writeable = weights.flags.writeable = False
     return nodes, weights
+
+
+class _SizeBases(dict):
+    """The bases a build_rule rule of n nodes has used, read from and stored in
+    _BASES by (n, (degree, order)), which keeps those read or stored last within
+    16 MiB (a V of orders 0 and 2 counts twice), valid for any n Gauss nodes."""
+
+    def __init__(self, n: int):
+        super().__init__()
+        self.n = n
+
+    get = abc.Mapping.get  # self[key], so that a miss goes to __missing__
+
+    def __missing__(self, key):
+        with _BASES_LOCK:
+            _BASES.move_to_end((self.n, key))  # a KeyError unless stored
+            return super().setdefault(key, _BASES[self.n, key])
+
+    def setdefault(self, key, basis):
+        with _BASES_LOCK:
+            basis = _BASES.setdefault((self.n, key), basis)
+            while sum(a.nbytes for b in _BASES.values() for a in b) > _BASES_BUDGET:
+                _BASES.popitem(last=False)
+        return super().setdefault(key, basis)
 
 
 def _values_on(rule: QuadratureRule, g):

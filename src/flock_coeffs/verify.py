@@ -244,7 +244,7 @@ def _field_checks(report, coeffs, seed):
 
     def tilt_gap(npts):
         state = make_field("random-smooth", (npts,) * 3, seed=seed + 1)
-        bundle = decompose_gradients(state)
+        tilt = decompose_gradients(state).omega_tilt.copy(order="K")  # frees the bundle
         om = fields._omega_components(state)
         cu = curl(om, state.grid)
         # omega_tilt - curl x omega, squared and summed one component at a
@@ -254,7 +254,7 @@ def _field_checks(report, coeffs, seed):
             i, j = (k + 1) % 3, (k + 2) % 3
             diff = cu[i] * om[j]
             diff -= cu[j] * om[i]
-            np.subtract(bundle.omega_tilt[..., k], diff, out=diff)
+            np.subtract(tilt[..., k], diff, out=diff)
             total += float(np.square(diff, out=diff).sum())
         return float(np.sqrt(total / (3 * state.rho.size)))
 

@@ -10,6 +10,7 @@ import pytest
 
 import flock_coeffs
 import flock_coeffs.coeffs as coeffs_mod
+import flock_coeffs.quad as quad
 from flock_coeffs import elliptic
 from flock_coeffs.cli import main
 from flock_coeffs.coeffs import run_pipeline
@@ -57,6 +58,27 @@ def test_coeffs_sweep_deterministic_output(tmp_path):
     assert run(args + ["-o", str(a)]) == 0
     assert run(args + ["-o", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_warm_and_cold_runs_agree_to_the_bit(tmp_path):
+    # one process: an empty basis store, then a warm one, then one emptied
+    # together with the Gauss rules; the benchmark's affine sweep and a
+    # small-d pipeline must not see the difference
+    argv = ["coeffs", "--nu", "affine:1,0.3", "--d-min", "0.02", "--d-max", "2",
+            "--steps", "25", "--n", "64", "--kappa", "0.1", "--format", "csv"]
+    kernel = make_kernel("const", (1.0,), 0.001)
+    csvs, payloads = [], []
+    quad._BASES.clear()
+    for run_index in range(3):
+        if run_index == 2:
+            quad._BASES.clear()
+            quad._gauss.cache_clear()
+        out = tmp_path / f"sweep-{run_index}.csv"
+        assert run(argv + ["-o", str(out)]) == 0
+        csvs.append(out.read_bytes())
+        payloads.append(json.dumps(run_pipeline(kernel, 256, 0.1).hydro.to_json_dict()))
+    assert csvs[0] == csvs[1] == csvs[2]
+    assert payloads[0] == payloads[1] == payloads[2]
 
 
 def test_coeffs_sweep_agrees_across_blas_thread_counts():

@@ -8,7 +8,7 @@ from numpy.polynomial import legendre as npleg
 from numpy.polynomial import polynomial as nppoly
 from scipy.linalg.lapack import dgecon
 
-from flock_coeffs import elliptic
+from flock_coeffs import elliptic, quad
 from flock_coeffs.coeffs import compute_coefficients, run_pipeline
 from flock_coeffs.elliptic import (
     MuProfile,
@@ -542,8 +542,8 @@ def test_basis_built_once_per_rule_and_read_only():
         assert not a.flags.writeable
         with pytest.raises(ValueError):
             a[0, 0] = 1.0
-    # another rule of the same size keeps its own basis
-    assert _basis(build_rule(64), 16)[0] is not first[0]
+    # another rule of the same size reads the same basis (quad._SizeBases)
+    assert _basis(build_rule(64), 16)[0] is first[0]
 
 
 def test_basis_memo_under_concurrent_first_use():
@@ -558,6 +558,36 @@ def test_basis_memo_under_concurrent_first_use():
     finally:
         sys.setswitchinterval(interval)
     assert all(b is rule.bases[128, 2] for b in got)
+
+
+def test_basis_store_under_concurrent_eviction(monkeypatch):
+    # threads race over rules of four sizes while the store holds about two
+    # sizes' bases: each rule reads the same basis on every read, bitwise a
+    # build on its own nodes, and the store ends within its budget
+    sizes = (200, 201, 202, 203)
+    cold = {n: _basis(QuadratureRule(build_rule(n).nodes, build_rule(n).weights), 128)
+            for n in sizes}
+    monkeypatch.setattr(quad, "_BASES_BUDGET", 2 * 4 * 200 * 129 * 8)
+    quad._BASES.clear()
+
+    def work(seed):
+        for n in np.random.default_rng(seed).choice(sizes, 24):
+            rule = build_rule(n)
+            first = _basis(rule, 128)
+            assert all(a is b for a, b in zip(_basis(rule, 128), first))
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(first, cold[n]))
+        return True
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            done = [f.result(timeout=60) for f in [pool.submit(work, s) for s in range(16)]]
+    finally:
+        sys.setswitchinterval(interval)
+    assert done == [True] * 16
+    assert 0 < sum(a.nbytes for b in quad._BASES.values() for a in b) <= quad._BASES_BUDGET
+    quad._BASES.clear()
 
 
 def test_divided_solver_error_propagates(monkeypatch, even_kernel):

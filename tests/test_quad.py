@@ -6,9 +6,11 @@ from numpy.polynomial import legendre as npleg
 from scipy.special import roots_legendre
 
 import flock_coeffs.quad as quad
+from flock_coeffs.elliptic import _basis
 from flock_coeffs.errors import DegenerateWeightError, DomainError, NumericError
 from flock_coeffs.kernel import constant_kernel
 from flock_coeffs.quad import (
+    QuadratureRule,
     average_weighted,
     build_equilibrium,
     build_rule,
@@ -138,12 +140,68 @@ def test_memoised_rule_arrays_are_read_only():
             a[0] = 0.0
 
 
-def test_each_rule_has_its_own_bases_and_factors():
+def test_rules_of_a_size_share_bases_but_not_factors():
     a, b = build_rule(68), build_rule(68)
     assert a.nodes is b.nodes and a.weights is b.weights
-    assert a.bases is not b.bases and a.factors is not b.factors
-    a.bases["probe"] = a.factors["probe"] = None
-    assert b.bases == {} and b.factors == {}
+    basis = _basis(a, 16)
+    assert all(x is y for x, y in zip(_basis(b, 16), basis))
+    assert b.bases[16, 2] is basis and b.bases[16, 0][0] is basis[0]
+    assert a.factors is not b.factors
+    a.factors["probe"] = None
+    assert b.factors == {}
+    # another size reads none of them
+    assert _basis(build_rule(69), 16)[0].shape == (69, 17)
+
+
+def test_directly_built_rule_never_shares_its_bases():
+    # a QuadratureRule from its own arrays keeps a private dict, even on
+    # build_rule's own nodes: its nodes need not be Gauss nodes
+    gauss = build_rule(68)
+    shared = _basis(gauss, 16)
+    direct = QuadratureRule(gauss.nodes, gauss.weights)
+    assert type(direct.bases) is dict and direct.bases == {}
+    own = _basis(direct, 16)
+    assert all(x is not y and x.tobytes() == y.tobytes() for x, y in zip(own, shared))
+    assert _basis(QuadratureRule(gauss.nodes, gauss.weights), 16)[0] is not own[0]
+    assert _basis(build_rule(68), 16)[0] is shared[0]
+
+
+def test_basis_store_stays_within_its_budget():
+    # order-0 bases of 1000-odd nodes at degree 599 hold 4.8 MB each: the
+    # fourth passes 16 MiB, and the entry used longest ago goes first
+    quad._BASES.clear()
+    rules = [build_rule(1000 + i) for i in range(5)]
+    for rule in rules[:3]:
+        _basis(rule, 599, 0)
+    _basis(build_rule(1000), 599, 0)  # read last: now the newest of the three
+    for rule in rules[3:]:
+        _basis(rule, 599, 0)
+        assert sum(a.nbytes for b in quad._BASES.values() for a in b) <= 16 << 20
+    assert list(quad._BASES) == [(n, (599, 0)) for n in (1000, 1003, 1004)]
+    # a rule keeps what it used after the store drops it
+    assert rules[1].bases[599, 0] is _basis(rules[1], 599, 0)
+    assert _basis(build_rule(1001), 599, 0)[0] is not rules[1].bases[599, 0][0]
+    # an entry larger than the whole budget is handed out, not stored
+    big = _basis(rules[0], 800)
+    assert sum(a.nbytes for a in big) > 16 << 20 and (1000, (800, 2)) not in quad._BASES
+    assert _basis(rules[0], 800) is big
+    quad._BASES.clear()
+
+
+@pytest.mark.parametrize("n, degree", [(3, 1), (67, 64), (259, 256), (2314, 256)])
+def test_stored_bases_are_cold_builds(n, degree):
+    # a stored basis is, to the bit, a build on fresh nodes of its size; it
+    # outlives _gauss's eviction of that size, whose rebuilt nodes match it
+    stored = _basis(build_rule(n), degree)
+    quad._gauss.cache_clear()
+    rule = build_rule(n)
+    assert all(x is y for x, y in zip(_basis(rule, degree), stored))
+    quad._BASES.clear()
+    quad._gauss.cache_clear()
+    cold = _basis(build_rule(n), degree)
+    assert all(x is not y for x, y in zip(cold, stored))
+    for x, y in zip(cold, stored):
+        assert x.shape == y.shape and x.tobytes() == y.tobytes()
 
 
 def test_rule_memo_stays_within_its_bound():
