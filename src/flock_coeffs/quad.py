@@ -132,8 +132,7 @@ class _SizeBases(dict):
     16 MiB (a V of orders 0 and 2 counts twice), valid for any n Gauss nodes."""
 
     def __init__(self, n: int):
-        super().__init__()
-        self.n = n
+        self.n = n  # dict.__new__ has made the empty dict
 
     get = abc.Mapping.get  # self[key], so that a miss goes to __missing__
 
@@ -144,7 +143,8 @@ class _SizeBases(dict):
 
     def setdefault(self, key, basis):
         with _BASES_LOCK:
-            basis = _BASES.setdefault((self.n, key), basis)
+            if sum(a.nbytes for a in basis) <= _BASES_BUDGET:  # else it would empty the store
+                basis = _BASES.setdefault((self.n, key), basis)
             while sum(a.nbytes for b in _BASES.values() for a in b) > _BASES_BUDGET:
                 _BASES.popitem(last=False)
         return super().setdefault(key, basis)

@@ -181,9 +181,11 @@ def test_basis_store_stays_within_its_budget():
     # a rule keeps what it used after the store drops it
     assert rules[1].bases[599, 0] is _basis(rules[1], 599, 0)
     assert _basis(build_rule(1001), 599, 0)[0] is not rules[1].bases[599, 0][0]
-    # an entry larger than the whole budget is handed out, not stored
+    # an entry larger than the whole budget is handed out, not stored, and
+    # evicts nothing: only its 6.4 MB order-0 part pushes out the oldest entry
     big = _basis(rules[0], 800)
-    assert sum(a.nbytes for a in big) > 16 << 20 and (1000, (800, 2)) not in quad._BASES
+    assert sum(a.nbytes for a in big) > 16 << 20
+    assert list(quad._BASES) == [(1004, (599, 0)), (1001, (599, 0)), (1000, (800, 0))]
     assert _basis(rules[0], 800) is big
     quad._BASES.clear()
 
