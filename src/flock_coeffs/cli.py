@@ -19,16 +19,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .coeffs import _equilibrium, _profiles, compute_coefficients
+from .coeffs import DEFAULT_DEGREE, _degree, _equilibrium, _profiles, compute_coefficients
 from .elliptic import solve_gci
-from .errors import ConfigError, FlockError
+from .errors import ConfigError, FlockError, InvariantError, UsageError
 from .fields import _save_csv, evaluate_corrections, load_field_csv, make_field, save_field_csv
-from .kernel import kernel_from_config, parse_config
+from .kernel import SPATIAL_MODELS, kernel_from_config, parse_config
 from .verify import run_verification
-
-EXIT_OK = 0
-EXIT_USAGE = 1
-EXIT_INVARIANT = 2
 
 SWEEP_HEADER = "d,c1,c2,c3,beta,gamma," + ",".join(f"zeta{j}" for j in range(1, 14))
 
@@ -38,7 +34,7 @@ class _Parser(argparse.ArgumentParser):
     # reserves 2 for invariant failures, so remap to 1
     def error(self, message):
         self.print_usage(sys.stderr)
-        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+        self.exit(UsageError.exit_code, f"{self.prog}: error: {message}\n")
 
 
 def _build_parser():
@@ -52,9 +48,9 @@ def _build_parser():
         sp.add_argument("--nu", help="alignment rate model, e.g. const:1 | "
                                      "affine:1,0.3 | evenpoly:1,0.5")
         sp.add_argument("--d", type=float, help="noise constant")
-        sp.add_argument("--n", type=int,
-                        help="spectral degree (default 64); coeffs and fields take it "
-                             "as a cap and stop where the profiles resolve")
+        sp.add_argument("--n", type=int, default=DEFAULT_DEGREE,
+                        help=f"spectral degree (default {DEFAULT_DEGREE}); coeffs and fields "
+                             "take it as a cap and stop where the profiles resolve")
         sp.add_argument("--kappa", type=float, help="nonlocality constant")
         sp.add_argument("--spatial", help="spatial kernel, e.g. ball:1 | gaussian:0.5")
         sp.add_argument("--output", "-o", help="output file or directory ('-' = stdout)")
@@ -113,29 +109,29 @@ def _merged_config(args):
     if args.spatial:
         model, _, param = args.spatial.partition(":")
         cfg["spatial.model"] = model
-        key = "spatial.radius" if model == "ball" else "spatial.scale"
-        if param:
-            cfg[key] = param
+        if param and model in SPATIAL_MODELS:  # kernel_from_config names an unknown one
+            cfg[SPATIAL_MODELS[model][0]] = param
     return cfg
 
 
 def _resolve(args):
-    cfg = _merged_config(args)
-    kernel, kappa = kernel_from_config(cfg)
-    n = args.n if args.n is not None else 64
-    if n < 8:
-        raise ConfigError(f"spectral degree must be >= 8, got {n}")
-    return kernel, kappa, n
+    kernel, kappa = kernel_from_config(_merged_config(args))
+    return kernel, kappa, _degree(args.n)
 
 
-def _write_text(path, text):
+def _output(path):
+    """sys.stdout for a path of None or '-', else the Path, its directory made."""
     if path in (None, "-"):
-        sys.stdout.write(text)
-    else:
-        out = Path(path)
-        if out.parent and not out.parent.exists():
-            out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(text)
+        return sys.stdout
+    out = Path(path)
+    out.parent.mkdir(parents=True, exist_ok=True)
+    return out
+
+
+def _write_json(path, payload):
+    """payload as indented JSON to _output(path)."""
+    out = _output(path)
+    (out.write if out is sys.stdout else out.write_text)(json.dumps(payload, indent=2) + "\n")
 
 
 def _sweep_values(args):
@@ -149,8 +145,6 @@ def _sweep_values(args):
                 raise ConfigError(f"{flag} must be finite, got {value}")
         if not (0 < args.d_min <= args.d_max):
             raise ConfigError("need 0 < d-min <= d-max")
-        if args.steps == 1:
-            return [args.d_min]
         return list(np.linspace(args.d_min, args.d_max, args.steps))
     return None
 
@@ -168,14 +162,11 @@ def cmd_coeffs(args) -> int:
     if args.format == "json":
         payload = (results[0].to_json_dict() if sweep is None
                    else {"sweep": [r.to_json_dict() for r in results]})
-        _write_text(args.output, json.dumps(payload, indent=2) + "\n")
+        _write_json(args.output, payload)
     else:
-        lines = [SWEEP_HEADER]
-        for r in results:
-            row = [r.d, r.c1, r.c2, r.c3, r.beta, r.gamma, *r.zeta]
-            lines.append(",".join(f"{v:.17g}" for v in row))
-        _write_text(args.output, "\n".join(lines) + "\n")
-    return EXIT_OK
+        rows = [[r.d, r.c1, r.c2, r.c3, r.beta, r.gamma, *r.zeta] for r in results]
+        _save_csv(_output(args.output), SWEEP_HEADER, np.transpose(rows))
+    return 0
 
 
 def cmd_profiles(args) -> int:
@@ -193,7 +184,7 @@ def cmd_profiles(args) -> int:
         _save_csv(outdir / f"{name}.csv", "mu,value", (prof.rule.nodes, values))
         meta = prof.meta if prof.condition is None else {**prof.meta, "condition": prof.condition}
         sidecar = {"coefficients": list(prof.coef), "sing_order": sing_order, "meta": meta}
-        (outdir / f"{name}.json").write_text(json.dumps(sidecar, indent=2) + "\n")
+        _write_json(outdir / f"{name}.json", sidecar)
 
     # the invariant profile is written as h, next to its derivative h' and
     # the full invariant g = sqrt(1-mu^2) h (with h's coefficients)
@@ -203,7 +194,7 @@ def cmd_profiles(args) -> int:
     for name, prof in profiles.items():
         dump("h" if name == "gci" else name, prof)
     sys.stdout.write(f"wrote {len(profiles) + 2} profiles to {outdir}\n")
-    return EXIT_OK
+    return 0
 
 
 def _parse_triplet(text, what, kind=float):
@@ -246,7 +237,7 @@ def cmd_fields(args) -> int:
     if not args.input:
         save_field_csv(state, outdir / "state.csv")
     sys.stdout.write(f"wrote corrections for {state.grid.shape} grid to {outdir}\n")
-    return EXIT_OK
+    return 0
 
 
 def cmd_verify(args) -> int:
@@ -260,8 +251,8 @@ def cmd_verify(args) -> int:
         f"{sum(c.passed for c in report.checks)}/{len(report.checks)} checks "
         f"in {report.elapsed:.2f}s\n")
     if args.output:
-        _write_text(args.output, json.dumps(report.to_json_dict(), indent=2) + "\n")
-    return EXIT_OK if report.passed else EXIT_INVARIANT
+        _write_json(args.output, report.to_json_dict())
+    return 0 if report.passed else InvariantError.exit_code
 
 
 def main(argv=None) -> int:

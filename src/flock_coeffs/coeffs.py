@@ -206,6 +206,7 @@ class HydroCoefficients:
     residuals: dict
     kernel_model: str = "custom"
     kernel_params: tuple = ()
+    nu_min: float | None = None
 
     def q_coeffs(self, rho: float) -> np.ndarray:
         """Quadratic-term coefficients Q1..Q8 at density rho."""
@@ -222,7 +223,7 @@ class HydroCoefficients:
         return {
             "kernel": {"model": self.kernel_model,
                        "params": list(self.kernel_params),
-                       "nu_min": self.residuals.get("nu_min")},
+                       "nu_min": self.nu_min},
             "d": self.d,
             "kappa": self.kappa,
             "n": self.n,
@@ -237,7 +238,7 @@ class HydroCoefficients:
                 "xi": self.xi,
                 "prefactor": self.prefactor,
             },
-            "residuals": {k: v for k, v in self.residuals.items() if k != "nu_min"},
+            "residuals": self.residuals,
         }
 
 
@@ -348,8 +349,8 @@ def compute_r2_coeffs(kernel: CollisionKernel, profiles: dict, c, kappa: float,
 
     zeta_j = prefactor * (time_j + transport_j + nonlocal_j) with the missing
     route entries identically zero.  All tables are kept on the result, and
-    `residuals` is kept as given; the profiles' degree n is recorded as both
-    `n` and `degree`.
+    `residuals` with beta_quadratic_form's gap to beta added last; the
+    profiles' degree n is recorded as both `n` and `degree`.
     """
     lam, eta, xi, lpp, ep, xslots, prefactor = _route_tables(
         kernel, profiles, c, kappa, eq)
@@ -357,11 +358,13 @@ def compute_r2_coeffs(kernel: CollisionKernel, profiles: dict, c, kappa: float,
     zeta = prefactor * (lpp[1:] + ep[1:] + xslots[1:])
 
     beta, gamma = compute_r1_coeffs(profiles, eq)
+    residuals = {**residuals,
+                 "beta_dirichlet_diff": abs(beta_quadratic_form(kernel, profiles, eq) - beta)}
     return HydroCoefficients(
         c1=c[0], c2=c[1], c3=c[2], beta=beta, gamma=gamma, zeta=zeta,
         kappa=float(kappa), d=kernel.d, n=int(n), degree=int(n),
         prefactor=prefactor, lam=lam, eta=eta, xi=xi, residuals=residuals,
-        kernel_model=kernel.model, kernel_params=kernel.params,
+        kernel_model=kernel.model, kernel_params=kernel.params, nu_min=kernel.nu_min,
     )
 
 
@@ -389,6 +392,16 @@ class Pipeline:
 # (d <= 6e7 for a unit constant rate).
 C1_RTOL = 1e-8
 MIN_WEIGHT_SPREAD = 1.5 * np.finfo(float).eps / C1_RTOL
+
+
+# the degree of a run when none is given, and the least one any run takes
+DEFAULT_DEGREE = 64
+MIN_DEGREE = 8
+
+
+def _degree(n) -> int:
+    """n as an int; a DomainError naming n unless it is whole and >= MIN_DEGREE."""
+    return _whole(n, "degree n", MIN_DEGREE)
 
 
 def _equilibrium(kernel: CollisionKernel, n: int, kappa: float) -> VonMisesEquilibrium:
@@ -428,11 +441,6 @@ def _stages(kernel: CollisionKernel, h: MuProfile, n: int, kappa: float,
     residuals["h_max"] = float(h.values.max())
     residuals["tail"] = max(float(_envelope(p.coef)[-1]) for p in profiles.values())
     hydro = compute_r2_coeffs(kernel, profiles, c, kappa, eq, n, residuals)
-    # the Dirichlet route is compared with the assembled beta, so this entry
-    # goes into hydro's residuals dict after assembly
-    residuals["beta_dirichlet_diff"] = abs(
-        beta_quadratic_form(kernel, profiles, eq) - hydro.beta)
-    residuals["nu_min"] = kernel.nu_min
     return Pipeline(eq=eq, c=c, profiles=profiles, hydro=hydro)
 
 
@@ -447,7 +455,7 @@ def run_pipeline(kernel: CollisionKernel, n: int, kappa: float) -> Pipeline:
     ordering of the constants is not checked here (see check_ordering); the
     range checks are those of _equilibrium.
     """
-    n = _whole(n, "degree n")
+    n = _degree(n)
     eq = _equilibrium(kernel, n, kappa)
     return _stages(kernel, solve_gci(kernel, n), n, kappa, eq)
 
@@ -527,7 +535,7 @@ def _next_degree(degree: int, cap: int, profiles) -> int:
     return int(np.ceil(estimate)) if degree < estimate < cap else cap
 
 
-def compute_coefficients(kernel: CollisionKernel, n: int = 64,
+def compute_coefficients(kernel: CollisionKernel, n: int = DEFAULT_DEGREE,
                          kappa: float = 0.0) -> HydroCoefficients:
     """The coefficient set of the first trial degree, at most n, at which all
     six profiles plateau (_plateau).
@@ -543,9 +551,9 @@ def compute_coefficients(kernel: CollisionKernel, n: int = 64,
     the one used.
 
     The ordering 0 < c2 < c1 < 1 and c3 > 0 is checked (check_ordering), as
-    is beta > 0 (compute_r1_coeffs).
+    is beta > 0 (compute_r1_coeffs).  n must pass _degree.
     """
-    n = _whole(n, "degree n")
+    n = _degree(n)
     degree = min(n, FIRST_TRIAL_DEGREE)
     while degree < n:
         try:

@@ -41,8 +41,8 @@ from scipy.special import legendre_p_all
 
 from .errors import InvariantError, PreconditionError, SolverError
 from .kernel import CollisionKernel
-from .quad import (QuadratureRule, VonMisesEquilibrium, build_equilibrium, build_rule,
-                   quadrature_size)
+from .quad import (QuadratureRule, VonMisesEquilibrium, _at_nodes, build_equilibrium,
+                   build_rule, quadrature_size)
 
 __all__ = [
     "MuProfile",
@@ -146,12 +146,6 @@ def _basis(rule: QuadratureRule, degree: int, order: int = 2):
         a.flags.writeable = False
     # a concurrent build of the same basis loses to the one stored first
     return rule.bases.setdefault((degree, order), basis)
-
-
-def _sampled(fn, x):
-    """Values of a data callable at the nodes, broadcast to the node count."""
-    vals = np.asarray(fn(x), dtype=float)
-    return np.full(len(x), float(vals)) if vals.ndim == 0 else vals
 
 
 def operator_rule(kernel: CollisionKernel, n: int, rule: QuadratureRule | None = None):
@@ -353,7 +347,8 @@ def solve_type1(kernel: CollisionKernel, alpha, f, n: int, *, sing_order: int = 
     the weight-free ratios alpha/w and f/w (see elliptic_problem_data):
     alpha/w must be bounded below by a positive constant (checked by
     sampling), and f/w must vanish at the endpoints at least like the
-    (1-mu^2)^(k/2) carried by the solution space.  By the maximum principle,
+    (1-mu^2)^(k/2) carried by the solution space; both are taken at the
+    nodes like quad's integrands (_at_nodes).  By the maximum principle,
     one-signed f gives a one-signed solution.  `name` labels the problem in
     error messages.
 
@@ -376,7 +371,7 @@ def solve_type1(kernel: CollisionKernel, alpha, f, n: int, *, sing_order: int = 
     rule = operator_rule(kernel, n, rule)
     x = rule.nodes
     s2 = 1.0 - x * x
-    alpha_ratio = _sampled(alpha, x)
+    alpha_ratio = _at_nodes(rule, alpha)
     a0 = float(alpha_ratio.min())
     if not a0 > 0:
         raise PreconditionError(f"{name} solve: alpha must be positive on [-1, 1]; "
@@ -384,14 +379,14 @@ def solve_type1(kernel: CollisionKernel, alpha, f, n: int, *, sing_order: int = 
     return _checked_solve(kernel, rule, n, k,
                           ("type1", n, k, kernel.nu, kernel.d, alpha_ratio.tobytes()),
                           lambda: _operator_coefs(kernel, x, k, alpha_ratio),
-                          _sampled(f, x) / s2 ** (k / 2.0), name, divisor=s2)
+                          _at_nodes(rule, f) / s2 ** (k / 2.0), name, divisor=s2)
 
 
 def _check_zero_mean(f, rule: QuadratureRule, weight, d: float, name: str) -> None:
     """PreconditionError, naming the stage `name` and d, unless the type-2
     data f/w (a callable) satisfy |int (f/w) w dmu| < 1e-10 on `rule`, with
     `weight` the weight w at its nodes."""
-    fmean = float(rule.weights @ (_sampled(f, rule.nodes) * weight))
+    fmean = float(rule.weights @ (_at_nodes(rule, f) * weight))
     if not abs(fmean) < 1e-10:  # also rejects non-finite data
         raise PreconditionError(
             f"{name} solve: type-2 data must have zero mean; "
@@ -404,7 +399,8 @@ def solve_type2(kernel: CollisionKernel, f, n: int, *,
                 name: str = "type-2") -> MuProfile:
     """Solve the conservative degenerate problem in the zero-mean gauge.
 
-    `f` is the weight-free ratio f/w (see elliptic_problem_data).
+    `f` is the weight-free ratio f/w (see elliptic_problem_data), taken at
+    the nodes like solve_type1's data.
     Solvability requires int f dmu = 0, checked to 1e-10 as int (f/w) w dmu
     on the rule of the equilibrium `eq` (by default one sized for degree
     n + 2), whose weight is rescaled to O(1).  The returned representative
@@ -425,9 +421,8 @@ def solve_type2(kernel: CollisionKernel, f, n: int, *,
     if eq is None:
         eq = build_equilibrium(kernel, quadrature_size(kernel, n + 2))
     _check_zero_mean(f, eq.rule, eq.weight, kernel.d, name)
-    x = rule.nodes
     return _checked_solve(kernel, rule, n, 0, ("type2", n, kernel.nu, kernel.d),
-                          lambda: _operator_coefs(kernel, x, 0), _sampled(f, x), name)
+                          lambda: _operator_coefs(kernel, rule.nodes, 0), _at_nodes(rule, f), name)
 
 
 def elliptic_problem_data(kernel: CollisionKernel, c=None, b1=None) -> dict:

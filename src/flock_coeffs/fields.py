@@ -170,29 +170,12 @@ class GradientBundle:
     scheme_order: int
     rows: np.ndarray
 
-    @property
-    def grad_perp_rho(self) -> np.ndarray:
-        return np.moveaxis(self.rows[0:3], 0, -1)
-
-    @property
-    def par_grad_rho(self) -> np.ndarray:
-        return self.rows[3]
-
-    @property
-    def omega_tilt(self) -> np.ndarray:
-        return np.moveaxis(self.rows[4:7], 0, -1)
-
-    @property
-    def div_omega(self) -> np.ndarray:
-        return self.rows[7]
-
-    @property
-    def sigma_omega(self) -> np.ndarray:
-        return self._tensor(antisymmetric=False)
-
-    @property
-    def gamma_omega(self) -> np.ndarray:
-        return self._tensor(antisymmetric=True)
+    grad_perp_rho = property(lambda self: np.moveaxis(_bundle_rows(self.rows).gperp, 0, -1))
+    par_grad_rho = property(lambda self: _bundle_rows(self.rows).dpar)
+    omega_tilt = property(lambda self: np.moveaxis(_bundle_rows(self.rows).tilt, 0, -1))
+    div_omega = property(lambda self: _bundle_rows(self.rows).divo)
+    sigma_omega = property(lambda self: self._tensor(antisymmetric=False))
+    gamma_omega = property(lambda self: self._tensor(antisymmetric=True))
 
     def _tensor(self, antisymmetric):
         packed = _bundle_rows(self.rows)
@@ -298,9 +281,13 @@ def deriv(values: np.ndarray, axis: int, h: float, order: int = 2) -> np.ndarray
 
     An axis of extent 1 is constant and has a zero derivative.
     """
+    _check_order(order)
+    return _periodic_difference(values, axis, h, order)
+
+
+def _check_order(order):
     if order not in (2, 4):
         raise DomainError(f"scheme order must be 2 or 4, got {order}")
-    return _periodic_difference(values, axis, h, order)
 
 
 @dataclass(frozen=True)
@@ -373,8 +360,7 @@ def _project_perp(omega, vec, out):
 def _check_state(state, scheme_order) -> float:
     """Validate the state and the scheme order; returns min rho."""
     rho_min = state._validated_min_density()
-    if scheme_order not in (2, 4):
-        raise DomainError(f"scheme order must be 2 or 4, got {scheme_order}")
+    _check_order(scheme_order)
     if scheme_order == 4 and any(1 < n < 5 for n in state.grid.shape):
         raise DomainError("order-4 stencil needs periodic extents of >= 5 cells (or 1)")
     return rho_min
@@ -704,15 +690,17 @@ def _slabs(state, order, levels):
     rho and the component-major om cover the slab's planes plus a halo of
     `levels` derivative levels, taken periodically; they are views of two
     buffers allocated once and refilled in one copy per slab, so each slab's
-    pair is valid until the next is yielded.  A grid of at most one slab's
-    planes is one slab with no halo that wraps like the whole-grid path.
+    pair is valid until the next is yielded.  A slab has _slab_planes planes,
+    but at least the 2w, w = order // 2, that one halo level adds.  A grid of
+    at most one slab's planes is one slab with no halo that wraps like the
+    whole-grid path.
     """
     n0 = state.grid.shape[0]
-    planes = _slab_planes(state.grid)
+    w = order // 2
+    planes = max(_slab_planes(state.grid), 2 * w)
     if n0 <= planes:
         yield 0, n0, state.rho, _omega_components(state), _whole_grid(state, order)
         return
-    w = order // 2
     st = _Stencil(state.grid.spacing, order, w)
     rho_buf = np.empty((planes + 2 * levels * w,) + state.grid.shape[1:])
     om_buf = np.empty((3,) + rho_buf.shape)
@@ -817,6 +805,11 @@ def _random_smooth(grid, lengths, rng, rho, omega):
             np.divide(v[k], norm, out=omega[i0:i1, ..., k])
 
 
+# each field of make_field -> its parameters and their defaults
+FIELD_PARAMS = {"uniform": {"rho": 1.0}, "axial-sine": {"amplitude": 1.0},
+                "tilt-sine": {"alpha0": 0.7}, "random-smooth": {}}
+
+
 def make_field(name: str, shape=(16, 16, 16), lengths=None, params=None,
                seed: int = 0) -> FieldState:
     """Named analytic field states on a periodic box.
@@ -826,6 +819,9 @@ def make_field(name: str, shape=(16, 16, 16), lengths=None, params=None,
     tilt-sine     omega tilts in the x-z plane with z, rho = 1
                   (params: alpha0, default 0.7)
     random-smooth seeded band-limited unit field, rho bounded away from 0
+
+    FIELD_PARAMS holds each field's parameters and their defaults; an unknown
+    name, or a parameter its field does not take, raises DomainError.
     """
     if lengths is None:
         lengths = (2 * np.pi,) * 3
@@ -834,33 +830,34 @@ def make_field(name: str, shape=(16, 16, 16), lengths=None, params=None,
         raise GridShapeError(f"bad grid shape {shape}")
     grid = Grid(shape=shape, spacing=tuple(L / n for L, n in zip(lengths, shape)))
     x, y, z = grid.axes()
-    params = params or {}
+    if name not in FIELD_PARAMS:
+        raise DomainError(f"unknown field {name!r}; known: {', '.join(FIELD_PARAMS)}")
+    unknown = [key for key in params or {} if key not in FIELD_PARAMS[name]]
+    if unknown:
+        raise DomainError(f"field {name} takes no parameter {unknown[0]!r}; "
+                          f"it takes {', '.join(FIELD_PARAMS[name]) or 'none'}")
+    params = {key: float(v) for key, v in {**FIELD_PARAMS[name], **(params or {})}.items()}
     omega = np.zeros(shape + (3,))
 
     # every factor is evaluated on its own axis and broadcast; each cell gets
     # the same operations as on full coordinate arrays
     if name == "uniform":
-        rho = np.full(shape, float(params.get("rho", 1.0)))
+        rho = np.full(shape, params["rho"])
         omega[..., 2] = 1.0
     elif name == "axial-sine":
-        amp = float(params.get("amplitude", 1.0))
         rho = np.empty(shape)
-        rho[...] = 2.0 + amp * np.sin(2 * np.pi * z / lengths[2])
+        rho[...] = 2.0 + params["amplitude"] * np.sin(2 * np.pi * z / lengths[2])
         omega[..., 2] = 1.0
     elif name == "tilt-sine":
-        alpha0 = float(params.get("alpha0", 0.7))
-        alpha = alpha0 * np.sin(2 * np.pi * z / lengths[2])
+        alpha = params["alpha0"] * np.sin(2 * np.pi * z / lengths[2])
         rho = np.ones(shape)
         omega[..., 0] = np.sin(alpha)
         omega[..., 2] = np.cos(alpha)
-    elif name == "random-smooth":
+    else:  # random-smooth
         if seed < 0:
             raise DomainError(f"seed must be non-negative, got {seed}")
         rho = np.empty(shape)
         _random_smooth(grid, lengths, np.random.default_rng(seed), rho, omega)
-    else:
-        raise DomainError(
-            f"unknown field {name!r}; known: uniform, axial-sine, tilt-sine, random-smooth")
     return FieldState(grid=grid, rho=rho, omega=omega).validate()
 
 

@@ -239,6 +239,11 @@ def gaussian_kernel(scale=1.0) -> SpatialKernel:
     )
 
 
+# spatial model -> (config key of its one parameter, builder)
+SPATIAL_MODELS = {"ball": ("spatial.radius", ball_kernel),
+                  "gaussian": ("spatial.scale", gaussian_kernel)}
+
+
 def radial_moment(spatial: SpatialKernel, p: int) -> float:
     """K_p: the p-th moment of K over 3-space, 4*pi * int K(r) r^(p+2) dr."""
     if spatial._moments is not None:
@@ -312,10 +317,11 @@ def _parse_floats(text):
 def kernel_from_config(cfg: dict):
     """Build (CollisionKernel, kappa) from a parsed key=value mapping.
 
-    Recognized keys: nu.model, nu.params, d, kappa, spatial.model,
-    spatial.radius, spatial.scale.  nu.params defaults to 1 for the const
-    model only.  kappa takes precedence over the spatial kernel; absent both,
-    kappa defaults to 0 (purely local interaction).
+    Recognized keys: nu.model, nu.params, d, kappa, spatial.model and the
+    key SPATIAL_MODELS gives that model's parameter (default 1).  nu.params
+    defaults to 1 for the const model only.  kappa takes precedence over the
+    spatial kernel; absent both, kappa defaults to 0 (purely local
+    interaction).
     """
     model = cfg.get("nu.model", "const")
     params = _parse_floats(cfg.get("nu.params", "1" if model == "const" else ""))
@@ -325,12 +331,11 @@ def kernel_from_config(cfg: dict):
         kappa = _config_float(cfg, "kappa", None)
     elif "spatial.model" in cfg:
         smodel = cfg["spatial.model"]
-        if smodel == "ball":
-            kappa = compute_kappa(ball_kernel(_config_float(cfg, "spatial.radius", "1")))
-        elif smodel == "gaussian":
-            kappa = compute_kappa(gaussian_kernel(_config_float(cfg, "spatial.scale", "1")))
-        else:
-            raise ConfigError(f"unknown spatial model {smodel!r}; known: ball, gaussian")
+        if smodel not in SPATIAL_MODELS:
+            raise ConfigError(f"unknown spatial model {smodel!r}; "
+                              f"known: {', '.join(SPATIAL_MODELS)}")
+        key, builder = SPATIAL_MODELS[smodel]
+        kappa = compute_kappa(builder(_config_float(cfg, key, "1")))
     else:
         kappa = 0.0
     return kernel, kappa

@@ -136,12 +136,7 @@ def _fd_solve_on(grid: _DenseGrid, problem_type, alpha, f, k, f_cells=None):
         ab[1] = diag
         ab[2, :-1] = -cvals[1:-1]
         g = s2 ** (k / 2.0) * solve_banded((1, 1), ab, rhs)
-        if not np.all(np.isfinite(g)):
-            raise SolverError(f"finite-difference solve produced non-finite values "
-                              f"at d = {d:g}")
-        return g
-
-    if problem_type == 2:
+    elif problem_type == 2:
         # high-order check of the solvability condition (midpoint sums are
         # only O(dx^2) and would mask genuinely admissible data)
         _check_zero_mean(f, *grid.solvability_rule, d, "finite-difference")
@@ -156,12 +151,11 @@ def _fd_solve_on(grid: _DenseGrid, problem_type, alpha, f, k, f_cells=None):
         g[0] = 0.0
         np.cumsum(flux[:-1] / cond, out=g[1:])
         g -= g.mean()
-        if not np.all(np.isfinite(g)):
-            raise SolverError(f"finite-difference solve produced non-finite values "
-                              f"at d = {d:g}")
-        return g
-
-    raise PreconditionError(f"problem_type must be 1 or 2, got {problem_type}")
+    else:
+        raise PreconditionError(f"problem_type must be 1 or 2, got {problem_type}")
+    if not np.all(np.isfinite(g)):
+        raise SolverError(f"finite-difference solve produced non-finite values at d = {d:g}")
+    return g
 
 
 # --- azimuthally reduced operator application ----------------------------------

@@ -79,18 +79,18 @@ def build_rule(n: int) -> QuadratureRule:
     """
     # an integer degree keeps eval_legendre on its recurrence; a float one
     # would send it down its hypergeometric path
-    n = _whole(n, "rule size")
-    if n < 1:
-        raise DomainError(f"rule size must be >= 1, got {n}")
+    n = _whole(n, "rule size", 1)
     rule = QuadratureRule(*_gauss(n))
     object.__setattr__(rule, "bases", _SizeBases(n))
     return rule
 
 
-def _whole(value, what: str) -> int:
-    """`value` as an int; a DomainError naming `what` unless it is whole."""
+def _whole(value, what: str, least: int) -> int:
+    """`value` as an int; a DomainError naming `what` unless it is whole and >= `least`."""
     if not float(value).is_integer():
         raise DomainError(f"{what} must be an integer, got {value}")
+    if value < least:
+        raise DomainError(f"{what} must be >= {least}, got {int(value)}")
     return int(value)
 
 
@@ -150,7 +150,7 @@ class _SizeBases(dict):
         return super().setdefault(key, basis)
 
 
-def _values_on(rule: QuadratureRule, g):
+def _at_nodes(rule: QuadratureRule, g):
     """Values of g (callable, profile-like, array, or scalar) at the rule nodes:
     a scalar value is broadcast, any other must have the nodes' shape."""
     values = np.asarray(g(rule.nodes) if callable(g) else g, dtype=float)
@@ -160,6 +160,12 @@ def _values_on(rule: QuadratureRule, g):
         raise DomainError(
             f"integrand array has shape {values.shape}, rule has {rule.n} nodes"
         )
+    return values
+
+
+def _values_on(rule: QuadratureRule, g):
+    """_at_nodes's values of g, which must be finite."""
+    values = _at_nodes(rule, g)
     bad = ~np.isfinite(values)
     if bad.any():
         where = rule.nodes[bad][0]

@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import fields
-from .coeffs import check_ordering, compute_r2_coeffs, run_pipeline
+from .coeffs import DEFAULT_DEGREE, _degree, check_ordering, compute_r2_coeffs, run_pipeline
 from .elliptic import MuProfile
 from .errors import DomainError
 from .fields import (
@@ -314,9 +314,10 @@ def _field_checks(report, coeffs, seed):
 
 
 def run_verification(kernel: CollisionKernel | None = None, kappa: float = 0.1,
-                     n: int = 64, quick: bool = False, oracle_m: int = 4000,
+                     n: int = DEFAULT_DEGREE, quick: bool = False, oracle_m: int = 4000,
                      seed: int = 0) -> VerificationReport:
-    """Run the suite; `quick` restricts to the closed-form tier."""
+    """Run the suite at degree n (coeffs._degree); `quick` restricts to the closed-form tier."""
+    n = _degree(n)
     if seed < 0:
         raise DomainError(f"seed must be non-negative, got {seed}")
     t0 = time.perf_counter()

@@ -12,7 +12,8 @@ import flock_coeffs
 import flock_coeffs.coeffs as coeffs_mod
 import flock_coeffs.quad as quad
 from flock_coeffs import elliptic
-from flock_coeffs.cli import main
+from flock_coeffs.cli import _build_parser, cmd_profiles, main
+from flock_coeffs.errors import DomainError
 from flock_coeffs.coeffs import run_pipeline
 from flock_coeffs.fields import make_field, save_field_csv
 from flock_coeffs.kernel import make_kernel
@@ -311,9 +312,11 @@ def test_coeffs_invariant_violation_exits_2(tmp_path, capsys, command, expected)
     (["--field", "random-smooth", "--seed", "-1"], "error: seed must be non-negative, got -1"),
     (["--field", "axial-sine", "--param", "amplitude=abc"],
      "error: --param amplitude: 'abc' is not a number"),
+    (["--field", "axial-sine", "--param", "amplitud=3"],
+     "error: field axial-sine takes no parameter 'amplitud'; it takes amplitude"),
 ], ids=["unknown-field", "order-4-small-grid", "scheme-order-3", "fractional-grid",
         "overflowing-grid", "nan-grid", "nan-lengths", "nan-eps", "nan-kappa", "empty-grid",
-        "negative-seed", "non-numeric-param"])
+        "negative-seed", "non-numeric-param", "unknown-param"])
 def test_fields_domain_errors_are_usage_errors(tmp_path, capsys, argv, message):
     code = run(["fields", "--grid", "4,4,4", "--nu", "const:1", "--d", "1",
                 "-o", str(tmp_path / "out"), *argv])
@@ -429,6 +432,37 @@ def test_verify_detects_injected_sign_flip(tmp_path, flip_time_route_slot):
 
 def test_invalid_degree_rejected():
     assert run(["coeffs", "--nu", "const:1", "--d", "1", "--n", "4"]) == 1
+
+
+@pytest.mark.parametrize("n", [4, 7])
+def test_degree_floor_is_the_librarys(tmp_path, capsys, n):
+    # the profile dump and verify reach the library's check, not one of their own
+    outdir = tmp_path / "out"
+    args = _build_parser().parse_args(["profiles", "--n", str(n), "-o", str(outdir)])
+    with pytest.raises(DomainError, match=rf"degree n must be >= 8, got {n}$"):
+        cmd_profiles(args)
+    assert not outdir.exists()
+    for command in ("profiles", "verify", "coeffs"):
+        assert run([command, "--n", str(n), "-o", str(outdir)]) == 1
+        assert f"error: degree n must be >= 8, got {n}" in capsys.readouterr().err
+
+
+def test_sweep_to_stdout_is_the_sweep_written_to_a_file(tmp_path, capsys):
+    argv = ["coeffs", "--nu", "affine:1,0.3", "--d-min", "0.02", "--d-max", "2",
+            "--steps", "5", "--n", "32"]
+    assert run([*argv, "-o", str(tmp_path / "sweep.csv")]) == 0
+    capsys.readouterr()
+    assert run([*argv, "-o", "-"]) == 0
+    assert capsys.readouterr().out.encode() == (tmp_path / "sweep.csv").read_bytes()
+
+
+@pytest.mark.parametrize("spatial, kappa", [("gaussian:2", 2.0), ("ball:1", 0.1)])
+def test_spatial_parameter_reaches_its_kernel(tmp_path, spatial, kappa):
+    # kappa = K_2 / (6 K_0): s^2 / 2 for a gaussian of scale s, R^2 / 10 for a ball
+    out = tmp_path / "c.json"
+    assert run(["coeffs", "--spatial", spatial, "--n", "32", "--format", "json",
+                "-o", str(out)]) == 0
+    assert json.loads(out.read_text())["kappa"] == pytest.approx(kappa, rel=1e-15)
 
 
 @pytest.mark.parametrize("d", ["-1", "inf"])

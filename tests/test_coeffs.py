@@ -80,6 +80,18 @@ def test_fractional_degree_is_a_domain_error_naming_n(n):
         run_pipeline(kernel, n, 0.0)
 
 
+@pytest.mark.parametrize("n", [4, 7])
+def test_degree_below_the_floor_is_a_domain_error_naming_n(n):
+    # below MIN_DEGREE the b2 solvability check failed (n = 4, a numeric
+    # failure) or the set came back unresolved (n = 7, tail 2.2e-5)
+    kernel = constant_kernel(1.0, d=0.5)
+    message = re.escape(f"degree n must be >= {coeffs_mod.MIN_DEGREE}, got {n}")
+    for run in (lambda: compute_coefficients(kernel, n=n), lambda: run_pipeline(kernel, n, 0.0),
+                lambda: verify_mod.run_verification(n=n, quick=True)):
+        with pytest.raises(DomainError, match=message):
+            run()
+
+
 def test_whole_float_degree_is_that_degree():
     kernel = constant_kernel(1.0, d=0.5)
     hydro = compute_coefficients(kernel, n=64.0)

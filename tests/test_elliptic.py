@@ -18,9 +18,9 @@ from flock_coeffs.elliptic import (
     solve_type1,
     solve_type2,
 )
-from flock_coeffs.errors import PreconditionError, SolverError
+from flock_coeffs.errors import DomainError, PreconditionError, SolverError
 from flock_coeffs.kernel import constant_kernel, registry_kernels, tabulated_kernel
-from flock_coeffs.quad import QuadratureRule, build_equilibrium, build_rule, quadrature_size
+from flock_coeffs.quad import QuadratureRule, _at_nodes, build_equilibrium, build_rule, quadrature_size
 
 
 def apply_type1_operator(kernel, alpha, u_coefs, k):
@@ -388,13 +388,13 @@ def test_operator_rule_is_exact(kernel, n):
         systems = []
         for rule in (small, big):
             x = rule.nodes
-            alpha = None if row["ptype"] == 2 else elliptic._sampled(row["alpha"], x)
+            alpha = None if row["ptype"] == 2 else _at_nodes(rule, row["alpha"])
             c2, c1, c0 = elliptic._operator_coefs(kernel, x, k, alpha)
             V, Vd, Vdd = _basis(rule, n)
             nodal = Vdd * c2[:, None] + Vd * c1[:, None]
             if c0 is not None:
                 nodal += V * c0[:, None]
-            data = elliptic._sampled(row["f"], x) / (1.0 - x * x) ** (k / 2.0)
+            data = _at_nodes(rule, row["f"]) / (1.0 - x * x) ** (k / 2.0)
             systems.append((V.T @ (nodal * rule.weights[:, None]), V.T @ (rule.weights * data)))
         (A, F), (A_ref, F_ref) = systems
         assert np.max(np.abs(A - A_ref)) <= 1e-13 * np.max(np.abs(A_ref)), name
@@ -807,6 +807,17 @@ def test_solver_error_carries_the_estimate(monkeypatch, legendre_kernel):
                                           r"\(condition estimate \d\.\d{3}e[+-]\d+\)") as err:
         solve_type1(legendre_kernel, ones, bad, 8, name="probe")
     assert sizes == [9] and 1.0 < err.value.condition < np.inf
+
+
+def test_wrong_shaped_data_is_a_domain_error_naming_the_shape(legendre_kernel):
+    # data are taken at the nodes as integrands are: an (n, 1) column used to
+    # broadcast to an (n, n) system and fail as ill-conditioned (f) or in numpy
+    column = lambda mu: np.zeros((len(mu), 1))
+    for solve in (lambda: solve_type1(legendre_kernel, ones, column, 8),
+                  lambda: solve_type1(legendre_kernel, column, ones, 8),
+                  lambda: solve_type2(legendre_kernel, column, 8)):
+        with pytest.raises(DomainError, match=r"array has shape \(\d+, 1\), rule has \d+ nodes"):
+            solve()
 
 
 @pytest.mark.parametrize("d", [0.02, 1.0])

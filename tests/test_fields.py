@@ -584,8 +584,17 @@ def record_slabs(monkeypatch):
     return seen
 
 
+def slab_planes(planes, order):
+    """The planes of a slab of `planes` planes' worth of SLAB_CELLS: at least
+    the 2w planes of one halo level, w = order // 2."""
+    return max(planes, 2 * (order // 2))
+
+
+# (9, 128, 128): the default SLAB_CELLS gives 2 planes of this width, which
+# order 4 raises to its halo's 4
 @pytest.mark.parametrize("shape,order", [
-    ((13, 12, 11), 2), ((13, 12, 11), 4), ((1, 9, 7), 2), ((6, 6, 8), 4)])
+    ((13, 12, 11), 2), ((13, 12, 11), 4), ((1, 9, 7), 2), ((6, 6, 8), 4),
+    ((9, 128, 128), 4)])
 @pytest.mark.parametrize("planes", [1, 2, 5])
 def test_slab_split_matches_one_slab(monkeypatch, shape, order, planes):
     state = make_field("random-smooth", shape, lengths=(2.0, 3.0, 2.5), seed=18)
@@ -593,7 +602,7 @@ def test_slab_split_matches_one_slab(monkeypatch, shape, order, planes):
     seen = record_slabs(monkeypatch)
     monkeypatch.setattr(fields, "SLAB_CELLS", planes * shape[1] * shape[2])
     split = evaluate_corrections(state, SLAB_COEFFS, scheme_order=order, eps=0.3)
-    n0 = shape[0]
+    n0, planes = shape[0], slab_planes(planes, order)
     starts = range(0, n0, planes) if n0 > planes else [0]
     assert seen == [(i0, min(i0 + planes, n0) if n0 > planes else n0) for i0 in starts]
     assert split.r1.tobytes() == whole.r1.tobytes()
@@ -674,6 +683,15 @@ def test_make_field_matches_meshgrid_evaluation(name, params):
     assert state.omega.tobytes() == omega.tobytes()
 
 
+@pytest.mark.parametrize("name,params,takes", [
+    ("axial-sine", {"amplitud": 3.0}, "amplitude"), ("uniform", {"alpha0": 0.4}, "rho"),
+    ("random-smooth", {"amplitude": 1.0}, "none")])
+def test_make_field_rejects_a_parameter_its_field_does_not_take(name, params, takes):
+    with pytest.raises(DomainError, match=rf"field {name} takes no parameter "
+                                          rf"'{next(iter(params))}'; it takes {takes}$"):
+        make_field(name, (5, 5, 5), params=params)
+
+
 # --- non-finite states ------------------------------------------------------------
 
 @pytest.mark.parametrize("field,cell,value,match", [
@@ -730,7 +748,7 @@ def test_derivatives_per_slab(monkeypatch, order):
     monkeypatch.setattr(fields, "SLAB_CELLS", 2 * 12 * 11)
     evaluate_corrections(state, SLAB_COEFFS, scheme_order=order)
     slabs = len(seen)
-    assert slabs == 7
+    assert slabs == -(-13 // slab_planes(2, order))
     assert {p: calls.count(p) for p in set(calls)} == {
         "_bundle_fields": 12 * slabs, "_r1_field": 6 * slabs, "_add_d": 27 * slabs}
 
@@ -788,7 +806,7 @@ def test_decompose_slab_split_matches_one_slab(monkeypatch, shape, order, planes
     seen = record_slabs(monkeypatch)
     monkeypatch.setattr(fields, "SLAB_CELLS", planes * shape[1] * shape[2])
     split = decompose_gradients(state, scheme_order=order)
-    n0 = shape[0]
+    n0, planes = shape[0], slab_planes(planes, order)
     assert len(seen) == (-(-n0 // planes) if n0 > planes else 1)
     ref = ref_decompose(state, order)
     for name in BUNDLE_FIELDS:
@@ -803,7 +821,7 @@ def test_decompose_derivatives_per_slab(monkeypatch, order):
     seen = record_slabs(monkeypatch)
     monkeypatch.setattr(fields, "SLAB_CELLS", 2 * 12 * 11)
     decompose_gradients(state, scheme_order=order)
-    assert len(seen) == 7
+    assert len(seen) == -(-13 // slab_planes(2, order))
     assert calls == ["_bundle_fields"] * 12 * len(seen)
 
 
@@ -976,11 +994,12 @@ def test_slabs_gather_the_halo_each_caller_needs(monkeypatch, order):
             yield i0, i1, rho, om, st
 
     monkeypatch.setattr(fields, "_slabs", spy)
+    count = -(-13 // slab_planes(3, order))
     decompose_gradients(state, scheme_order=order)
-    assert halos == [order] * 5
+    assert halos == [order] * count
     halos.clear()
     evaluate_corrections(state, SLAB_COEFFS, scheme_order=order)
-    assert halos == [2 * order] * 5
+    assert halos == [2 * order] * count
 
 
 def test_workspace_is_smaller_than_26_rows(monkeypatch):
@@ -988,7 +1007,7 @@ def test_workspace_is_smaller_than_26_rows(monkeypatch):
     # omega on a slab plus 4w planes), a call holds the bundle workspace,
     # one slab plus 2w planes deep, and the slab temporaries; all of it
     # stays below what a workspace of 26 rows would take on its own
-    shape, order, planes = (12, 64, 64), 4, 2
+    shape, order, planes = (12, 64, 64), 4, 4
     monkeypatch.setattr(fields, "SLAB_CELLS", planes * 64 * 64)
     state = make_field("random-smooth", shape, seed=32)
     evaluate_corrections(state, SLAB_COEFFS, scheme_order=order)
