@@ -119,18 +119,21 @@ def _resolve(args):
     return kernel, kappa, _degree(args.n)
 
 
-def _output(path):
-    """sys.stdout for a path of None or '-', else the Path, its directory made."""
-    if path in (None, "-"):
-        return sys.stdout
-    out = Path(path)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    return out
+def _write(path, save, *args):
+    """save(out, *args), with out sys.stdout for a path of None or '-', else
+    the Path, its directory made.  An OSError from making the directory or
+    from writing is a ConfigError that names the path."""
+    out = sys.stdout if path in (None, "-") else Path(path)
+    try:
+        if out is not sys.stdout:
+            out.parent.mkdir(parents=True, exist_ok=True)
+        save(out, *args)
+    except OSError as exc:
+        raise ConfigError(f"cannot write output {path or '-'}: {exc}") from None
 
 
-def _write_json(path, payload):
-    """payload as indented JSON to _output(path)."""
-    out = _output(path)
+def _save_json(out, payload):
+    """payload as indented JSON to sys.stdout or the Path `out`."""
     (out.write if out is sys.stdout else out.write_text)(json.dumps(payload, indent=2) + "\n")
 
 
@@ -162,17 +165,16 @@ def cmd_coeffs(args) -> int:
     if args.format == "json":
         payload = (results[0].to_json_dict() if sweep is None
                    else {"sweep": [r.to_json_dict() for r in results]})
-        _write_json(args.output, payload)
+        _write(args.output, _save_json, payload)
     else:
         rows = [[r.d, r.c1, r.c2, r.c3, r.beta, r.gamma, *r.zeta] for r in results]
-        _save_csv(_output(args.output), SWEEP_HEADER, np.transpose(rows))
+        _write(args.output, _save_csv, SWEEP_HEADER, np.transpose(rows))
     return 0
 
 
 def cmd_profiles(args) -> int:
     kernel, kappa, n = _resolve(args)
     outdir = Path(args.output or "profiles-out")
-    outdir.mkdir(parents=True, exist_ok=True)
 
     # only the stages the dump writes: h, c and the five response profiles,
     # the profiles of run_pipeline(kernel, n, kappa)
@@ -181,10 +183,10 @@ def cmd_profiles(args) -> int:
 
     def dump(name, prof, values=None, sing_order=0):
         values = prof.values if values is None else values
-        _save_csv(outdir / f"{name}.csv", "mu,value", (prof.rule.nodes, values))
+        _write(outdir / f"{name}.csv", _save_csv, "mu,value", (prof.rule.nodes, values))
         meta = prof.meta if prof.condition is None else {**prof.meta, "condition": prof.condition}
         sidecar = {"coefficients": list(prof.coef), "sing_order": sing_order, "meta": meta}
-        _write_json(outdir / f"{name}.json", sidecar)
+        _write(outdir / f"{name}.json", _save_json, sidecar)
 
     # the invariant profile is written as h, next to its derivative h' and
     # the full invariant g = sqrt(1-mu^2) h (with h's coefficients)
@@ -230,12 +232,12 @@ def cmd_fields(args) -> int:
                                 eps=args.eps)
 
     outdir = Path(args.output or "fields-out")
-    outdir.mkdir(parents=True, exist_ok=True)
     xyz = state.grid.coordinates()
-    _save_csv(outdir / "r1.csv", "x,y,z,r1", (*xyz, corr.r1))
-    _save_csv(outdir / "r2.csv", "x,y,z,r2x,r2y,r2z", (*xyz, *np.moveaxis(corr.r2, -1, 0)))
+    _write(outdir / "r1.csv", _save_csv, "x,y,z,r1", (*xyz, corr.r1))
+    _write(outdir / "r2.csv", _save_csv, "x,y,z,r2x,r2y,r2z",
+           (*xyz, *np.moveaxis(corr.r2, -1, 0)))
     if not args.input:
-        save_field_csv(state, outdir / "state.csv")
+        _write(outdir / "state.csv", lambda out: save_field_csv(state, out))
     sys.stdout.write(f"wrote corrections for {state.grid.shape} grid to {outdir}\n")
     return 0
 
@@ -251,7 +253,7 @@ def cmd_verify(args) -> int:
         f"{sum(c.passed for c in report.checks)}/{len(report.checks)} checks "
         f"in {report.elapsed:.2f}s\n")
     if args.output:
-        _write_json(args.output, report.to_json_dict())
+        _write(args.output, _save_json, report.to_json_dict())
     return 0 if report.passed else InvariantError.exit_code
 
 

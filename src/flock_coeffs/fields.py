@@ -219,33 +219,28 @@ def _slab_planes(grid):
     return max(1, SLAB_CELLS // (grid.shape[1] * grid.shape[2]))
 
 
-def _along(axis, start, stop):
-    """Index of the cells [start, stop) along `axis`."""
-    return (slice(None),) * axis + (slice(start, stop),)
-
-
-def _difference(padded, axis, h, order, out=None, stride=1):
-    """Centered difference along `axis` of values that carry order // 2
-    stencil steps of `stride` cells at each end of that axis; the result
-    leaves those cells out."""
-    w = order // 2
-    n = padded.shape[axis] - 2 * w * stride
-
-    def tap(s):
-        """values shifted by s steps: tap(s)[i] = values[i + s * stride]."""
-        start = (w + s) * stride
-        return padded[_along(axis, start, start + n)]
-
+def _stencil(tap, h, order, out=None):
+    """The centered difference of order 2 or 4 from tap(s), the values s
+    cells along the axis, written into `out` when one is given."""
     if order == 2:
         out = np.subtract(tap(1), tap(-1), out=out)
-        out /= 2.0 * h
     else:
-        out = np.negative(tap(2), out=out)
-        out += 8.0 * tap(1)
+        # 8 tap(1) - tap(2) is -tap(2) + 8 tap(1) to the bit, and np.negative is
+        # avoided: numpy 2.4 gets it wrong when input and output have a 64-byte stride
+        out = np.multiply(tap(1), 8.0, out=out)
+        out -= tap(2)
         out -= 8.0 * tap(-1)
         out += tap(-2)
-        out /= 12.0 * h
+    out /= (2.0 if order == 2 else 12.0) * h
     return out
+
+
+def _difference(padded, h, order, out=None, stride=1):
+    """Centered difference along axis 0 of values that carry order // 2
+    stencil steps of `stride` cells at each end of that axis; the result
+    leaves those cells out: tap(s)[i] = values[i + s * stride]."""
+    n = len(padded) - order * stride
+    return _stencil(lambda s: padded[(order // 2 + s) * stride:][:n], h, order, out)
 
 
 def _periodic_difference(values, axis, h, order, out=None):
@@ -254,7 +249,8 @@ def _periodic_difference(values, axis, h, order, out=None):
     The stencil runs once over the flattened array, shifted by the axis's
     stride, so every numpy operation is one contiguous pass; that is right
     except in the order // 2 cells at each end of the axis, which are then
-    redone from a wrapped copy of the few cells they need.
+    redone one at a time from views of the cells their taps wrap to.  An
+    axis of at most `order` cells is done cell by cell throughout.
     """
     n = values.shape[axis]
     if out is None:
@@ -262,27 +258,28 @@ def _periodic_difference(values, axis, h, order, out=None):
     if n == 1:
         out[...] = 0.0
         return out
-    w = order // 2
-    if n <= 2 * w:
-        return _difference(np.take(values, np.arange(-w, n + w) % n, axis=axis),
-                           axis, h, order, out=out)
-    stride = math.prod(values.shape[axis + 1:])
-    flat = out.reshape(-1)
-    _difference(values.reshape(-1), 0, h, order, stride=stride,
-                out=flat[w * stride:flat.size - w * stride])
-    for start in (0, n - w):
-        wrapped = np.take(values, np.arange(start - w, start + 2 * w) % n, axis=axis)
-        _difference(wrapped, axis, h, order, out=out[_along(axis, start, start + w)])
+    w, cells = order // 2, range(n)
+    if n > 2 * w:
+        stride = math.prod(values.shape[axis + 1:])
+        flat = out.reshape(-1)
+        _difference(values.reshape(-1), h, order, stride=stride,
+                    out=flat[w * stride:flat.size - w * stride])
+        cells = (*range(w), *range(n - w, n))
+    lead = (slice(None),) * axis  # a[lead + (k, None)]: the cell k, a view keeping the axis
+    for i in cells:
+        _stencil(lambda s, i=i: values[lead + ((i + s) % n, None)], h, order,
+                 out=out[lead + (i, None)])
     return out
 
 
 def deriv(values: np.ndarray, axis: int, h: float, order: int = 2) -> np.ndarray:
-    """Centered periodic finite difference along `axis` (order 2 or 4).
-
-    An axis of extent 1 is constant and has a zero derivative.
+    """Centered periodic finite difference along `axis` (order 2 or 4, a
+    negative axis counting from the end): to the bit (v[i+1] - v[i-1]) / (2h)
+    or (-v[i+2] + 8 v[i+1] - 8 v[i-1] + v[i-2]) / (12h) on np.roll shifts v,
+    on every extent.  An axis of extent 1 is constant and has a zero derivative.
     """
     _check_order(order)
-    return _periodic_difference(values, axis, h, order)
+    return _periodic_difference(values, range(values.ndim)[axis], h, order)
 
 
 def _check_order(order):
@@ -318,7 +315,7 @@ class _Stencil:
 
     def d(self, values, j, out=None):
         if j == 0 and self.halo:
-            return _difference(values, 0, self.spacing[0], self.order, out=out)
+            return _difference(values, self.spacing[0], self.order, out=out)
         return _periodic_difference(self.inner(values), j, self.spacing[j], self.order,
                                     out=out)
 

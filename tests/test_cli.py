@@ -361,6 +361,23 @@ def test_unreadable_files_are_usage_errors(tmp_path, capsys, argv, path, message
     assert f"{message} {path}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, path", [
+    (["coeffs", "-o"], "file.txt/x.csv"),
+    (["coeffs", "-o"], "directory"),
+    (["profiles", "-o"], "file.txt"),
+    (["fields", "-o"], "file.txt"),
+    (["verify", "--quick", "-o"], "file.txt/r.json"),
+], ids=["coeffs-below-a-file", "coeffs-into-a-directory", "profiles-into-a-file",
+        "fields-into-a-file", "verify-below-a-file"])
+def test_unwritable_outputs_are_usage_errors(tmp_path, capsys, argv, path):
+    (tmp_path / "file.txt").write_text("")
+    (tmp_path / "directory").mkdir()
+    path = tmp_path / path
+    assert run([*argv, str(path)]) == 1
+    # profiles and fields name the first file they could not write there
+    assert f"error: cannot write output {path}" in capsys.readouterr().err
+
+
 def test_coeffs_numeric_failure_exits_3():
     # the weight spread 2/d is beyond what any quadrature rule resolves
     assert run(["coeffs", "--nu", "const:1", "--d", "1e-07", "--n", "32",

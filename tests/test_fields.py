@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import tracemalloc
 import types
 import warnings
@@ -520,6 +521,25 @@ def test_field_path_matches_reference(shape, order):
     assert_matches_reference(evaluate_r2(state, bundle, zeta), ref_r2, "r2")
 
 
+@pytest.mark.parametrize("order", [2, 4])
+def test_deriv_is_the_roll_stencil_to_the_bit(order):
+    # extents 1 to 10 on each axis, behind leading extents 1 and 3: axes no
+    # longer than the stencil are done cell by cell, and an end cell of an
+    # 8-cell last axis reads and writes with a 64-byte stride
+    rng = np.random.default_rng(33)
+    for n in range(1, 11):
+        cases = [(0, (n, 6, 5))] + [(axis, shape) for lead in (1, 3) for axis, shape
+                                    in ((1, (lead, n, 6)), (2, (lead, 6, n)))]
+        for axis, shape in cases:
+            values = rng.standard_normal(shape)
+            # a constant axis has an exact zero, not the stencil's rounding
+            want = np.zeros(shape) if n == 1 else ref_deriv(values, axis, 0.3, order)
+            got = deriv(values, axis, 0.3, order)
+            assert got.tobytes() == want.tobytes(), (shape, axis)
+            # a negative axis counts from the end
+            assert deriv(values, axis - 3, 0.3, order).tobytes() == want.tobytes(), (shape, axis)
+
+
 def test_degenerate_axis_has_zero_derivative():
     values = np.random.default_rng(16).standard_normal((1, 5, 6))
     for order in (2, 4):
@@ -1016,3 +1036,54 @@ def test_workspace_is_smaller_than_26_rows(monkeypatch):
     outputs = 4 * shape[0] * plane
     gather = 4 * (planes + 4 * w) * plane
     assert peak - outputs - gather < 26 * (planes + 2 * w) * plane
+
+
+# --- the 48 symmetries of the cube ---------------------------------------------
+# On a periodic grid of equal extents and spacings, permuting the axes or
+# reflecting one (i -> -i mod n) maps the centered stencils onto themselves,
+# so the corrections commute with every such map: r1 as a scalar field, r2
+# as a vector field.  Only the rounding of reordered sums may differ.
+
+CUBE_SYMMETRIES = [(perm, signs) for perm in itertools.permutations(range(3))
+                   for signs in itertools.product((1, -1), repeat=3)]
+# a cyclic permutation, a transposition and one reflection generate the group
+CUBE_GENERATORS = [((1, 2, 0), (1, 1, 1)), ((1, 0, 2), (1, 1, 1)), ((0, 1, 2), (-1, 1, 1))]
+
+
+def cube_map(values, perm, signs, vector=False):
+    """A grid (+ (3,)) field under x'_a = signs[a] x_perm[a]: the axes
+    permuted, then each axis of sign -1 reflected as i -> -i mod n, and a
+    vector's components mapped the same way."""
+    out = np.transpose(values, tuple(perm) + ((3,) if vector else ()))
+    for a, sign in enumerate(signs):
+        if sign < 0:
+            out = np.roll(np.flip(out, axis=a), 1, axis=a)
+    if vector:
+        out = out[..., list(perm)] * np.array(signs, dtype=float)
+    return out
+
+
+def assert_corrections_commute(state, order, symmetries):
+    corr = evaluate_corrections(state, SLAB_COEFFS, scheme_order=order)
+    for perm, signs in symmetries:
+        image = FieldState(state.grid, cube_map(state.rho, perm, signs),
+                           cube_map(state.omega, perm, signs, vector=True))
+        got = evaluate_corrections(image, SLAB_COEFFS, scheme_order=order)
+        for name, vector in (("r1", False), ("r2", True)):
+            want = cube_map(getattr(corr, name), perm, signs, vector)
+            gap = np.abs(getattr(got, name) - want).max()
+            assert gap <= 1e-13 * np.abs(want).max(), (name, perm, signs, gap)
+
+
+@pytest.mark.parametrize("order", [2, 4])
+def test_corrections_commute_with_the_cube_symmetries(order):
+    state = make_field("random-smooth", (16, 16, 16), seed=34)
+    assert len(set(CUBE_SYMMETRIES)) == 48
+    assert_corrections_commute(state, order, CUBE_SYMMETRIES)
+
+
+@pytest.mark.parametrize("order", [2, 4])
+def test_corrections_on_two_slabs_commute_with_the_cube_generators(order):
+    state = make_field("random-smooth", (40, 40, 40), seed=35)
+    assert -(-40 // slab_planes(fields._slab_planes(state.grid), order)) == 2
+    assert_corrections_commute(state, order, CUBE_GENERATORS)
